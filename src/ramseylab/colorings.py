@@ -43,13 +43,6 @@ ENUM_BUDGET = 1 << 22
 GENERATORS = ("constant", "parity", "mod", "blocks", "random")
 
 
-def splitmix64(z: int) -> int:
-    z = (z + _GOLDEN) & _M64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
-    return z ^ (z >> 31)
-
-
 def seeded_cell_color(seed: int, index: int, c: int) -> int:
     """Color of 0-based row-major cell ``index`` in the documented stream."""
     z = (seed + (index + 1) * _GOLDEN) & _M64

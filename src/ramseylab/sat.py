@@ -8,9 +8,15 @@ clauses), then one clause per (instance value set, color) forbidding that
 set from being monochromatic in that color.  Value sets are deduplicated
 and emitted in sorted order, so the encoding is stable byte-for-byte.
 
-The solver is a first-UIP CDCL with two-watched-literal propagation.  In
-its single (deterministic) mode it branches on the lowest-index unassigned
-variable, trying true first, so runs are reproducible.
+The solver is a first-UIP CDCL with two-watched-literal propagation.  It
+branches on the lowest-index unassigned variable, true first, never
+restarts and never deletes a learnt clause.  Inside it the literal v is
+coded 2v and -v is 2v+1 (negation is ``code ^ 1``; CPython's fast list
+subscript takes no negative index), and codes index flat lists:
+``val[code]`` is the literal's truth value, ``watches[code]`` its watch
+list.  The branching and propagation order, down to the order of watch
+lists and of the literals in each clause, is frozen: node counts are part
+of the report contract.
 """
 
 from __future__ import annotations
@@ -119,117 +125,104 @@ def encode_avoidance(schema: PatternSchema, N: int, c: int,
 
 class _Solver:
     def __init__(self, formula: CnfFormula):
-        self.nvars = formula.var_count
-        self.assign = [0] * (self.nvars + 1)  # 0 free, +1 true, -1 false
-        self.level = [0] * (self.nvars + 1)
-        self.reason = [None] * (self.nvars + 1)
+        n = self.nvars = formula.var_count
+        self.val = [0] * (2 * n + 2)  # by literal code: +1 true, -1 false, 0 free
+        self.watches = [[] for _ in range(2 * n + 2)]
+        self.level = [0] * (n + 1)
+        self.reason = [None] * (n + 1)
         self.trail = []
         self.trail_lim = []
         self.qhead = 0
-        self.watches = {}  # literal -> list of clauses watching it
         self.conflicts = 0
         self.decisions = 0
         self.root_conflict = False
+        codes = list(range(2 * n + 2))  # shared ints: codes above 256 are not cached
         for cl in formula.clauses:
-            self._add_clause(list(cl))
-
-    # -- plumbing
-
-    def _value(self, lit: int) -> int:
-        v = self.assign[abs(lit)]
-        return v if lit > 0 else -v
-
-    def _current_level(self) -> int:
-        return len(self.trail_lim)
-
-    def _watch(self, lit: int, clause) -> None:
-        self.watches.setdefault(lit, []).append(clause)
+            self._add_clause([codes[2 * lit if lit > 0 else 1 - 2 * lit] for lit in cl])
 
     def _add_clause(self, lits) -> None:
         seen = set()
         out = []
         for lit in lits:
-            if -lit in seen:
+            if lit ^ 1 in seen:
                 return  # tautology
             if lit not in seen:
                 seen.add(lit)
                 out.append(lit)
         if len(out) == 1:
-            if not self._enqueue(out[0], None):
+            if self.val[out[0]] == -1:
                 self.root_conflict = True
+            elif self.val[out[0]] == 0:
+                self._assign(out[0], None)
             return
-        self._watch(out[0], out)
-        self._watch(out[1], out)
+        self.watches[out[0]].append(out)
+        self.watches[out[1]].append(out)
 
-    def _enqueue(self, lit: int, reason) -> bool:
-        val = self._value(lit)
-        if val == 1:
-            return True
-        if val == -1:
-            return False
-        v = abs(lit)
-        self.assign[v] = 1 if lit > 0 else -1
-        self.level[v] = self._current_level()
+    def _assign(self, lit: int, reason) -> None:
+        """Make the free literal code ``lit`` true at the current level."""
+        self.val[lit] = 1
+        self.val[lit ^ 1] = -1
+        v = lit >> 1
+        self.level[v] = len(self.trail_lim)
         self.reason[v] = reason
         self.trail.append(lit)
-        return True
 
     def _propagate(self):
-        while self.qhead < len(self.trail):
-            p = self.trail[self.qhead]
-            self.qhead += 1
-            ws = self.watches.get(-p)
+        val, watches, trail = self.val, self.watches, self.trail
+        level, reason = self.level, self.reason
+        lvl = len(self.trail_lim)
+        qhead = self.qhead
+        while qhead < len(trail):
+            false_lit = trail[qhead] ^ 1
+            qhead += 1
+            ws = watches[false_lit]
             if not ws:
                 continue
-            i = j = 0
-            n = len(ws)
-            while i < n:
-                cl = ws[i]
-                i += 1
-                if cl[0] == -p:
-                    cl[0], cl[1] = cl[1], cl[0]
+            keep = watches[false_lit] = []
+            for i, cl in enumerate(ws):
                 first = cl[0]
-                if self._value(first) == 1:
-                    ws[j] = cl
-                    j += 1
+                if first == false_lit:
+                    first = cl[0] = cl[1]
+                    cl[1] = false_lit
+                first_val = val[first]
+                if first_val == 1:
+                    keep.append(cl)
                     continue
-                moved = False
                 for k in range(2, len(cl)):
-                    if self._value(cl[k]) != -1:
-                        cl[1], cl[k] = cl[k], cl[1]
-                        self._watch(cl[1], cl)
-                        moved = True
+                    lit = cl[k]
+                    if val[lit] != -1:
+                        cl[1], cl[k] = lit, false_lit
+                        watches[lit].append(cl)
                         break
-                if moved:
-                    continue
-                ws[j] = cl
-                j += 1
-                if self._value(first) == -1:
-                    while i < n:
-                        ws[j] = ws[i]
-                        j += 1
-                        i += 1
-                    del ws[j:]
-                    self.qhead = len(self.trail)
-                    return cl
-                self._enqueue(first, cl)
-            del ws[j:]
+                else:
+                    if first_val == -1:
+                        keep += ws[i:]
+                        self.qhead = len(trail)
+                        return cl
+                    keep.append(cl)
+                    val[first] = 1
+                    val[first ^ 1] = -1
+                    v = first >> 1
+                    level[v] = lvl
+                    reason[v] = cl
+                    trail.append(first)
+        self.qhead = qhead
         return None
 
     def _analyze(self, confl):
         """First-UIP conflict analysis; returns (learnt clause, backjump level)."""
+        level, reason, trail = self.level, self.reason, self.trail
         learnt = []
         seen = set()
         counter = 0
         p = None
-        idx = len(self.trail) - 1
+        idx = len(trail) - 1
         btlevel = 0
-        cur = self._current_level()
+        cur = len(self.trail_lim)
         while True:
-            start = 1 if p is not None else 0
-            for q in confl[start:]:
-                v = abs(q)
-                lv = self.level[v]
+            for q in (confl if p is None else confl[1:]):
+                v = q >> 1
+                lv = level[v]
                 if v not in seen and lv > 0:
                     seen.add(v)
                     if lv == cur:
@@ -237,37 +230,35 @@ class _Solver:
                     else:
                         learnt.append(q)
                         btlevel = max(btlevel, lv)
-            while abs(self.trail[idx]) not in seen:
+            while trail[idx] >> 1 not in seen:
                 idx -= 1
-            p = self.trail[idx]
-            seen.discard(abs(p))
+            p = trail[idx]
+            seen.discard(p >> 1)
             counter -= 1
             idx -= 1
             if counter == 0:
                 break
-            confl = self.reason[abs(p)]
-        return [-p] + learnt, btlevel
+            confl = reason[p >> 1]
+        return [p ^ 1] + learnt, btlevel
 
     def _cancel_until(self, level: int) -> None:
-        while self._current_level() > level:
-            mark = self.trail_lim.pop()
+        if len(self.trail_lim) > level:
+            mark = self.trail_lim[level]
+            val = self.val
             for lit in self.trail[mark:]:
-                v = abs(lit)
-                self.assign[v] = 0
-                self.reason[v] = None
+                val[lit] = val[lit ^ 1] = 0
             del self.trail[mark:]
+            del self.trail_lim[level:]
         self.qhead = len(self.trail)
 
     def _record(self, learnt) -> None:
-        if len(learnt) == 1:
-            self._enqueue(learnt[0], None)
-            return
-        # watch the asserting literal and a literal from the backjump level
-        best = max(range(1, len(learnt)), key=lambda i: self.level[abs(learnt[i])])
-        learnt[1], learnt[best] = learnt[best], learnt[1]
-        self._watch(learnt[0], learnt)
-        self._watch(learnt[1], learnt)
-        self._enqueue(learnt[0], learnt)
+        if len(learnt) > 1:
+            # watch the asserting literal and a literal from the backjump level
+            best = max(range(1, len(learnt)), key=lambda i: self.level[learnt[i] >> 1])
+            learnt[1], learnt[best] = learnt[best], learnt[1]
+            self.watches[learnt[0]].append(learnt)
+            self.watches[learnt[1]].append(learnt)
+        self._assign(learnt[0], learnt)  # a unit's reason, at level 0, is never read
 
     def solve(self, max_conflicts: Optional[int] = None) -> SatVerdict:
         if self.root_conflict:
@@ -277,7 +268,7 @@ class _Solver:
             confl = self._propagate()
             if confl is not None:
                 self.conflicts += 1
-                if self._current_level() == 0:
+                if not self.trail_lim:
                     return SatVerdict(status=UNSAT, conflicts=self.conflicts,
                                       decisions=self.decisions)
                 if max_conflicts is not None and self.conflicts > max_conflicts:
@@ -288,18 +279,17 @@ class _Solver:
                 self._record(learnt)
                 branch_from = 1
                 continue
-            v = branch_from
-            while v <= self.nvars and self.assign[v] != 0:
-                v += 1
-            if v > self.nvars:
-                model = [w if self.assign[w] > 0 else -w
-                         for w in range(1, self.nvars + 1)]
+            try:
+                # both codes of a free variable hold 0
+                v = self.val.index(0, 2 * branch_from) >> 1
+            except ValueError:
+                model = [w * self.val[2 * w] for w in range(1, self.nvars + 1)]
                 return SatVerdict(status=SAT, model=model,
                                   conflicts=self.conflicts, decisions=self.decisions)
             branch_from = v
             self.decisions += 1
             self.trail_lim.append(len(self.trail))
-            self._enqueue(v, None)  # deterministic: lowest index, true first
+            self._assign(2 * v, None)  # deterministic: lowest index, true first
 
 
 def check_model(formula: CnfFormula, model) -> bool:

@@ -200,79 +200,89 @@ def has_monochromatic_instance(schema: PatternSchema, coloring: Coloring) -> boo
 # avoidance search
 
 
-def _index_by_max(value_sets):
-    """For each n, the instances whose largest value is n, as 'other values'
-    tuples.  An empty 'others' means the instance is a singleton {n}: every
-    color completes it, so n becomes uncolorable."""
-    by_max: dict = {}
-    for vs in value_sets:
-        by_max.setdefault(vs[-1], []).append(vs[:-1])
-    return by_max
+def _index_by_max(value_sets, N):
+    """For each n in [1..N] (list index n-1), the instances whose largest
+    value is n, as lists of the 0-based positions of their other values,
+    split into (pairs, rest) for :func:`_forbidden`."""
+    index = [([], []) for _ in range(N)]
+    for *others, n in value_sets:
+        pairs, rest = index[n - 1]
+        (pairs if len(others) == 2 else rest).append([v - 1 for v in others])
+    return index
 
 
-def _backtrack_chunk(N, c, by_max, prefix, budget: Optional[NodeBudget]):
+def _forbidden(entry, bits) -> int:
+    """Bit mask of the colors that would complete an instance of ``entry``
+    (an :func:`_index_by_max` item), given ``bits[i]``, the one-hot bit of
+    the color at position i."""
+    pairs, rest = entry
+    mask = 0
+    for i, j in pairs:
+        b = bits[i]
+        if b == bits[j]:
+            mask |= b
+    for others in rest:
+        if not others:
+            return -1  # the singleton {n}: every color completes it
+        b = bits[others[0]]
+        for i in others:
+            if bits[i] != b:
+                break
+        else:
+            mask |= b
+    return mask
+
+
+def _backtrack_chunk(N, c, index, prefix, budget: Optional[NodeBudget]):
     """Continue the canonical-coloring DFS from a fixed color prefix;
     returns (lexicographically least avoiding completion or None, nodes)."""
-    colors = list(prefix) + [0] * (N - len(prefix))
+    bits = [1 << color for color in prefix] + [0] * (N - len(prefix))
+    choices = [[(color, 1 << color) for color in range(min(u + 1, c))]
+               for u in range(c + 1)]
     local_nodes = 0
 
-    def allowed(n: int, color: int) -> bool:
-        for others in by_max.get(n, ()):
-            ok = True
-            for v in others:
-                if colors[v - 1] != color:
-                    ok = False
-                    break
-            if ok:
-                return False
-        return True
-
-    def rec(n: int, used: int):
+    def rec(i: int, used: int):
         nonlocal local_nodes
-        if n > N:
-            return tuple(colors)
-        for color in range(min(used + 1, c)):
+        if i == N:
+            return tuple(b.bit_length() - 1 for b in bits)
+        forbidden = _forbidden(index[i], bits)
+        for color, bit in choices[used]:
             local_nodes += 1
             if budget is not None and local_nodes % 1024 == 0:
                 budget.spend(1024)
-            if allowed(n, color):
-                colors[n - 1] = color
-                hit = rec(n + 1, max(used, color + 1))
+            if not forbidden & bit:
+                bits[i] = bit
+                hit = rec(i + 1, used + 1 if color == used else used)
                 if hit is not None:
                     return hit
         return None
 
-    hit = rec(len(prefix) + 1, len(set(prefix)))
+    hit = rec(len(prefix), len(set(prefix)))
     if budget is not None and local_nodes % 1024:
         budget.spend(local_nodes % 1024)
     return hit, local_nodes
 
 
-def _backtrack_prefixes(N, c, by_max, depth):
+def _backtrack_prefixes(c, index, depth):
     """Consistent canonical color prefixes of the given depth, in
     lexicographic order: the split frontier.  Instances with max value
     <= depth are fully assigned within the prefix, so the same forbidden-
     color rule applies."""
     prefixes = []
-    colors = [0] * depth
+    bits = [0] * depth
 
-    def allowed(n, color):
-        for others in by_max.get(n, ()):
-            if all(colors[v - 1] == color for v in others):
-                return False
-        return True
-
-    def rec(n, used):
-        if n > depth:
-            prefixes.append(tuple(colors))
+    def rec(i, used):
+        if i == depth:
+            prefixes.append(tuple(b.bit_length() - 1 for b in bits))
             return
+        forbidden = _forbidden(index[i], bits)
         for color in range(min(used + 1, c)):
-            if allowed(n, color):
-                colors[n - 1] = color
-                rec(n + 1, max(used, color + 1))
-                colors[n - 1] = 0
+            bit = 1 << color
+            if not forbidden & bit:
+                bits[i] = bit
+                rec(i + 1, max(used, color + 1))
 
-    rec(1, 0)
+    rec(0, 0)
     return prefixes
 
 
@@ -300,9 +310,9 @@ def find_avoiding_coloring(schema: PatternSchema, N: int, c: int,
         elif sv.status == satmod.UNKNOWN:
             verdict = "unknown"
     elif engine == "exhaustive":
+        nodes = 0
         try:
             value_sets = instance_value_sets(schema, N)
-            nodes = 0
             for col in enumerate_colorings(1, N, c, symmetry_break=True):
                 nodes += 1
                 if max_nodes is not None and nodes > max_nodes:
@@ -312,21 +322,20 @@ def find_avoiding_coloring(schema: PatternSchema, N: int, c: int,
                            for vs in value_sets):
                     verdict, found = "sat", col
                     break
-            stats.nodes = nodes
         except BudgetExceededError:
             verdict = "unknown"
+        stats.nodes = nodes
     else:
-        value_sets = instance_value_sets(schema, N)
-        by_max = _index_by_max(value_sets)
+        index = _index_by_max(instance_value_sets(schema, N), N)
         budget = NodeBudget(max_nodes) if max_nodes is not None else None
         try:
             depth = min(SPLIT_DEPTH, N)
             if N <= depth:
-                cells, nodes = _backtrack_chunk(N, c, by_max, (), budget)
+                cells, nodes = _backtrack_chunk(N, c, index, (), budget)
             else:
-                prefixes = _backtrack_prefixes(N, c, by_max, depth)
+                prefixes = _backtrack_prefixes(c, index, depth)
                 tasks = [
-                    (lambda p=p: _backtrack_chunk(N, c, by_max, p, budget))
+                    (lambda p=p: _backtrack_chunk(N, c, index, p, budget))
                     for p in prefixes
                 ]
                 cells, nodes = ordered_first_hit(tasks, workers=workers)
@@ -335,6 +344,7 @@ def find_avoiding_coloring(schema: PatternSchema, N: int, c: int,
                 verdict, found = "sat", Coloring(d=1, N=N, c=c, cells=cells)
         except BudgetExceededError:
             verdict = "unknown"
+            stats.nodes = budget.count
 
     stats.time_ms = (time.perf_counter() - t0) * 1000.0
     if found is not None and validate:

@@ -114,6 +114,19 @@ def test_avoid_budget_exhaustion_exits_two(capsys):
     assert report["verdict"] == "unknown"
 
 
+@pytest.mark.parametrize("engine, nodes", [("backtracking", 12),
+                                           ("exhaustive", 6), ("sat", 15)])
+def test_avoid_budget_exhaustion_reports_nodes(capsys, monkeypatch, engine,
+                                               nodes):
+    monkeypatch.delenv("RAMSEY_WORKERS", raising=False)
+    code, report = run_json(
+        capsys, "avoid", "--pattern", SCHUR, "--n", "13", "--colors", "3",
+        "--max-nodes", "5", "--engine", engine, "--workers", "1")
+    assert code == 2
+    assert report["verdict"] == "unknown"
+    assert report["stats"]["nodes"] == nodes
+
+
 def test_threshold_with_csv(capsys, tmp_path):
     csv = tmp_path / "rows.csv"
     code, report = run_json(

@@ -117,6 +117,38 @@ def test_workers_do_not_change_results():
         (r8.verdict, r8.coloring.cells, r8.stats.nodes)
 
 
+AP3 = "{a, a+d, a+2*d}"
+AP4 = "{a, a+d, a+2*d, a+3*d}"
+AP3_N26_C3 = "00110012122020010112022121"
+WEAK_SCHUR_N23_C3 = "00101110220222202212101"
+AP4_N34_C2 = "0010001110100100011101001000111011"
+
+
+# Node counts are part of the report contract: the engines' branching and
+# propagation order is frozen, so a speedup must leave these unchanged.
+@pytest.mark.parametrize("engine, pattern, distinct, N, c, nodes, cells", [
+    ("backtracking", AP3, False, 26, 3, 35639, AP3_N26_C3),
+    ("backtracking", "{x, y, x+y}", True, 23, 3, 2826, WEAK_SCHUR_N23_C3),
+    ("sat", AP3, False, 26, 3, 395, AP3_N26_C3),
+    ("sat", "{x, y, x+y}", True, 23, 3, 31, WEAK_SCHUR_N23_C3),
+    ("sat", AP4, False, 34, 2, 101, AP4_N34_C2),
+])
+def test_avoid_search_is_pinned(engine, pattern, distinct, N, c, nodes, cells):
+    schema = parse_pattern(pattern, distinct_vars=distinct)
+    res = find_avoiding_coloring(schema, N, c, engine=engine)
+    assert (res.verdict, res.stats.nodes) == ("sat", nodes)
+    assert "".join(map(str, res.coloring.cells)) == cells
+
+
+@pytest.mark.parametrize("engine, nodes", [("backtracking", 1290),
+                                           ("sat", 164)])
+def test_threshold_search_is_pinned(engine, nodes):
+    res = threshold_number(SCHUR, 3, 20, engine=engine)
+    assert res.threshold == 14
+    assert sum(r[2] for r in res.rows) == nodes
+    assert "".join(map(str, res.certificate.cells)) == "0110220220110"
+
+
 def _forced_brute(schema, cells):
     """Reference implementation straight off the value sets."""
     sets = instance_value_sets(schema, len(cells))
