@@ -28,7 +28,6 @@ def parse_args(argv=None):
     ap.add_argument("--min-value", type=int, default=1)
     ap.add_argument("--distinct", action="store_true",
                     help="require pairwise distinct variable values")
-    ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--show-misses", action="store_true",
                     help="print every seed whose coloring avoids the pattern")
     return ap.parse_args(argv)
@@ -43,8 +42,7 @@ def main(argv=None) -> int:
     for trial in range(args.trials):
         seed = args.seed0 + trial
         col = make_coloring("random", 1, args.n, args.colors, seed=seed)
-        hit = find_instance(InstanceQuery(schema=schema, coloring=col),
-                            workers=args.workers)
+        hit = find_instance(InstanceQuery(schema=schema, coloring=col))
         if hit is None:
             if args.show_misses:
                 print(f"seed {seed}: avoided")

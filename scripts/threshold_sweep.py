@@ -27,7 +27,6 @@ def parse_args(argv=None):
                     choices=("backtracking", "sat", "exhaustive"))
     ap.add_argument("--max-nodes", type=int, default=None,
                     help="per-N node budget")
-    ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--csv", help="also write rows to this CSV file")
     return ap.parse_args(argv)
 
@@ -42,8 +41,7 @@ def main(argv=None) -> int:
             t0 = time.perf_counter()
             res = threshold_number(schema, c, args.n_max,
                                    engine=args.engine,
-                                   max_nodes=args.max_nodes,
-                                   workers=args.workers)
+                                   max_nodes=args.max_nodes)
             dt = time.perf_counter() - t0
             nodes = sum(r[2] for r in res.rows)
             shown = res.threshold if res.threshold is not None else f">{args.n_max}"

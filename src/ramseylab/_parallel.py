@@ -1,64 +1,43 @@
 """Deterministic work splitting.
 
 Searches split their tree into an ordered list of chunks (by leading witness
-coordinate or by a fixed-depth prefix frontier).  Chunks are evaluated with a
-sliding window of worker threads and resolved strictly in order, so the
-reported witness — the one from the first successful chunk — is independent
-of the worker count.  Node counts are accumulated only over chunks up to and
-including the first hit, which keeps reported statistics reproducible too.
+coordinate or by a fixed-depth prefix frontier) and run them in that order
+on the calling thread, stopping at the first chunk that finds something.
+Node counts cover the chunks up to and including that one, and a budget is
+spent in the same order, so a query always gives the same report and the
+same budget verdict.
 """
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Optional, Sequence, Tuple
 
 from .errors import BudgetExceededError
 
 
 class NodeBudget:
-    """Thread-shared node counter with an optional hard limit."""
+    """Node counter with a hard limit."""
 
-    def __init__(self, limit: Optional[int] = None):
+    def __init__(self, limit: int):
         self.limit = limit
         self.count = 0
-        self._lock = threading.Lock()
 
     def spend(self, n: int = 1) -> None:
-        with self._lock:
-            self.count += n
-            if self.limit is not None and self.count > self.limit:
-                raise BudgetExceededError(f"node budget {self.limit} exceeded")
+        self.count += n
+        if self.count > self.limit:
+            raise BudgetExceededError(f"node budget {self.limit} exceeded",
+                                      nodes=self.count)
 
 
 def ordered_first_hit(tasks: Sequence[Callable[[], Tuple[Optional[object], int]]],
                       workers: int = 1) -> Tuple[Optional[object], int]:
-    """Run tasks (each returning ``(result_or_None, nodes)``) and return the
-    first non-None result in task order plus the node total over all tasks
-    up to and including the winning one.  Tasks launched speculatively past
-    the winner are discarded without affecting the totals."""
+    """Run tasks (each returning ``(result_or_None, nodes)``) in order and
+    return the first non-None result plus the node total over the tasks
+    run.  ``workers`` is accepted and ignored."""
     nodes = 0
-    if workers <= 1:
-        for task in tasks:
-            result, n = task()
-            nodes += n
-            if result is not None:
-                return result, nodes
-        return None, nodes
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {}
-        horizon = min(workers, len(tasks))
-        for i in range(horizon):
-            futures[i] = pool.submit(tasks[i])
-        for i in range(len(tasks)):
-            result, n = futures.pop(i).result()
-            nodes += n
-            if result is not None:
-                for fut in futures.values():
-                    fut.cancel()
-                return result, nodes
-            nxt = i + horizon
-            if nxt < len(tasks):
-                futures[nxt] = pool.submit(tasks[nxt])
+    for task in tasks:
+        result, n = task()
+        nodes += n
+        if result is not None:
+            return result, nodes
     return None, nodes

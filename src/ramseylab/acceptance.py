@@ -324,22 +324,17 @@ def criterion_9():
          "--k", "2"],
         ["avoid", "--pattern", SCHUR, "--n", "13", "--colors", "3"],
     ]
-    saved = os.environ.pop("RAMSEY_WORKERS", None)
-    try:
-        for argv in commands:
-            outputs = []
-            for workers in ("1", "4", "8"):
-                buf = io.StringIO()
-                with redirect_stdout(buf):
-                    code = cli_main(argv + ["--workers", workers])
-                if code != 0:
-                    return False, f"{argv[0]} exited {code} at {workers} workers"
-                outputs.append(buf.getvalue())
-            if not (outputs[0] == outputs[1] == outputs[2]):
-                return False, f"{argv[0]} output varies with the worker count"
-    finally:
-        if saved is not None:
-            os.environ["RAMSEY_WORKERS"] = saved
+    for argv in commands:
+        outputs = []
+        for workers in ("1", "4", "8"):
+            buf = io.StringIO()
+            with redirect_stdout(buf):
+                code = cli_main(argv + ["--workers", workers])
+            if code != 0:
+                return False, f"{argv[0]} exited {code} at {workers} workers"
+            outputs.append(buf.getvalue())
+        if not (outputs[0] == outputs[1] == outputs[2]):
+            return False, f"{argv[0]} output varies with the worker count"
     return True, f"{len(commands)} subcommands byte-identical at 1/4/8 workers"
 
 

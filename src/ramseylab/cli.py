@@ -8,18 +8,17 @@ Every subcommand prints one canonical JSON report to stdout::
 Exit codes: 0 when the question was answered (in either direction), 1 on
 usage or input errors, 2 when a node/conflict budget ran out first.
 
-Reports are deterministic by default — time_ms is zeroed and the worker
-count is not echoed, so the same query produces byte-identical output
-whatever the machine or --workers value; pass --timing for wall-clock
-numbers.  The RAMSEY_WORKERS environment variable, when set, overrides
---workers.
+Searches run on one thread, in a fixed chunk order; --workers is
+accepted and ignored.  Reports are deterministic by default — time_ms is
+zeroed, so the same query produces byte-identical output whatever the
+machine; pass --timing for wall-clock numbers.  A budget that runs out
+gives verdict "unknown" with the usual query echo and the nodes spent.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -101,16 +100,6 @@ def _coloring_from_args(args) -> tuple:
     raise RamseyError("no coloring given (use --coloring-file or --generator)")
 
 
-def _workers(args) -> int:
-    env = os.environ.get("RAMSEY_WORKERS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise RamseyError(f"RAMSEY_WORKERS must be an integer, got {env!r}")
-    return max(1, getattr(args, "workers", 1))
-
-
 def _stats(engine: str, nodes: int, t0: float, timing: bool) -> dict:
     dt = (time.perf_counter() - t0) * 1000.0
     return {"engine": engine, "nodes": nodes,
@@ -137,6 +126,23 @@ def _maybe_save_witness(args, kind: str, data: dict, spec: ColoringSpec):
                                         validated=True))
 
 
+def _run_finder(args, query: dict, engine: str, search, witness_of) -> int:
+    """Emit the report of ``search()``, which returns (hit or None, nodes):
+    verdict found with witness ``witness_of(hit)``, or none; exit 0.  When
+    the budget runs out first: verdict unknown with the nodes spent, exit 2."""
+    t0 = time.perf_counter()
+    try:
+        hit, nodes = search()
+    except BudgetExceededError as exc:
+        _emit(_report(query, "unknown", None,
+                      _stats(engine, exc.nodes, t0, args.timing)), args.out)
+        return 2
+    witness = witness_of(hit) if hit is not None else None
+    _emit(_report(query, "found" if hit is not None else "none", witness,
+                  _stats(engine, nodes, t0, args.timing)), args.out)
+    return 0
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -148,21 +154,17 @@ def cmd_find(args) -> int:
     query = {"command": "find", "pattern": format_pattern(schema),
              "distinct": schema.distinct_vars, "min_value": schema.min_value,
              "coloring": spec.to_json()}
-    t0 = time.perf_counter()
     iq = InstanceQuery(schema=schema, coloring=coloring)
-    if args.all:
-        hits = find_all_instances(iq, limit=args.max_witnesses)
-        witness = [{"assignment": a, "color": c} for a, c in hits]
-        nodes = len(hits)
-        verdict = "found" if hits else "none"
-    else:
-        hit, nodes = find_instance_detailed(iq, workers=_workers(args),
-                                            max_nodes=args.max_nodes)
-        witness = ({"assignment": hit[0], "color": hit[1]}
-                   if hit is not None else None)
-        verdict = "found" if hit is not None else "none"
-    _emit(_report(query, verdict, witness,
-                  _stats("scan", nodes, t0, args.timing)), args.out)
+    if not args.all:
+        return _run_finder(
+            args, query, "scan",
+            lambda: find_instance_detailed(iq, max_nodes=args.max_nodes),
+            lambda hit: {"assignment": hit[0], "color": hit[1]})
+    t0 = time.perf_counter()
+    hits = find_all_instances(iq, limit=args.max_witnesses)
+    witness = [{"assignment": a, "color": c} for a, c in hits]
+    _emit(_report(query, "found" if hits else "none", witness,
+                  _stats("scan", len(hits), t0, args.timing)), args.out)
     return 0
 
 
@@ -175,8 +177,7 @@ def cmd_avoid(args) -> int:
     t0 = time.perf_counter()
     res = find_avoiding_coloring(schema, args.n, args.colors,
                                  engine=args.engine,
-                                 max_nodes=args.max_nodes,
-                                 workers=_workers(args))
+                                 max_nodes=args.max_nodes)
     witness = None
     if res.coloring is not None:
         witness = {"cells": list(res.coloring.cells)}
@@ -197,8 +198,7 @@ def cmd_threshold(args) -> int:
              "engine": args.engine}
     t0 = time.perf_counter()
     res = threshold_number(schema, args.colors, args.n_max,
-                           engine=args.engine, max_nodes=args.max_nodes,
-                           workers=_workers(args))
+                           engine=args.engine, max_nodes=args.max_nodes)
     nodes = sum(r[2] for r in res.rows)
     witness = None
     if res.threshold is not None:
@@ -262,37 +262,36 @@ def cmd_fs_witness(args) -> int:
     coloring, spec = _coloring_from_args(args)
     query = {"command": "fs-witness", "k": args.k,
              "coloring": spec.to_json()}
-    t0 = time.perf_counter()
-    hit, nodes = find_fs_witness_detailed(coloring, args.k,
-                                          budget=args.budget,
-                                          workers=_workers(args))
-    witness = None
-    if hit is not None:
+
+    def witness_of(hit):
         ok, color = check_fs_witness(coloring, hit)
         assert ok
         witness = {"generators": list(hit), "color": color}
         _maybe_save_witness(args, "fs", dict(witness, k=args.k), spec)
-    _emit(_report(query, "found" if hit else "none", witness,
-                  _stats("fs-scan", nodes, t0, args.timing)), args.out)
-    return 0
+        return witness
+
+    return _run_finder(
+        args, query, "fs-scan",
+        lambda: find_fs_witness_detailed(coloring, args.k, budget=args.budget),
+        witness_of)
 
 
 def cmd_grid_witness(args) -> int:
     coloring, spec = _coloring_from_args(args)
     query = {"command": "grid-witness", "length": args.length,
              "blocks": args.blocks, "coloring": spec.to_json()}
-    t0 = time.perf_counter()
-    hit, nodes = find_grid_witness_detailed(coloring, args.length,
-                                            args.blocks, budget=args.budget,
-                                            workers=_workers(args))
-    witness = None
-    if hit is not None:
+
+    def witness_of(hit):
         seq, color = hit
         witness = {"sequence": list(seq), "d": args.blocks, "color": color}
         _maybe_save_witness(args, "grid", dict(witness), spec)
-    _emit(_report(query, "found" if hit else "none", witness,
-                  _stats("grid-scan", nodes, t0, args.timing)), args.out)
-    return 0
+        return witness
+
+    return _run_finder(
+        args, query, "grid-scan",
+        lambda: find_grid_witness_detailed(coloring, args.length, args.blocks,
+                                           budget=args.budget),
+        witness_of)
 
 
 def _op_from_args(args, coloring: Coloring):
@@ -338,15 +337,12 @@ def cmd_composed_witness(args) -> int:
 def _cmd_bundle(args, shifted: bool) -> int:
     coloring, spec = _coloring_from_args(args)
     name = "bundle15" if shifted else "bundle14"
-    t0 = time.perf_counter()
     if args.corollary:
         find = find_shifted_quad_detailed if shifted else find_scaled_quad_detailed
         query = {"command": name, "mode": "corollary",
                  "coloring": spec.to_json()}
-        hit, nodes = find(coloring, workers=_workers(args),
-                          max_nodes=args.budget)
-        witness = None
-        if hit is not None:
+
+        def quad_witness(hit):
             asg, color = hit
             if shifted:
                 ok, chk = check_shifted_quad(coloring, asg["b"], asg["u"],
@@ -355,27 +351,28 @@ def _cmd_bundle(args, shifted: bool) -> int:
                 ok, chk = check_scaled_quad(coloring, asg["a"], asg["x"],
                                             asg["y"])
             assert ok and chk == color
-            witness = {"assignment": asg, "color": color}
-        _emit(_report(query, "found" if hit else "none", witness,
-                      _stats("quad-scan", nodes, t0, args.timing)), args.out)
-        return 0
+            return {"assignment": asg, "color": color}
+
+        return _run_finder(args, query, "quad-scan",
+                           lambda: find(coloring, max_nodes=args.budget),
+                           quad_witness)
     query = {"command": name, "mode": "bundle", "k": args.k,
-             "cap_a": args.cap_a, "cap_b": args.cap_b,
-             "coloring": spec.to_json()}
+             "cap_a": args.cap_a, "coloring": spec.to_json()}
     find = find_shifted_bundle_detailed if shifted else find_scaled_bundle_detailed
-    hit, nodes = find(coloring, args.k, cap_a=args.cap_a, cap_b=args.cap_b,
-                      budget=args.budget, workers=_workers(args))
-    witness = None
-    if hit is not None:
+
+    def bundle_witness(hit):
         check = check_shifted_bundle if shifted else check_scaled_bundle
         ok, detail = check(coloring, hit)
         assert ok, detail
         witness = {"lam": hit.lam, "a_set": list(hit.a_set),
                    "b_set": list(hit.b_set), "k": hit.k, "color": hit.color}
         _maybe_save_witness(args, name, dict(witness), spec)
-    _emit(_report(query, "found" if hit else "none", witness,
-                  _stats("bundle-scan", nodes, t0, args.timing)), args.out)
-    return 0
+        return witness
+
+    return _run_finder(
+        args, query, "bundle-scan",
+        lambda: find(coloring, args.k, cap_a=args.cap_a, budget=args.budget),
+        bundle_witness)
 
 
 def cmd_bundle14(args) -> int:
@@ -450,7 +447,7 @@ def _search_args(p, budget_flag="--max-nodes"):
     p.add_argument(budget_flag, dest=budget_flag.strip("-").replace("-", "_"),
                    type=int, default=None, help="node/conflict budget")
     p.add_argument("--workers", type=int, default=1,
-                   help="worker threads (RAMSEY_WORKERS overrides)")
+                   help="accepted and ignored: searches run on one thread")
 
 
 def _common_out(p):
@@ -559,8 +556,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="structure order (default 2)")
         p.add_argument("--cap-a", type=int, default=None,
                        help="largest |A| to try")
-        p.add_argument("--cap-b", type=int, default=2,
-                       help="largest |B| to try (default 2)")
         p.add_argument("--corollary", action="store_true",
                        help="search the 4-term quadruple pattern instead")
         _search_args(p, "--budget")

@@ -8,7 +8,12 @@ class RamseyError(Exception):
 
 
 class BudgetExceededError(RamseyError):
-    """A search or enumeration ran past its node/assignment budget."""
+    """A search or enumeration ran past its node/assignment budget;
+    ``nodes`` is what the search had spent (0 where nodes are not counted)."""
+
+    def __init__(self, message: str = "", nodes: int = 0):
+        super().__init__(message)
+        self.nodes = nodes
 
 
 class ValueOverflowError(RamseyError):

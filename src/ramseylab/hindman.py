@@ -25,10 +25,11 @@ finite-sums set, and shifted structures
 with A carrying k-AP, k-GP, k-FS and k-FP simultaneously.  A+B and A*B are
 the pairwise sum/product sets (a in A, b in B), never A with itself.
 
-Finders enumerate candidates in a fixed documented order and split work on
-the leading coordinate, so results and node counts do not depend on the
-worker count.  Every checker recomputes its verdict from the raw data; the
-finders never hand back anything a checker has not confirmed.
+Finders enumerate candidates in a fixed documented order, split on the
+leading coordinate into chunks that run one after another, so results,
+node counts and budget verdicts depend only on the query.  Every checker
+recomputes its verdict from the raw data; the finders never hand back
+anything a checker has not confirmed.
 """
 
 from __future__ import annotations
@@ -82,8 +83,7 @@ def check_fs_witness(coloring: Coloring, generators) -> tuple:
 
 
 def find_fs_witness_detailed(coloring: Coloring, k: int,
-                             budget: Optional[int] = None,
-                             workers: int = 1):
+                             budget: Optional[int] = None):
     """Least non-decreasing generator tuple (a_1 <= ... <= a_k) whose
     subset-sum closure is monochromatic, plus the node count.
 
@@ -137,13 +137,11 @@ def find_fs_witness_detailed(coloring: Coloring, k: int,
         return hit, local
 
     tasks = [(lambda a=a: chunk(a)) for a in range(1, N + 1)]
-    return ordered_first_hit(tasks, workers=workers)
+    return ordered_first_hit(tasks)
 
 
-def find_fs_witness(coloring: Coloring, k: int, budget: Optional[int] = None,
-                    workers: int = 1):
-    hit, _ = find_fs_witness_detailed(coloring, k, budget=budget,
-                                      workers=workers)
+def find_fs_witness(coloring: Coloring, k: int, budget: Optional[int] = None):
+    hit, _ = find_fs_witness_detailed(coloring, k, budget=budget)
     return list(hit) if hit is not None else None
 
 
@@ -216,8 +214,7 @@ def grid_common_color(coloring: Coloring, sequence, d: int):
 
 
 def find_grid_witness_detailed(coloring: Coloring, L: int, d: int,
-                               budget: Optional[int] = None,
-                               workers: int = 1):
+                               budget: Optional[int] = None):
     """Least sequence in [1..N]^L whose d-block grid is witnessed under one
     common color, plus node count.  Returns ((sequence, color) or None,
     nodes).
@@ -272,13 +269,12 @@ def find_grid_witness_detailed(coloring: Coloring, L: int, d: int,
         return hit, local
 
     tasks = [(lambda a=a: chunk(a)) for a in range(1, N + 1)]
-    return ordered_first_hit(tasks, workers=workers)
+    return ordered_first_hit(tasks)
 
 
 def find_grid_witness(coloring: Coloring, L: int, d: int,
-                      budget: Optional[int] = None, workers: int = 1):
-    hit, _ = find_grid_witness_detailed(coloring, L, d, budget=budget,
-                                        workers=workers)
+                      budget: Optional[int] = None):
+    hit, _ = find_grid_witness_detailed(coloring, L, d, budget=budget)
     if hit is None:
         return None
     seq, color = hit
@@ -548,8 +544,8 @@ def check_shifted_bundle(coloring: Coloring, bundle: ShiftedBundle) -> tuple:
     return True, None
 
 
-def _find_bundle(coloring: Coloring, k: int, cap_a: int, cap_b: int,
-                 budget: Optional[int], workers: int, shifted: bool):
+def _find_bundle(coloring: Coloring, k: int, cap_a: int,
+                 budget: Optional[int], shifted: bool):
     """Shared bundle search.  Candidate order: lam ascending, |A|
     ascending, A lexicographic, then B — and since the per-b constraints
     are independent, the first feasible B is always a singleton, checked in
@@ -558,8 +554,8 @@ def _find_bundle(coloring: Coloring, k: int, cap_a: int, cap_b: int,
     _require_d1(coloring)
     if k < 1:
         raise RamseyError("k must be at least 1")
-    if cap_a < 1 or cap_b < 1:
-        raise RamseyError("set-size caps must be at least 1")
+    if cap_a < 1:
+        raise RamseyError("cap_a must be at least 1")
     N = coloring.N
     color_of = coloring.value_color
     shared = NodeBudget(budget) if budget is not None else None
@@ -611,6 +607,8 @@ def _find_bundle(coloring: Coloring, k: int, cap_a: int, cap_b: int,
                 key = tuple(a_set)
                 if key not in struct_cache:
                     local += 1
+                    if shared is not None and local % _SPEND_BATCH == 0:
+                        shared.spend(_SPEND_BATCH)
                     struct_cache[key] = structure_ok(key, k)
                 if not struct_cache[key]:
                     return None
@@ -649,44 +647,38 @@ def _find_bundle(coloring: Coloring, k: int, cap_a: int, cap_b: int,
 
     lam_hi = N - 1 if shifted else N
     tasks = [(lambda lam=lam: chunk(lam)) for lam in range(1, lam_hi + 1)]
-    return ordered_first_hit(tasks, workers=workers)
+    return ordered_first_hit(tasks)
 
 
 def find_scaled_bundle_detailed(coloring: Coloring, k: int,
-                                cap_a: Optional[int] = None, cap_b: int = 2,
-                                budget: Optional[int] = None,
-                                workers: int = 1):
+                                cap_a: Optional[int] = None,
+                                budget: Optional[int] = None):
     if cap_a is None:
         cap_a = max(k, min(7, 2 ** k - 1))
-    return _find_bundle(coloring, k, cap_a, cap_b, budget, workers,
-                        shifted=False)
+    return _find_bundle(coloring, k, cap_a, budget, shifted=False)
 
 
 def find_scaled_bundle(coloring: Coloring, k: int,
-                       cap_a: Optional[int] = None, cap_b: int = 2,
-                       budget: Optional[int] = None, workers: int = 1):
+                       cap_a: Optional[int] = None,
+                       budget: Optional[int] = None):
     hit, _ = find_scaled_bundle_detailed(coloring, k, cap_a=cap_a,
-                                         cap_b=cap_b, budget=budget,
-                                         workers=workers)
+                                         budget=budget)
     return hit
 
 
 def find_shifted_bundle_detailed(coloring: Coloring, k: int,
-                                 cap_a: Optional[int] = None, cap_b: int = 2,
-                                 budget: Optional[int] = None,
-                                 workers: int = 1):
+                                 cap_a: Optional[int] = None,
+                                 budget: Optional[int] = None):
     if cap_a is None:
         cap_a = max(k, min(9, 2 ** k))
-    return _find_bundle(coloring, k, cap_a, cap_b, budget, workers,
-                        shifted=True)
+    return _find_bundle(coloring, k, cap_a, budget, shifted=True)
 
 
 def find_shifted_bundle(coloring: Coloring, k: int,
-                        cap_a: Optional[int] = None, cap_b: int = 2,
-                        budget: Optional[int] = None, workers: int = 1):
+                        cap_a: Optional[int] = None,
+                        budget: Optional[int] = None):
     hit, _ = find_shifted_bundle_detailed(coloring, k, cap_a=cap_a,
-                                          cap_b=cap_b, budget=budget,
-                                          workers=workers)
+                                          budget=budget)
     return hit
 
 
@@ -697,19 +689,17 @@ SCALED_QUAD = parse_pattern("{a*x, a*y, x*y, a*(x+y)}")
 SHIFTED_QUAD = parse_pattern("{u+b, v+b, u*v+b, u+v}")
 
 
-def find_scaled_quad_detailed(coloring: Coloring, workers: int = 1,
+def find_scaled_quad_detailed(coloring: Coloring,
                               max_nodes: Optional[int] = None):
     return find_instance_detailed(
         InstanceQuery(schema=SCALED_QUAD, coloring=coloring),
-        workers=workers, max_nodes=max_nodes)
+        max_nodes=max_nodes)
 
 
-def find_scaled_quad(coloring: Coloring, workers: int = 1,
-                     max_nodes: Optional[int] = None):
+def find_scaled_quad(coloring: Coloring, max_nodes: Optional[int] = None):
     """Least (a, x, y) with {a*x, a*y, x*y, a*(x+y)} monochromatic, as
     (assignment dict, color), or None."""
-    hit, _ = find_scaled_quad_detailed(coloring, workers=workers,
-                                       max_nodes=max_nodes)
+    hit, _ = find_scaled_quad_detailed(coloring, max_nodes=max_nodes)
     return hit
 
 
@@ -719,18 +709,16 @@ def check_scaled_quad(coloring: Coloring, a: int, x: int, y: int) -> tuple:
     return (True, colors.pop()) if len(colors) == 1 else (False, None)
 
 
-def find_shifted_quad_detailed(coloring: Coloring, workers: int = 1,
+def find_shifted_quad_detailed(coloring: Coloring,
                                max_nodes: Optional[int] = None):
     return find_instance_detailed(
         InstanceQuery(schema=SHIFTED_QUAD, coloring=coloring),
-        workers=workers, max_nodes=max_nodes)
+        max_nodes=max_nodes)
 
 
-def find_shifted_quad(coloring: Coloring, workers: int = 1,
-                      max_nodes: Optional[int] = None):
+def find_shifted_quad(coloring: Coloring, max_nodes: Optional[int] = None):
     """Least (b, u, v) with {u+b, v+b, u*v+b, u+v} monochromatic."""
-    hit, _ = find_shifted_quad_detailed(coloring, workers=workers,
-                                        max_nodes=max_nodes)
+    hit, _ = find_shifted_quad_detailed(coloring, max_nodes=max_nodes)
     return hit
 
 

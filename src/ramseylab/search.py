@@ -9,11 +9,11 @@ Three engines answer "does some c-coloring of [1..N] avoid the pattern?":
 * ``sat`` — the CNF encoding from :mod:`ramseylab.sat`.
 * ``exhaustive`` — enumeration over canonical colorings; the test oracle.
 
-Searches always run as an ordered list of chunks (split on the leading
-witness coordinate, or on a fixed-depth color prefix), whatever the worker
-count, so reported witnesses *and node counts* are identical for any
-``workers`` value.  Every returned avoiding coloring is re-validated with
-``find_instance`` before it leaves this module.
+Searches run as an ordered list of chunks (split on the leading witness
+coordinate, or on a fixed-depth color prefix), one after another on the
+calling thread, so reported witnesses, node counts and budget verdicts
+depend only on the query.  Every returned avoiding coloring is re-validated
+with ``find_instance`` before it leaves this module.
 """
 
 from __future__ import annotations
@@ -143,6 +143,8 @@ def _scan_instances(plan: TermPlan, coloring: Coloring, first_lo: int,
         return None
 
     if k == 0:
+        if budget is not None:
+            budget.spend(1)
         color = leaf_check()
         hit = (dict(), color) if color is not None else None
         if collect is not None and hit is not None:
@@ -157,7 +159,7 @@ def _scan_instances(plan: TermPlan, coloring: Coloring, first_lo: int,
     return hit, local_nodes
 
 
-def find_instance_detailed(query: InstanceQuery, workers: int = 1,
+def find_instance_detailed(query: InstanceQuery,
                            max_nodes: Optional[int] = None):
     """As :func:`find_instance`, also returning the leaf count."""
     schema, coloring = query.schema, query.coloring
@@ -170,15 +172,14 @@ def find_instance_detailed(query: InstanceQuery, workers: int = 1,
         (lambda v0=v0: _scan_instances(plan, coloring, v0, v0, budget))
         for v0 in range(lo, N + 1)
     ]
-    return ordered_first_hit(tasks, workers=workers)
+    return ordered_first_hit(tasks)
 
 
-def find_instance(query: InstanceQuery, workers: int = 1,
-                  max_nodes: Optional[int] = None):
+def find_instance(query: InstanceQuery, max_nodes: Optional[int] = None):
     """Lexicographically least monochromatic instance, as (assignment dict,
     color), or None.  Assignments are ordered by the schema's sorted
     variable list."""
-    hit, _ = find_instance_detailed(query, workers=workers, max_nodes=max_nodes)
+    hit, _ = find_instance_detailed(query, max_nodes=max_nodes)
     return hit
 
 
@@ -290,7 +291,6 @@ def find_avoiding_coloring(schema: PatternSchema, N: int, c: int,
                            engine: str = "backtracking",
                            symmetry_break: bool = True,
                            max_nodes: Optional[int] = None,
-                           workers: int = 1,
                            validate: bool = True) -> AvoidanceResult:
     """Search for a c-coloring of [1..N] with no monochromatic instance."""
     if engine not in ENGINES:
@@ -338,7 +338,7 @@ def find_avoiding_coloring(schema: PatternSchema, N: int, c: int,
                     (lambda p=p: _backtrack_chunk(N, c, index, p, budget))
                     for p in prefixes
                 ]
-                cells, nodes = ordered_first_hit(tasks, workers=workers)
+                cells, nodes = ordered_first_hit(tasks)
             stats.nodes = nodes
             if cells is not None:
                 verdict, found = "sat", Coloring(d=1, N=N, c=c, cells=cells)
@@ -361,8 +361,7 @@ def find_avoiding_coloring(schema: PatternSchema, N: int, c: int,
 
 def threshold_number(schema: PatternSchema, c: int, n_max: int,
                      engine: str = "backtracking",
-                     max_nodes: Optional[int] = None,
-                     workers: int = 1) -> ThresholdResult:
+                     max_nodes: Optional[int] = None) -> ThresholdResult:
     """Least N <= n_max such that every c-coloring of [1..N] contains a
     monochromatic instance; scans N upward so the certificate at N*-1 comes
     for free.  Forcing is monotone in N (instances only accumulate), so the
@@ -374,7 +373,7 @@ def threshold_number(schema: PatternSchema, c: int, n_max: int,
     last_cert: Optional[Coloring] = None
     for N in range(1, n_max + 1):
         res = find_avoiding_coloring(schema, N, c, engine=engine,
-                                     max_nodes=max_nodes, workers=workers)
+                                     max_nodes=max_nodes)
         result.rows.append((N, res.verdict, res.stats.nodes, res.stats.time_ms))
         if res.verdict == "sat":
             last_cert = res.coloring

@@ -116,15 +116,55 @@ def test_avoid_budget_exhaustion_exits_two(capsys):
 
 @pytest.mark.parametrize("engine, nodes", [("backtracking", 12),
                                            ("exhaustive", 6), ("sat", 15)])
-def test_avoid_budget_exhaustion_reports_nodes(capsys, monkeypatch, engine,
-                                               nodes):
-    monkeypatch.delenv("RAMSEY_WORKERS", raising=False)
+def test_avoid_budget_exhaustion_reports_nodes(capsys, engine, nodes):
     code, report = run_json(
         capsys, "avoid", "--pattern", SCHUR, "--n", "13", "--colors", "3",
         "--max-nodes", "5", "--engine", engine, "--workers", "1")
     assert code == 2
     assert report["verdict"] == "unknown"
     assert report["stats"]["nodes"] == nodes
+
+
+def _random(N):
+    return ("--generator", "random", "--n", str(N), "--colors", "2",
+            "--seed", "0")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("find", "--pattern", "{x, y, x*y, x+y}") + _random(60), "--max-nodes"),
+    (("fs-witness", "--k", "3") + _random(60), "--budget"),
+    (("grid-witness", "--length", "4", "--blocks", "2") + _random(60),
+     "--budget"),
+    (("bundle14", "--k", "2") + _random(100), "--budget"),
+    (("bundle15", "--k", "2") + _random(40), "--budget"),
+    (("bundle15", "--corollary") + _random(60), "--budget"),
+], ids=["find", "fs-witness", "grid-witness", "bundle14", "bundle15",
+        "corollary"])
+def test_finder_budget_exhaustion_reports_query_and_nodes(capsys, argv, flag):
+    code, base = run_json(capsys, *argv)
+    assert code == 0 and base["verdict"] == "found"
+    nodes = base["stats"]["nodes"]
+    code, report = run_json(capsys, *argv, flag, str(nodes - 1))
+    assert code == 2
+    assert report == dict(base, verdict="unknown", witness=None,
+                          stats=dict(base["stats"], nodes=nodes))
+
+
+BUNDLE15_N40 = ("bundle15", "--k", "2") + _random(40)
+GRID_N60 = ("grid-witness", "--length", "4", "--blocks", "2") + _random(60)
+
+
+@pytest.mark.parametrize("argv, verdict", [
+    (BUNDLE15_N40 + ("--budget", "17512"), "found"),
+    (BUNDLE15_N40 + ("--budget", "17000"), "unknown"),
+    (GRID_N60 + ("--budget", "635"), "found"),
+], ids=["bundle15-found", "bundle15-unknown", "grid-found"])
+def test_reports_do_not_depend_on_workers(capsys, argv, verdict):
+    outs = [run(capsys, *argv, "--workers", w) for w in ("1", "2", "8")]
+    assert outs[0] == outs[1] == outs[2]
+    code, out = outs[0]
+    assert code == (2 if verdict == "unknown" else 0)
+    assert json.loads(out)["verdict"] == verdict
 
 
 def test_threshold_with_csv(capsys, tmp_path):
@@ -274,6 +314,9 @@ def test_bundle_commands(capsys, tmp_path):
     assert code == 0
     assert report["witness"] == {"lam": 2, "a_set": [2, 4, 6, 8],
                                  "b_set": [2], "k": 2, "color": 0}
+    assert report["query"] == {"command": "bundle15", "mode": "bundle",
+                               "k": 2, "cap_a": None,
+                               "coloring": report["query"]["coloring"]}
 
 
 def test_bundle_corollary_mode(capsys):
@@ -319,22 +362,6 @@ def test_out_file_matches_stdout(capsys, tmp_path):
         "--out", str(out))
     assert code == 0
     assert out.read_text() == stdout
-
-
-def test_workers_env_override(capsys, monkeypatch, tmp_path):
-    argv = ("find", "--pattern", SCHUR,
-            "--generator", "random", "--n", "40", "--colors", "2",
-            "--seed", "9")
-    code, base = run(capsys, *argv)
-    assert code == 0
-    monkeypatch.setenv("RAMSEY_WORKERS", "4")
-    code, with_env = run(capsys, *argv)
-    assert code == 0
-    assert with_env == base  # worker count never changes the report
-    monkeypatch.setenv("RAMSEY_WORKERS", "many")
-    code, report = run_json(capsys, *argv)
-    assert code == 1
-    assert "RAMSEY_WORKERS" in report["error"]
 
 
 def test_timing_flag_populates_time(capsys):

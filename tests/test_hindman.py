@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramseylab.colorings import Coloring, ColoringSpec, loads, make_coloring
-from ramseylab.errors import (CompositionOutOfBoxError, MalformedInputError,
-                              OutOfBoxError, RamseyError)
+from ramseylab.errors import (BudgetExceededError, CompositionOutOfBoxError,
+                              MalformedInputError, OutOfBoxError, RamseyError)
 from ramseylab.hindman import (CutGrid, OpTable, ScaledBundle, ShiftedBundle,
                                builtin_op, check_composed_witness,
                                check_depth_indexed_witness, check_fs_witness,
@@ -17,9 +17,13 @@ from ramseylab.hindman import (CutGrid, OpTable, ScaledBundle, ShiftedBundle,
                                check_scaled_quad, check_shifted_bundle,
                                check_shifted_quad, composed_color_by_depth,
                                find_fs_witness, find_fs_witness_detailed,
-                               find_grid_witness, find_scaled_bundle,
-                               find_scaled_quad, find_shifted_bundle,
-                               find_shifted_quad, grid_common_color,
+                               find_grid_witness, find_grid_witness_detailed,
+                               find_scaled_bundle,
+                               find_scaled_bundle_detailed, find_scaled_quad,
+                               find_shifted_bundle,
+                               find_shifted_bundle_detailed,
+                               find_shifted_quad, find_shifted_quad_detailed,
+                               grid_common_color,
                                load_op_table, load_witness, make_witness,
                                op_from_json, save_witness, verify_witness)
 from ramseylab.structures import contains_kfs
@@ -76,12 +80,6 @@ def test_find_fs_witness_rejects_grid_coloring():
     col = make_coloring("parity", 2, 3, 2)
     with pytest.raises(RamseyError):
         find_fs_witness(col, 2)
-
-
-def test_find_fs_witness_worker_counts_agree():
-    col = make_coloring("random", 1, 40, 3, seed=7)
-    outs = {w: find_fs_witness_detailed(col, 2, workers=w) for w in (1, 4)}
-    assert outs[1] == outs[4]
 
 
 # ---------------------------------------------------------------------------
@@ -315,13 +313,23 @@ def test_find_bundle_rejects_bad_k():
         find_scaled_bundle(parity(20), 0)
 
 
-def test_find_bundle_worker_counts_agree():
-    from ramseylab.hindman import (find_scaled_bundle_detailed,
-                                   find_shifted_bundle_detailed)
-    col = make_coloring("random", 1, 60, 2, seed=11)
-    for fn in (find_scaled_bundle_detailed, find_shifted_bundle_detailed):
-        outs = {w: fn(col, 2, workers=w) for w in (1, 4)}
-        assert outs[1] == outs[4]
+@pytest.mark.parametrize("find, N, seed", [
+    (lambda col, b: find_fs_witness_detailed(col, 3, budget=b), 60, 0),
+    (lambda col, b: find_grid_witness_detailed(col, 4, 2, budget=b), 60, 0),
+    (lambda col, b: find_scaled_bundle_detailed(col, 2, budget=b), 100, 0),
+    (lambda col, b: find_shifted_bundle_detailed(col, 2, budget=b), 40, 0),
+    (lambda col, b: find_shifted_quad_detailed(col, max_nodes=b), 60, 0),
+], ids=["fs", "grid", "bundle14", "bundle15", "quad15"])
+def test_finder_budget_spends_every_node(find, N, seed):
+    """A budget equal to the nodes visited finds the same witness; one node
+    less runs out, having spent them all."""
+    col = make_coloring("random", 1, N, 2, seed=seed)
+    hit, nodes = find(col, None)
+    assert hit is not None
+    assert find(col, nodes) == (hit, nodes)
+    with pytest.raises(BudgetExceededError) as exc:
+        find(col, nodes - 1)
+    assert exc.value.nodes == nodes
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ramseylab.colorings import Coloring, enumerate_colorings, make_coloring
-from ramseylab.errors import RamseyError
+from ramseylab.errors import BudgetExceededError, RamseyError
 from ramseylab.patterns import instance_value_sets, parse_pattern
 from ramseylab.search import (InstanceQuery, find_all_instances,
                               find_avoiding_coloring, find_instance,
@@ -83,6 +83,15 @@ def test_avoid_unknown_engine():
         find_avoiding_coloring(SCHUR, 4, 2, engine="oracle")
 
 
+def test_variable_free_scan_spends_its_leaf():
+    query = InstanceQuery(schema=parse_pattern("{3, 5}"),
+                          coloring=make_coloring("parity", 1, 8, 2))
+    assert find_instance_detailed(query, max_nodes=1) == (({}, 1), 1)
+    with pytest.raises(BudgetExceededError) as exc:
+        find_instance_detailed(query, max_nodes=0)
+    assert exc.value.nodes == 1
+
+
 def test_budget_gives_unknown_verdict():
     res = find_avoiding_coloring(SCHUR, 13, 3, max_nodes=5)
     assert res.verdict == "unknown"
@@ -103,18 +112,6 @@ def test_threshold_gives_up_honestly():
     assert res.status == "unknown"
     assert res.threshold is None
     assert res.certificate is not None  # best coloring seen on the way
-
-
-def test_workers_do_not_change_results():
-    col = make_coloring("random", 1, 40, 2, seed=3)
-    q = InstanceQuery(schema=SCHUR, coloring=col)
-    base = find_instance_detailed(q, workers=1)
-    assert find_instance_detailed(q, workers=4) == base
-    assert find_instance_detailed(q, workers=8) == base
-    r1 = find_avoiding_coloring(SCHUR, 12, 3, workers=1)
-    r8 = find_avoiding_coloring(SCHUR, 12, 3, workers=8)
-    assert (r1.verdict, r1.coloring.cells, r1.stats.nodes) == \
-        (r8.verdict, r8.coloring.cells, r8.stats.nodes)
 
 
 AP3 = "{a, a+d, a+2*d}"
