@@ -1,7 +1,8 @@
 """Deterministic work splitting.
 
 Searches split their tree into an ordered list of chunks (by leading witness
-coordinate or by a fixed-depth prefix frontier) and run them in that order
+coordinate or by a fixed-depth prefix frontier; the instance scan is a
+single chunk) and run them in that order
 on the calling thread, stopping at the first chunk that finds something.
 Node counts cover the chunks up to and including that one, and a budget is
 spent in the same order, so a query always gives the same report and the

@@ -128,8 +128,9 @@ def _maybe_save_witness(args, kind: str, data: dict, spec: ColoringSpec):
 
 def _run_finder(args, query: dict, engine: str, search, witness_of) -> int:
     """Emit the report of ``search()``, which returns (hit or None, nodes):
-    verdict found with witness ``witness_of(hit)``, or none; exit 0.  When
-    the budget runs out first: verdict unknown with the nodes spent, exit 2."""
+    verdict found if the hit is non-empty, else none, with witness
+    ``witness_of(hit)`` unless it is None; exit 0.  When the budget runs
+    out first: verdict unknown with the nodes spent, exit 2."""
     t0 = time.perf_counter()
     try:
         hit, nodes = search()
@@ -138,7 +139,7 @@ def _run_finder(args, query: dict, engine: str, search, witness_of) -> int:
                       _stats(engine, exc.nodes, t0, args.timing)), args.out)
         return 2
     witness = witness_of(hit) if hit is not None else None
-    _emit(_report(query, "found" if hit is not None else "none", witness,
+    _emit(_report(query, "found" if hit else "none", witness,
                   _stats(engine, nodes, t0, args.timing)), args.out)
     return 0
 
@@ -160,12 +161,15 @@ def cmd_find(args) -> int:
             args, query, "scan",
             lambda: find_instance_detailed(iq, max_nodes=args.max_nodes),
             lambda hit: {"assignment": hit[0], "color": hit[1]})
-    t0 = time.perf_counter()
-    hits = find_all_instances(iq, limit=args.max_witnesses)
-    witness = [{"assignment": a, "color": c} for a, c in hits]
-    _emit(_report(query, "found" if hits else "none", witness,
-                  _stats("scan", len(hits), t0, args.timing)), args.out)
-    return 0
+
+    def find_all():
+        hits = find_all_instances(iq, limit=args.max_witnesses,
+                                  max_nodes=args.max_nodes)
+        return hits, len(hits)
+
+    return _run_finder(
+        args, query, "scan", find_all,
+        lambda hits: [{"assignment": a, "color": c} for a, c in hits])
 
 
 def cmd_avoid(args) -> int:

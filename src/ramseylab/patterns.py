@@ -19,9 +19,10 @@ value exceeds the signed 64-bit cap.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Union
+from typing import Callable, Iterator, Mapping, Optional, Union
 
 from .errors import BudgetExceededError, RamseyError, ValueOverflowError
 
@@ -326,75 +327,114 @@ def instantiate(schema: PatternSchema, assignment: Mapping[str, int], check: boo
 # ---------------------------------------------------------------------------
 # in-box assignment enumeration (shared by the search engines and the encoder)
 
+_SEGMENT = 16  # loops per generated function; CPython nests at most 20 blocks
+
 
 class TermPlan:
-    """Precomputed evaluation order: which terms become fully bound as each
-    variable (in schema order) receives a value.  Used to prune box scans —
-    every term is monotone nondecreasing in every variable, so a bound term
-    exceeding N kills all larger values of the innermost variable."""
+    """A schema's in-box enumeration, rendered as the source of one
+    generator, the *kernel*: ``kernel(N)`` runs one ``for`` per variable,
+    in schema order, over ``[min_value..N]``, skipping (under
+    ``distinct_vars``) values equal to an earlier variable's.  Each term is
+    evaluated once its last variable is bound; terms never decrease in any
+    variable, so one above ``N`` ends its loop (one above
+    :data:`VALUE_CAP` there raises :class:`ValueOverflowError`), and a
+    constant term above ``N`` ends the kernel.  Each leaf yields the
+    variable values and the term values (in ``schema.terms`` order) as two
+    tuples.  The source names only ``N``, ``hi``, ``v0..vk``, ``t0..tm``
+    and integer literals, never pattern text."""
 
     def __init__(self, schema: PatternSchema):
         self.schema = schema
         self.variables = schema.variables
-        index = {name: i for i, name in enumerate(self.variables)}
-        ready = [[] for _ in self.variables]
+        self.index = index = {name: i for i, name in enumerate(self.variables)}
+        self.ready = [[] for _ in self.variables]  # term indices per level
         self.constant_terms = []
-        for t in schema.terms:
+        for i, t in enumerate(schema.terms):
             tv = term_variables(t)
             if not tv:
                 self.constant_terms.append(t)
             else:
-                ready[max(index[name] for name in tv)].append(t)
-        self.ready = [tuple(r) for r in ready]
+                self.ready[max(index[name] for name in tv)].append(i)
+
+    def source(self) -> str:
+        def expr(t):
+            if isinstance(t, Const):
+                return str(t.value)
+            if isinstance(t, Var):
+                return f"v{self.index[t.name]}"
+            op = "+" if isinstance(t, Add) else "*"
+            return f"({expr(t.left)} {op} {expr(t.right)})"
+
+        terms, lo = self.schema.terms, self.schema.min_value
+        bound = prefix = ""  # names bound so far / variables so far
+        lines = ["def _k0(N):", f"    hi = min(N, {VALUE_CAP})"]
+        lines += [f"    if {t.value} > N: return" for t in self.constant_terms]
+        pad = "    "
+        for j in range(len(self.variables)):
+            if j and j % _SEGMENT == 0:
+                lines += [f"{pad}yield from _k{j}(N, hi{bound})",
+                          f"def _k{j}(N, hi{bound}):"]
+                pad = "    "
+            lines.append(f"{pad}for v{j} in range({lo}, N + 1):")
+            pad += "    "
+            if self.schema.distinct_vars and j:
+                same = " or ".join(f"v{j} == v{i}" for i in range(j))
+                lines.append(f"{pad}if {same}: continue")
+            prefix += f"v{j}, "
+            bound += f", v{j}"
+            for i in self.ready[j]:
+                if isinstance(terms[i], Var):
+                    continue  # a bare variable never leaves [lo..N]
+                lines += [f"{pad}t{i} = {expr(terms[i])}",
+                          f"{pad}if t{i} > hi:",
+                          f"{pad}    if t{i} > {VALUE_CAP}: _overflow({i}, ({prefix}))",
+                          f"{pad}    break"]
+                bound += f", t{i}"
+        values = "".join(f"t{i}, " if isinstance(t, (Add, Mul)) else
+                         f"{expr(t)}, " for i, t in enumerate(terms))
+        lines.append(f"{pad}yield ({prefix}), ({values})")
+        return "\n".join(lines) + "\n"
+
+
+@functools.lru_cache(maxsize=256)
+def compile_kernel(schema: PatternSchema) -> Callable[[int], Iterator[tuple]]:
+    """The compiled :class:`TermPlan` kernel of ``schema``, as a function
+    of ``N`` (see :class:`TermPlan`).  Compiled on first use, then cached."""
+    terms, variables = schema.terms, schema.variables
+
+    def overflow(i, prefix):
+        # re-evaluate the slow way, which raises with the intermediate value
+        eval_term(terms[i], dict(zip(variables, prefix)))
+
+    namespace = {"_overflow": overflow}
+    exec(TermPlan(schema).source(), namespace)
+    return namespace["_k0"]
+
+
+def _box_leaves(schema: PatternSchema, N: int, max_assignments: Optional[int]):
+    """Kernel leaves for [1..N], capped at ``max_assignments``."""
+    if schema.min_value > N:
+        return
+    for count, leaf in enumerate(compile_kernel(schema)(N), 1):
+        if max_assignments is not None and count > max_assignments:
+            raise BudgetExceededError("assignment enumeration budget exceeded")
+        yield leaf
 
 
 def iter_box_assignments(schema: PatternSchema, N: int,
                          max_assignments: Optional[int] = None) -> Iterator[dict]:
-    """Yield assignments (lexicographic in schema variable order) whose term
-    values all land in [1..N].  ``max_assignments`` bounds the number of
-    *enumerated leaves* and raises once exceeded."""
-    plan = TermPlan(schema)
-    for t in plan.constant_terms:
-        if eval_term(t, {}) > N:
-            return
-    k = len(plan.variables)
-    lo = schema.min_value
-    if lo > N:
-        return
-    asg: dict = {}
-    count = 0
-
-    def rec(level: int) -> Iterator[dict]:
-        nonlocal count
-        if level == k:
-            count += 1
-            if max_assignments is not None and count > max_assignments:
-                raise BudgetExceededError("assignment enumeration budget exceeded")
-            yield dict(asg)
-            return
-        name = plan.variables[level]
-        for v in range(lo, N + 1):
-            if schema.distinct_vars and v in asg.values():
-                continue
-            asg[name] = v
-            overflow = False
-            for t in plan.ready[level]:
-                if eval_term(t, asg) > N:
-                    overflow = True
-                    break
-            if overflow:
-                del asg[name]
-                break  # terms are monotone in this variable
-            yield from rec(level + 1)
-            del asg[name]
-
-    yield from rec(0)
+    """Yield, as dicts, the assignments (lexicographic in schema variable
+    order) whose term values all land in [1..N]: the leaves of the schema's
+    kernel.  Nothing once ``min_value`` exceeds N; otherwise a pattern
+    without variables yields ``{}`` once when its constants fit.
+    ``max_assignments`` bounds the number of leaves, raising once exceeded."""
+    variables = schema.variables
+    for asg, _ in _box_leaves(schema, N, max_assignments):
+        yield dict(zip(variables, asg))
 
 
 def instance_value_sets(schema: PatternSchema, N: int,
                         max_assignments: Optional[int] = None) -> list:
     """Deduplicated in-box instance value sets, as sorted tuples, sorted."""
-    seen = set()
-    for asg in iter_box_assignments(schema, N, max_assignments=max_assignments):
-        seen.add(tuple(sorted(instantiate(schema, asg, check=False))))
-    return sorted(seen)
+    return sorted({tuple(sorted(set(values))) for _, values
+                   in _box_leaves(schema, N, max_assignments)})

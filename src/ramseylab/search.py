@@ -9,11 +9,11 @@ Three engines answer "does some c-coloring of [1..N] avoid the pattern?":
 * ``sat`` — the CNF encoding from :mod:`ramseylab.sat`.
 * ``exhaustive`` — enumeration over canonical colorings; the test oracle.
 
-Searches run as an ordered list of chunks (split on the leading witness
-coordinate, or on a fixed-depth color prefix), one after another on the
-calling thread, so reported witnesses, node counts and budget verdicts
-depend only on the query.  Every returned avoiding coloring is re-validated
-with ``find_instance`` before it leaves this module.
+The instance scan walks its pattern's compiled kernel (see
+:class:`ramseylab.patterns.TermPlan`) in order; backtracking runs chunks
+split on a fixed-depth color prefix one after another; both on the calling
+thread, so witnesses, node counts and budget verdicts depend only on the
+query.  Avoiding colorings are re-validated with ``find_instance``.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from . import sat as satmod
 from ._parallel import NodeBudget, ordered_first_hit
 from .colorings import Coloring, enumerate_colorings
 from .errors import BudgetExceededError, RamseyError
-from .patterns import PatternSchema, TermPlan, eval_term, instance_value_sets
+from .patterns import PatternSchema, compile_kernel, instance_value_sets
 
 ENGINES = ("backtracking", "sat", "exhaustive")
 
@@ -71,108 +71,64 @@ class ThresholdResult:
 # instance search
 
 
-def _scan_instances(plan: TermPlan, coloring: Coloring, first_lo: int,
-                    first_hi: int, budget: Optional[NodeBudget],
-                    collect: Optional[list] = None, limit: Optional[int] = None):
-    """Lexicographic scan over in-box assignments with the first variable
-    restricted to [first_lo..first_hi].  Returns (least monochromatic
-    (assignment, color) or None, leaves visited); with ``collect`` set,
-    appends every hit (up to ``limit``) instead."""
-    schema = plan.schema
-    N = coloring.N
-    for t in plan.constant_terms:
-        if eval_term(t, {}) > N:
-            return None, 0
-    cells = coloring.cells
-    color_at = (lambda v: cells[v - 1]) if cells is not None else \
-        (lambda v: coloring.fn(v - 1))
-    variables = plan.variables
-    k = len(variables)
-    lo = schema.min_value
-    distinct = schema.distinct_vars
-    terms = schema.terms
-    asg: dict = {}
-    local_nodes = 0
+class _LazyCells:
+    """``cells[i]`` for a coloring that is not materialized."""
 
-    def leaf_check():
-        values = set()
-        for t in terms:
-            values.add(eval_term(t, asg))
-        it = iter(values)
-        color = color_at(next(it))
-        for v in it:
-            if color_at(v) != color:
-                return None
-        return color
+    def __init__(self, fn):
+        self.fn = fn
 
-    def rec(level: int):
-        nonlocal local_nodes
-        if level == k:
-            local_nodes += 1
-            if budget is not None and local_nodes % 512 == 0:
-                budget.spend(512)
-            color = leaf_check()
-            if color is None:
-                return None
-            hit = (dict(asg), color)
-            if collect is not None:
-                collect.append(hit)
-                if limit is not None and len(collect) >= limit:
-                    return hit  # stop signal
-                return None
-            return hit
-        vlo = lo if level > 0 else max(lo, first_lo)
-        vhi = N if level > 0 else min(N, first_hi)
-        name = variables[level]
-        for v in range(vlo, vhi + 1):
-            if distinct and v in asg.values():
-                continue
-            asg[name] = v
-            dead = False
-            for t in plan.ready[level]:
-                if eval_term(t, asg) > N:
-                    dead = True
-                    break
-            if dead:
-                del asg[name]
-                break  # terms are monotone in this variable
-            hit = rec(level + 1)
-            del asg[name]
-            if hit is not None:
-                return hit
-        return None
+    def __getitem__(self, i):
+        return self.fn(i)
 
-    if k == 0:
+
+def _scan_instances(schema: PatternSchema, coloring: Coloring,
+                    budget: Optional[NodeBudget], limit: Optional[int] = 1):
+    """In-order scan of the schema's in-box assignments (its kernel's
+    leaves) for monochromatic ones.  Returns (hits as (assignment dict,
+    color), leaves visited); stops once ``limit`` hits are in.  The budget
+    is spent in batches of 512 leaves that restart at each value of the
+    first variable; the rest of a batch is spent before the next value's
+    first leaf and when the scan stops."""
+    variables = schema.variables
+    cells = coloring.cells if coloring.cells is not None \
+        else _LazyCells(coloring.fn)
+    hits: list = []
+    leaves, batch, first = 0, 0, None
+    for asg, values in compile_kernel(schema)(coloring.N):
+        leaves += 1
         if budget is not None:
-            budget.spend(1)
-        color = leaf_check()
-        hit = (dict(), color) if color is not None else None
-        if collect is not None and hit is not None:
-            collect.append(hit)
-            hit = None
-        return hit, 1
-    if first_lo > first_hi:
-        return None, 0
-    hit = rec(0)
-    if budget is not None and local_nodes % 512:
-        budget.spend(local_nodes % 512)
-    return hit, local_nodes
+            if asg[:1] != first:
+                if batch:
+                    budget.spend(batch)
+                first, batch = asg[:1], 0
+            batch += 1
+            if batch == 512:
+                budget.spend(512)
+                batch = 0
+        color = cells[values[0] - 1]
+        for v in values:
+            if cells[v - 1] != color:
+                break
+        else:
+            hits.append((dict(zip(variables, asg)), color))
+            if limit is not None and len(hits) >= limit:
+                break
+    if budget is not None and batch:
+        budget.spend(batch)
+    return hits, leaves
 
 
 def find_instance_detailed(query: InstanceQuery,
                            max_nodes: Optional[int] = None):
     """As :func:`find_instance`, also returning the leaf count."""
-    schema, coloring = query.schema, query.coloring
     budget = NodeBudget(max_nodes) if max_nodes is not None else None
-    plan = TermPlan(schema)
-    lo, N = schema.min_value, coloring.N
-    if not schema.variables:
-        return _scan_instances(plan, coloring, lo, N, budget)
-    tasks = [
-        (lambda v0=v0: _scan_instances(plan, coloring, v0, v0, budget))
-        for v0 in range(lo, N + 1)
-    ]
-    return ordered_first_hit(tasks)
+
+    def scan():
+        hits, leaves = _scan_instances(query.schema, query.coloring, budget)
+        return (hits[0] if hits else None), leaves
+
+    # one task, so the bench's parallel.* counters still see the scan
+    return ordered_first_hit([scan])
 
 
 def find_instance(query: InstanceQuery, max_nodes: Optional[int] = None):
@@ -183,14 +139,12 @@ def find_instance(query: InstanceQuery, max_nodes: Optional[int] = None):
     return hit
 
 
-def find_all_instances(query: InstanceQuery, limit: int = 1000):
-    """Flagged enumeration mode: every monochromatic instance in
-    lexicographic order, capped at ``limit``."""
-    out: list = []
-    plan = TermPlan(query.schema)
-    _scan_instances(plan, query.coloring, query.schema.min_value,
-                    query.coloring.N, None, collect=out, limit=limit)
-    return out
+def find_all_instances(query: InstanceQuery, limit: Optional[int] = 1000,
+                       max_nodes: Optional[int] = None):
+    """Every monochromatic instance in lexicographic order, capped at
+    ``limit`` (at least one), under the leaf budget of :func:`find_instance`."""
+    budget = NodeBudget(max_nodes) if max_nodes is not None else None
+    return _scan_instances(query.schema, query.coloring, budget, limit)[0]
 
 
 def has_monochromatic_instance(schema: PatternSchema, coloring: Coloring) -> bool:

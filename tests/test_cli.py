@@ -1,9 +1,13 @@
 """End-to-end command-line tests, run in-process through main()."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import ramseylab
 from ramseylab.cli import main
 from ramseylab.colorings import load_file
 from ramseylab.sat import parse_dimacs
@@ -165,6 +169,59 @@ def test_reports_do_not_depend_on_workers(capsys, argv, verdict):
     code, out = outs[0]
     assert code == (2 if verdict == "unknown" else 0)
     assert json.loads(out)["verdict"] == verdict
+
+
+FIND_ALL_N3000 = ("find", "--pattern", "{x, y, 4*x+4*y}", "--generator",
+                  "random", "--n", "3000", "--colors", "4", "--seed", "1",
+                  "--all", "--max-witnesses", "3")
+
+
+def test_find_all_budget_exhaustion_reports_query_and_nodes(capsys):
+    code, base = run_json(capsys, *FIND_ALL_N3000)
+    assert code == 0 and base["verdict"] == "found"
+    assert [w["assignment"]["y"] for w in base["witness"]] == [1, 37, 52]
+    # the third hit is leaf 52 (x=1, y=52): the whole batch is spent there
+    assert run_json(capsys, *FIND_ALL_N3000, "--max-nodes", "52") == (0, base)
+    code, report = run_json(capsys, *FIND_ALL_N3000, "--max-nodes", "5")
+    assert code == 2
+    assert report == dict(base, verdict="unknown", witness=None,
+                          stats=dict(base["stats"], nodes=52))
+
+
+@pytest.mark.parametrize("pattern, code, verdict", [
+    ("{x, y, 9223372036854775807*x*2}", 1, "error"),
+    # x=1 already ends the scan; x=2 (10^19) is never evaluated
+    ("{x, 5000000000000000000*x}", 0, "none"),
+])
+def test_find_overflow_only_where_the_scan_evaluates(capsys, pattern, code,
+                                                     verdict):
+    got, report = run_json(capsys, "find", "--pattern", pattern,
+                           "--generator", "random", "--n", "10",
+                           "--colors", "2")
+    assert (got, report["verdict"]) == (code, verdict)
+    if verdict == "error":
+        assert report["error"] == \
+            "term value 18446744073709551614 exceeds 64-bit cap"
+
+
+def _limit_memory():
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_find_on_lazy_coloring_answers_without_per_value_work():
+    # 10^8 values are past the cell budget, so the coloring stays lazy and
+    # the scan must stop at x=1 without touching the other values
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(os.path.abspath(ramseylab.__file__))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ramseylab.cli", "find", "--pattern", "{x}",
+         "--generator", "random", "--n", "100000000", "--colors", "2"],
+        capture_output=True, text=True, timeout=30, env=env,
+        preexec_fn=_limit_memory)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    report = json.loads(proc.stdout)
+    assert (report["verdict"], report["stats"]["nodes"]) == ("found", 1)
 
 
 def test_threshold_with_csv(capsys, tmp_path):
