@@ -18,6 +18,7 @@ gives verdict "unknown" with the usual query echo and the nodes spent.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -39,7 +40,7 @@ from .hindman import (BUILTIN_OPS, CutGrid, ScaledBundle, ShiftedBundle,
                       load_witness, make_witness, save_witness,
                       verify_witness)
 from .patterns import format_pattern, parse_pattern
-from .search import (ENGINES, InstanceQuery, find_all_instances,
+from .search import (ENGINES, InstanceQuery, find_all_instances_detailed,
                      find_avoiding_coloring, find_instance_detailed,
                      threshold_number)
 from .semigroups import algebra_report, is_central, load_table, translate_set
@@ -161,14 +162,10 @@ def cmd_find(args) -> int:
             args, query, "scan",
             lambda: find_instance_detailed(iq, max_nodes=args.max_nodes),
             lambda hit: {"assignment": hit[0], "color": hit[1]})
-
-    def find_all():
-        hits = find_all_instances(iq, limit=args.max_witnesses,
-                                  max_nodes=args.max_nodes)
-        return hits, len(hits)
-
     return _run_finder(
-        args, query, "scan", find_all,
+        args, query, "scan",
+        lambda: find_all_instances_detailed(iq, limit=args.max_witnesses,
+                                            max_nodes=args.max_nodes),
         lambda hits: [{"assignment": a, "color": c} for a, c in hits])
 
 
@@ -588,10 +585,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` uses: built at its first call, not at import,
+    then kept for the process (parsing leaves no state in it)."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

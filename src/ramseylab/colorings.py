@@ -40,6 +40,10 @@ CELL_BUDGET = 1 << 26
 #: default cap on c^(N^d) for exhaustive coloring enumeration
 ENUM_BUDGET = 1 << 22
 
+#: colorings up to this many cells get a 1-based copy as their value table;
+#: a larger one is indexed in place, since a copy would double its memory
+TABLE_COPY_CELLS = 1 << 20
+
 GENERATORS = ("constant", "parity", "mod", "blocks", "random")
 
 
@@ -98,6 +102,16 @@ class Coloring:
             return self.cells[idx]
         return self.fn(idx)
 
+    def value_table(self):
+        """Colors indexed by value, for the search loops of a 1-dimensional
+        coloring: ``table[v]`` is the color of v for v in [1..N].  Lookups
+        are unchecked, so callers keep v in the box."""
+        if self.cells is None:
+            return _ByValue(self.fn)
+        if len(self.cells) > TABLE_COPY_CELLS:
+            return _ByValue(self.cells.__getitem__)
+        return (None,) + self.cells
+
     def value_color(self, n: int) -> int:
         """1-dimensional convenience accessor."""
         if self.d != 1:
@@ -107,6 +121,19 @@ class Coloring:
         if self.cells is not None:
             return self.cells[n - 1]
         return self.fn(n - 1)
+
+
+class _ByValue:
+    """``table[v]`` as ``at(v - 1)``: the value table of a lazy coloring, or
+    of one too large to copy."""
+
+    __slots__ = ("at",)
+
+    def __init__(self, at):
+        self.at = at
+
+    def __getitem__(self, v):
+        return self.at(v - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -27,9 +27,12 @@ the pairwise sum/product sets (a in A, b in B), never A with itself.
 
 Finders enumerate candidates in a fixed documented order, split on the
 leading coordinate into chunks that run one after another, so results,
-node counts and budget verdicts depend only on the query.  Every checker
-recomputes its verdict from the raw data; the finders never hand back
-anything a checker has not confirmed.
+node counts and budget verdicts depend only on the query.  They read
+colors from a flat table indexed by value, without bounds checks: their
+own loop bounds keep every lookup in [1..N].  Every checker recomputes its
+verdict from the raw data through the bounds-checked accessor, so it does
+not share the finders' indexing; the finders never hand back anything a
+checker has not confirmed.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from ._parallel import NodeBudget, ordered_first_hit
 from .colorings import Coloring, ColoringSpec
 from .errors import (CompositionOutOfBoxError, MalformedInputError,
                      OutOfBoxError, RamseyError)
-from .patterns import parse_pattern
+from .patterns import VALUE_CAP, parse_pattern
 from .search import InstanceQuery, find_instance_detailed
 from .structures import (OP_ADD, contains_kap, contains_kfp, contains_kfs,
                          contains_kgp, fs_values)
@@ -95,13 +98,14 @@ def find_fs_witness_detailed(coloring: Coloring, k: int,
     if k < 1:
         raise RamseyError("k must be at least 1")
     N = coloring.N
+    colors = coloring.value_table()
     shared = NodeBudget(budget) if budget is not None else None
 
     def chunk(a1: int):
         local = 0
         if a1 * k > N:  # non-decreasing tuple: total sum at least a1*k
             return None, 0
-        anchor = _value_color(coloring, a1)
+        anchor = colors[a1]
         gens = [a1]
         sums = [a1]
 
@@ -116,16 +120,21 @@ def find_fs_witness_detailed(coloring: Coloring, k: int,
                     shared.spend(_SPEND_BATCH)
                 if total + v * remaining > N:
                     break
-                fresh = [v] + [s + v for s in sums]
-                if any(coloring.value_color(s) != anchor for s in fresh):
+                if colors[v] != anchor:
                     continue
-                gens.append(v)
-                sums.extend(fresh)
-                hit = rec(total + v)
-                del sums[-len(fresh):]
-                gens.pop()
-                if hit is not None:
-                    return hit
+                for s in sums:  # s + v <= total + v <= N
+                    if colors[s + v] != anchor:
+                        break
+                else:
+                    n = len(sums)
+                    sums.extend([s + v for s in sums])
+                    sums.append(v)
+                    gens.append(v)
+                    hit = rec(total + v)
+                    del sums[n:]
+                    gens.pop()
+                    if hit is not None:
+                        return hit
             return None
 
         if k == 1:
@@ -229,22 +238,26 @@ def find_grid_witness_detailed(coloring: Coloring, L: int, d: int,
     if L < d:
         raise RamseyError(f"need L >= d, got L={L} d={d}")
     N = coloring.N
+    colors = coloring.value_table()
     shared = NodeBudget(budget) if budget is not None else None
-    by_end: dict = {}
+    # the blocks (lo, hi) of the cut tuples ending at each prefix length,
+    # each once, in the order of their first appearance
+    blocks_by_end: dict = {}
     for cuts in combinations(range(L + 1), d + 1):
-        by_end.setdefault(cuts[-1], []).append(cuts)
+        blocks = blocks_by_end.setdefault(cuts[-1], [])
+        for block in zip(cuts, cuts[1:]):
+            if block not in blocks:
+                blocks.append(block)
 
     def chunk(a1: int):
         local = 0
-        anchor = coloring.value_color(a1)
+        anchor = colors[a1]
         seq = [a1]
 
         def prefix_ok() -> bool:
-            for cuts in by_end.get(len(seq), ()):
-                for lo, hi in zip(cuts, cuts[1:]):
-                    for v in fs_values(tuple(seq[lo:hi]), OP_ADD):
-                        if v > N or coloring.value_color(v) != anchor:
-                            return False
+            for lo, hi in blocks_by_end.get(len(seq), ()):
+                if not _closure_colored(seq[lo:hi], colors, anchor, N):
+                    return False
             return True
 
         def rec():
@@ -270,6 +283,22 @@ def find_grid_witness_detailed(coloring: Coloring, L: int, d: int,
 
     tasks = [(lambda a=a: chunk(a)) for a in range(1, N + 1)]
     return ordered_first_hit(tasks)
+
+
+def _closure_colored(block, colors, anchor: int, N: int) -> bool:
+    """Is every subset sum of ``block`` (entries in [1..N]) at most N and
+    of color ``anchor``?  A block whose total exceeds :data:`VALUE_CAP`
+    goes through :func:`fs_values`, which raises its overflow error."""
+    if sum(block) > VALUE_CAP:
+        fs_values(block, OP_ADD)
+    closure = [0]  # the empty sum; adding g to it gives g itself
+    for g in block:
+        for i in range(len(closure)):
+            v = closure[i] + g
+            if v > N or colors[v] != anchor:
+                return False
+            closure.append(v)
+    return True
 
 
 def find_grid_witness(coloring: Coloring, L: int, d: int,
@@ -557,23 +586,24 @@ def _find_bundle(coloring: Coloring, k: int, cap_a: int,
     if cap_a < 1:
         raise RamseyError("cap_a must be at least 1")
     N = coloring.N
-    color_of = coloring.value_color
+    colors = coloring.value_table()
     shared = NodeBudget(budget) if budget is not None else None
     structure_ok = _shifted_structure_ok if shifted else _scaled_structure_ok
-
-    def image(lam, v):  # the colored image of a single element
-        return lam + v if shifted else lam * v
 
     def chunk(lam: int):
         local = 0
         vmax = N - lam if shifted else N // lam
         if vmax < 1:
             return None, 0
+        # image[v]: the color of lam+v (lam*v) for v in [1..vmax]
+        if shifted:
+            image = [None] + [colors[lam + v] for v in range(1, vmax + 1)]
+        else:
+            image = [None] + [colors[lam * v] for v in range(1, vmax + 1)]
         # b candidates by the color of their image, ascending
         b_by_color: dict = {}
         for b in range(1, vmax + 1):
-            b_by_color.setdefault(color_of(image(lam, b)), []).append(b)
-        struct_cache: dict = {}
+            b_by_color.setdefault(image[b], []).append(b)
 
         def first_good_b(a_set, anchor):
             nonlocal local
@@ -585,58 +615,62 @@ def _find_bundle(coloring: Coloring, k: int, cap_a: int,
                 if shifted:
                     if amax + b > N or lam + amax * b > N:
                         break  # both escapes are monotone in b
-                    bad = any(color_of(a + b) != anchor or
-                              color_of(lam + a * b) != anchor
-                              for a in a_set)
+                    for a in a_set:
+                        if colors[a + b] != anchor or \
+                                colors[lam + a * b] != anchor:
+                            break
+                    else:
+                        return b
                 else:
                     if lam * (amax + b) > N or amax * b > N:
                         break
-                    bad = any(color_of(a * b) != anchor or
-                              color_of(lam * (a + b)) != anchor
-                              for a in a_set)
-                if not bad:
-                    return b
+                    for a in a_set:
+                        if colors[a * b] != anchor or \
+                                colors[lam * (a + b)] != anchor:
+                            break
+                    else:
+                        return b
             return None
 
-        def extend(a_set, anchor, size):
+        a_set: list = []
+
+        def extend(anchor, size):
+            # grows a_set in place; each A is reached once, so each
+            # structure check is one node
             nonlocal local
             if len(a_set) == size:
                 b = first_good_b(a_set, anchor)
                 if b is None:
                     return None
+                local += 1
+                if shared is not None and local % _SPEND_BATCH == 0:
+                    shared.spend(_SPEND_BATCH)
                 key = tuple(a_set)
-                if key not in struct_cache:
-                    local += 1
-                    if shared is not None and local % _SPEND_BATCH == 0:
-                        shared.spend(_SPEND_BATCH)
-                    struct_cache[key] = structure_ok(key, k)
-                if not struct_cache[key]:
-                    return None
-                return (key, (b,))
+                return (key, (b,)) if structure_ok(key, k) else None
             start = a_set[-1] + 1 if a_set else 1
+            need = size - len(a_set)
             for a in range(start, vmax + 1):
                 local += 1
                 if shared is not None and local % _SPEND_BATCH == 0:
                     shared.spend(_SPEND_BATCH)
-                if vmax - a + 1 < size - len(a_set):
+                if vmax - a + 1 < need:
                     break  # not enough room left for the remaining elements
-                color = color_of(image(lam, a))
-                if anchor is None:
-                    hit = extend(a_set + [a], color, size)
-                elif color != anchor:
+                color = image[a]
+                if anchor is not None and color != anchor:
                     continue
-                else:
-                    hit = extend(a_set + [a], anchor, size)
+                a_set.append(a)
+                hit = extend(color, size)
+                a_set.pop()
                 if hit is not None:
                     return hit
             return None
 
         hit = None
         for size in range(k, cap_a + 1):
-            found = extend([], None, size)
+            found = extend(None, size)
             if found is not None:
                 a_key, b_key = found
-                anchor = color_of(image(lam, a_key[0]))
+                anchor = image[a_key[0]]
                 cls = ShiftedBundle if shifted else ScaledBundle
                 hit = cls(lam=lam, a_set=a_key, b_set=b_key, k=k,
                           color=anchor)

@@ -413,8 +413,6 @@ def compile_kernel(schema: PatternSchema) -> Callable[[int], Iterator[tuple]]:
 
 def _box_leaves(schema: PatternSchema, N: int, max_assignments: Optional[int]):
     """Kernel leaves for [1..N], capped at ``max_assignments``."""
-    if schema.min_value > N:
-        return
     for count, leaf in enumerate(compile_kernel(schema)(N), 1):
         if max_assignments is not None and count > max_assignments:
             raise BudgetExceededError("assignment enumeration budget exceeded")
@@ -425,8 +423,9 @@ def iter_box_assignments(schema: PatternSchema, N: int,
                          max_assignments: Optional[int] = None) -> Iterator[dict]:
     """Yield, as dicts, the assignments (lexicographic in schema variable
     order) whose term values all land in [1..N]: the leaves of the schema's
-    kernel.  Nothing once ``min_value`` exceeds N; otherwise a pattern
-    without variables yields ``{}`` once when its constants fit.
+    kernel.  A pattern with variables yields nothing once ``min_value``
+    exceeds N; a pattern without variables yields ``{}`` once when its
+    constants fit, whatever ``min_value`` is.
     ``max_assignments`` bounds the number of leaves, raising once exceeded."""
     variables = schema.variables
     for asg, _ in _box_leaves(schema, N, max_assignments):

@@ -71,16 +71,6 @@ class ThresholdResult:
 # instance search
 
 
-class _LazyCells:
-    """``cells[i]`` for a coloring that is not materialized."""
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __getitem__(self, i):
-        return self.fn(i)
-
-
 def _scan_instances(schema: PatternSchema, coloring: Coloring,
                     budget: Optional[NodeBudget], limit: Optional[int] = 1):
     """In-order scan of the schema's in-box assignments (its kernel's
@@ -90,8 +80,7 @@ def _scan_instances(schema: PatternSchema, coloring: Coloring,
     first variable; the rest of a batch is spent before the next value's
     first leaf and when the scan stops."""
     variables = schema.variables
-    cells = coloring.cells if coloring.cells is not None \
-        else _LazyCells(coloring.fn)
+    colors = coloring.value_table()
     hits: list = []
     leaves, batch, first = 0, 0, None
     for asg, values in compile_kernel(schema)(coloring.N):
@@ -105,9 +94,9 @@ def _scan_instances(schema: PatternSchema, coloring: Coloring,
             if batch == 512:
                 budget.spend(512)
                 batch = 0
-        color = cells[values[0] - 1]
+        color = colors[values[0]]
         for v in values:
-            if cells[v - 1] != color:
+            if colors[v] != color:
                 break
         else:
             hits.append((dict(zip(variables, asg)), color))
@@ -139,12 +128,19 @@ def find_instance(query: InstanceQuery, max_nodes: Optional[int] = None):
     return hit
 
 
+def find_all_instances_detailed(query: InstanceQuery,
+                                limit: Optional[int] = 1000,
+                                max_nodes: Optional[int] = None):
+    """As :func:`find_all_instances`, also returning the leaf count."""
+    budget = NodeBudget(max_nodes) if max_nodes is not None else None
+    return _scan_instances(query.schema, query.coloring, budget, limit)
+
+
 def find_all_instances(query: InstanceQuery, limit: Optional[int] = 1000,
                        max_nodes: Optional[int] = None):
     """Every monochromatic instance in lexicographic order, capped at
     ``limit`` (at least one), under the leaf budget of :func:`find_instance`."""
-    budget = NodeBudget(max_nodes) if max_nodes is not None else None
-    return _scan_instances(query.schema, query.coloring, budget, limit)[0]
+    return find_all_instances_detailed(query, limit, max_nodes)[0]
 
 
 def has_monochromatic_instance(schema: PatternSchema, coloring: Coloring) -> bool:

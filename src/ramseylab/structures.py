@@ -15,6 +15,7 @@ succeeds on nonempty sets (witness: the least element).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -123,23 +124,50 @@ def contains_kfp(A, k: int, max_tuples: int = 1_000_000) -> Optional[tuple]:
 
 
 def _contains_closure(A, k: int, op: str, max_tuples: int) -> Optional[tuple]:
+    """Least k-tuple of candidates (in ``itertools.combinations`` order)
+    whose closure lies in A; past ``max_tuples`` tuples tried, the budget
+    error.  Each tuple's closure is built in one plain list and abandoned
+    at its first value outside A.  Where some tuple could be one that
+    :func:`fs_values` refuses (a closure value above :data:`VALUE_CAP`, or
+    more than :data:`MAX_FAMILY` generators), each tuple's largest value,
+    the sum (product) of the whole tuple, is checked first, and a refused
+    tuple goes through :func:`fs_values` to raise its error."""
     if k < 1:
         raise RamseyError("k must be >= 1")
     if not A:
         return None
     if k == 1:
         return (min(A),)
-    Aset = set(A)
-    floor = 2 if op == OP_MUL else 1
-    candidates = sorted(a for a in A if a >= floor)
-    tried = 0
-    for gens in itertools.combinations(candidates, k):
-        tried += 1
-        if tried > max_tuples:
-            raise BudgetExceededError(f"closure search budget {max_tuples} exceeded")
-        if fs_values(gens, op) <= Aset:
+    Aset = A if isinstance(A, (set, frozenset)) else set(A)
+    mul = op == OP_MUL
+    top = math.prod if mul else sum
+    candidates = sorted(A)
+    if candidates[0] < (2 if mul else 1):
+        candidates = [a for a in candidates if a >= (2 if mul else 1)]
+    guarded = k > MAX_FAMILY or top(candidates[-k:]) > VALUE_CAP
+    tuples = itertools.combinations(candidates, k)
+    for gens in itertools.islice(tuples, max(max_tuples, 0)):
+        if guarded and (k > MAX_FAMILY or top(gens) > VALUE_CAP):
+            fs_values(gens, op)
+        if _closure_inside(gens, Aset, mul):
             return gens
+    if next(tuples, None) is not None:
+        raise BudgetExceededError(f"closure search budget {max_tuples} exceeded")
     return None
+
+
+def _closure_inside(gens, Aset, mul: bool) -> bool:
+    """Do all subset sums (products) of ``gens`` lie in Aset?  The
+    generators themselves are taken to lie in it."""
+    closure = [gens[0]]
+    for g in gens[1:]:
+        for i in range(len(closure)):
+            v = closure[i] * g if mul else closure[i] + g
+            if v not in Aset:
+                return False
+            closure.append(v)
+        closure.append(g)
+    return True
 
 
 # ---------------------------------------------------------------------------

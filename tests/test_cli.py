@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import ramseylab
+from ramseylab import cli
 from ramseylab.cli import main
 from ramseylab.colorings import load_file
 from ramseylab.sat import parse_dimacs
@@ -188,6 +189,30 @@ def test_find_all_budget_exhaustion_reports_query_and_nodes(capsys):
                           stats=dict(base["stats"], nodes=52))
 
 
+def test_find_all_reports_leaves_visited(capsys):
+    # the third hit is leaf 52, so the report counts 52 leaves, not 3 hits
+    code, report = run_json(capsys, *FIND_ALL_N3000)
+    assert (code, len(report["witness"]), report["stats"]["nodes"]) == (0, 3, 52)
+    assert run_json(capsys, *FIND_ALL_N3000, "--max-nodes", "52") == (0, report)
+    code, report = run_json(capsys, *FIND_ALL_N3000, "--max-nodes", "51")
+    assert (code, report["verdict"], report["stats"]["nodes"]) == (2, "unknown", 52)
+
+
+@pytest.mark.parametrize("engine", ["backtracking", "sat"])
+def test_variable_free_pattern_past_min_value_is_unsat(capsys, engine):
+    pattern = ("--pattern", "{3}", "--min-value", "5")
+    code, report = run_json(capsys, "avoid", *pattern, "--n", "4",
+                            "--colors", "2", "--engine", engine)
+    assert (code, report["verdict"], report["witness"]) == (0, "unsat", None)
+    code, report = run_json(capsys, "threshold", *pattern, "--n-max", "6",
+                            "--colors", "2", "--engine", engine)
+    assert (code, report["verdict"]) == (0, "found")
+    assert report["witness"] == {"threshold": 3, "certificate": [0, 0]}
+    code, report = run_json(capsys, "find", *pattern, "--generator",
+                            "random", "--n", "4", "--colors", "2")
+    assert (code, report["verdict"]) == (0, "found")
+
+
 @pytest.mark.parametrize("pattern, code, verdict", [
     ("{x, y, 9223372036854775807*x*2}", 1, "error"),
     # x=1 already ends the scan; x=2 (10^19) is never evaluated
@@ -222,6 +247,36 @@ def test_find_on_lazy_coloring_answers_without_per_value_work():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     report = json.loads(proc.stdout)
     assert (report["verdict"], report["stats"]["nodes"]) == ("found", 1)
+
+
+PARSER_SEQUENCE = [
+    BUNDLE15_N40 + ("--cap-b", "2"),  # usage error: unknown flag
+    ("find", "--pattern", SCHUR, "--generator", "parity", "--n", "8",
+     "--colors", "2"),
+    ("--help",),
+    BUNDLE15_N40 + ("--budget", "17000"),  # budget runs out
+    ("avoid", "--pattern", SCHUR, "--n", "4"),  # usage error: no --colors
+]
+
+
+def test_cached_parser_answers_like_a_fresh_process(capsys, monkeypatch):
+    """main() builds its parser once per process; each of these queries,
+    run one after another (twice over) in this process, gives the exit
+    code and stdout bytes of a fresh ``python -m ramseylab.cli``."""
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps at this width
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(os.path.abspath(ramseylab.__file__))))
+    fresh = []
+    for argv in PARSER_SEQUENCE:
+        proc = subprocess.run([sys.executable, "-m", "ramseylab.cli", *argv],
+                              capture_output=True, text=True, timeout=60,
+                              env=env)
+        fresh.append((proc.returncode, proc.stdout))
+    assert [code for code, _ in fresh] == [1, 0, 0, 2, 1]
+    assert "usage: ramseylab" in fresh[2][1]
+    for _ in range(2):
+        assert [run(capsys, *argv) for argv in PARSER_SEQUENCE] == fresh
+    assert cli._parser() is cli._parser()
 
 
 def test_threshold_with_csv(capsys, tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ramseylab import colorings
 from ramseylab.colorings import Coloring, ColoringSpec, loads, make_coloring
 from ramseylab.errors import (BudgetExceededError, CompositionOutOfBoxError,
                               MalformedInputError, OutOfBoxError, RamseyError)
@@ -330,6 +331,89 @@ def test_finder_budget_spends_every_node(find, N, seed):
     with pytest.raises(BudgetExceededError) as exc:
         find(col, nodes - 1)
     assert exc.value.nodes == nodes
+
+
+# Witness, node count and budget verdicts of each finder, captured before
+# the finders read a flat color table: (kind, N, colors, seed, lazy,
+# finder arguments, witness, nodes).  Lazy colorings go through ``fn``.
+PINNED_FINDS = [
+    ("fs", 500, 2, 0, False, (3,), [1, 13, 21], 22),
+    ("fs", 500, 2, 1, False, (3,), [1, 1, 16], 17),
+    ("fs", 500, 3, 2, False, (3,), [1, 45, 65], 66),
+    ("fs", 1000, 2, 0, False, (4,), [1, 13, 21, 288], 290),
+    ("fs", 1000, 2, 3, False, (4,), [1, 1, 1, 1], 3),
+    ("fs", 1500, 2, 1, False, (5,), [1, 1, 16, 69, 781], 2158),
+    ("fs", 1500, 2, 2, False, (5,), [1, 1, 17, 429, 430], 4771),
+    ("fs", 30, 3, 5, False, (4,), None, 61),
+    ("fs", 800, 2, 4, True, (4,), [1, 1, 18, 157], 159),
+    ("fs", 12, 3, 9, True, (3,), [3, 3, 4], 25),
+    ("grid", 60, 2, 0, False, (4, 2), [[1, 13, 21, 1], 1], 635),
+    ("grid", 60, 2, 1, False, (4, 2), [[1, 1, 16, 1], 1], 198),
+    ("grid", 120, 2, 2, False, (4, 2), [[1, 1, 17, 1], 0], 139),
+    ("grid", 20, 3, 3, False, (4, 2), [[1, 1, 1, 1], 0], 3),
+    ("grid", 12, 3, 8, False, (4, 2), None, 1188),
+    ("grid", 60, 2, 5, True, (4, 2), [[1, 1, 58, 1], 0], 240),
+    ("grid", 40, 3, 6, True, (4, 2), [[4, 4, 4, 4], 0], 3012),
+    ("bundle14", 60, 2, 0, False, (2,), [1, [2, 4, 6], [2], 2, 0], 5646),
+    ("bundle14", 120, 2, 1, False, (2,), [1, [1, 16, 17], [1], 2, 1], 14983),
+    ("bundle14", 200, 2, 2, False, (2,), [1, [1, 17, 18], [1], 2, 0], 39207),
+    ("bundle14", 30, 3, 3, False, (2,), [1, [1, 10, 11], [1], 2, 0], 905),
+    ("bundle14", 16, 3, 8, False, (2,), None, 862),
+    ("bundle14", 100, 2, 4, True, (2,), [1, [1, 18, 19], [1], 2, 0], 10845),
+    ("bundle14", 40, 3, 6, True, (2,), None, 8649),
+    ("bundle15", 40, 2, 0, False, (2,), [1, [3, 9, 18, 27], [1], 2, 0], 17512),
+    ("bundle15", 60, 2, 1, False, (2,), [1, [1, 6, 7, 42], [1], 2, 1], 34627),
+    ("bundle15", 30, 2, 9, False, (2,), [1, [1, 2, 3, 6], [1], 2, 0], 4043),
+    ("bundle15", 20, 3, 3, False, (2,), None, 11493),
+    ("bundle15", 36, 2, 4, True, (2,), [1, [3, 6, 12, 18], [1], 2, 0], 12128),
+]
+
+_PINNED_FINDERS = {
+    "fs": lambda col, args, b: find_fs_witness_detailed(col, *args, budget=b),
+    "grid": lambda col, args, b: find_grid_witness_detailed(col, *args,
+                                                            budget=b),
+    "bundle14": lambda col, args, b: find_scaled_bundle_detailed(col, *args,
+                                                                 budget=b),
+    "bundle15": lambda col, args, b: find_shifted_bundle_detailed(col, *args,
+                                                                  budget=b),
+}
+
+
+def _plain_witness(hit):
+    if hit is None:
+        return None
+    if isinstance(hit, (ScaledBundle, ShiftedBundle)):
+        return [hit.lam, list(hit.a_set), list(hit.b_set), hit.k, hit.color]
+    if isinstance(hit[0], tuple):  # grid: (sequence, color)
+        return [list(hit[0]), hit[1]]
+    return list(hit)
+
+
+@pytest.mark.parametrize("kind, N, c, seed, lazy, args, witness, nodes",
+                         PINNED_FINDS)
+def test_finders_are_pinned(kind, N, c, seed, lazy, args, witness, nodes):
+    col = make_coloring("random", 1, N, c, seed=seed,
+                        cell_budget=0 if lazy else N)
+    assert (col.cells is None) == lazy
+    find = _PINNED_FINDERS[kind]
+    hit, got = find(col, args, None)
+    assert (_plain_witness(hit), got) == (witness, nodes)
+    assert find(col, args, nodes) == (hit, nodes)
+    with pytest.raises(BudgetExceededError) as exc:
+        find(col, args, nodes - 1)
+    assert exc.value.nodes == nodes
+
+
+@pytest.mark.parametrize("case", [PINNED_FINDS[6], PINNED_FINDS[10],
+                                  PINNED_FINDS[17], PINNED_FINDS[24]],
+                         ids=lambda case: case[0])
+def test_finders_read_large_colorings_in_place(monkeypatch, case):
+    # past the copy limit the color table indexes the cells themselves
+    kind, N, c, seed, _, args, witness, nodes = case
+    monkeypatch.setattr(colorings, "TABLE_COPY_CELLS", N - 1)
+    col = make_coloring("random", 1, N, c, seed=seed)
+    hit, got = _PINNED_FINDERS[kind](col, args, None)
+    assert (_plain_witness(hit), got) == (witness, nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from ramseylab.colorings import Coloring, enumerate_colorings, make_coloring
 from ramseylab.errors import BudgetExceededError, RamseyError
-from ramseylab.patterns import instance_value_sets, parse_pattern
-from ramseylab.search import (InstanceQuery, find_all_instances,
+from ramseylab.patterns import (instance_value_sets, iter_box_assignments,
+                                parse_pattern)
+from ramseylab.search import (ENGINES, InstanceQuery, find_all_instances,
                               find_avoiding_coloring, find_instance,
                               find_instance_detailed,
                               has_monochromatic_instance, threshold_number)
@@ -90,6 +91,20 @@ def test_variable_free_scan_spends_its_leaf():
     with pytest.raises(BudgetExceededError) as exc:
         find_instance_detailed(query, max_nodes=0)
     assert exc.value.nodes == 1
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_variable_free_pattern_is_forced_past_min_value(engine):
+    # no variable is bounded by min_value, so {3} has its one instance
+    # whatever min_value is, as the find scan has always said
+    schema = parse_pattern("{3}", min_value=5)
+    assert list(iter_box_assignments(schema, 4)) == [{}]
+    assert instance_value_sets(schema, 4) == [(3,)]
+    assert list(iter_box_assignments(schema, 2)) == []
+    assert find_avoiding_coloring(schema, 4, 2, engine=engine).verdict == "unsat"
+    res = threshold_number(schema, 2, 6, engine=engine)
+    assert (res.status, res.threshold) == ("found", 3)
+    assert res.certificate.cells == (0, 0)
 
 
 def test_budget_gives_unknown_verdict():

@@ -5,8 +5,11 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ramseylab.errors import RamseyError, ValueOverflowError
-from ramseylab.structures import (FSFamily, OP_ADD, OP_MUL, contains_kap,
+from ramseylab.errors import (BudgetExceededError, RamseyError,
+                              ValueOverflowError)
+from ramseylab.patterns import VALUE_CAP
+from ramseylab.structures import (FSFamily, OP_ADD, OP_MUL, _contains_closure,
+                                  contains_kap,
                                   contains_kfp, contains_kfs, contains_kgp,
                                   fs_set, fs_values, structure_report,
                                   validate_kap, validate_kfp, validate_kfs,
@@ -147,3 +150,74 @@ def test_validators_reject_junk():
     assert not validate_kfs(A, 2, (2, 2))
     assert not validate_kfs(A, 2, (1, 3))  # 4 escapes A
     assert not validate_kfp(A, 2, (2, 3))  # 6 escapes A
+
+
+# ---------------------------------------------------------------------------
+# the closure search against the FSFamily/frozenset form it replaced
+
+
+def _reference_closure(A, k, op, max_tuples):
+    """The closure search as it was: one ``fs_values`` frozenset per tuple."""
+    if k < 1:
+        raise RamseyError("k must be >= 1")
+    if not A:
+        return None
+    if k == 1:
+        return (min(A),)
+    Aset = set(A)
+    floor = 2 if op == OP_MUL else 1
+    candidates = sorted(a for a in A if a >= floor)
+    tried = 0
+    for gens in combinations(candidates, k):
+        tried += 1
+        if tried > max_tuples:
+            raise BudgetExceededError(
+                f"closure search budget {max_tuples} exceeded")
+        if fs_values(gens, op) <= Aset:
+            return gens
+    return None
+
+
+def _outcome(fn, *args):
+    try:
+        return "value", fn(*args)
+    except RamseyError as exc:
+        return type(exc).__name__, str(exc)
+
+
+# values whose sums or products land just under or over the 64-bit cap
+_NEAR_CAP = [VALUE_CAP, VALUE_CAP - 1, VALUE_CAP + 1, VALUE_CAP // 2,
+             VALUE_CAP // 2 + 1, VALUE_CAP // 3, 3037000499, 3037000500,
+             2097151, 2097152, 2 ** 31, 2 ** 32]
+_closure_sets = st.one_of(
+    st.frozensets(st.integers(-1, 30), max_size=10),
+    st.frozensets(st.one_of(st.integers(1, 12), st.sampled_from(_NEAR_CAP)),
+                  max_size=8),
+    # sets closed under + (or *) up to a bound, so witnesses are common
+    st.builds(lambda gens, mul: frozenset(fs_values(gens, OP_MUL if mul
+                                                    else OP_ADD)),
+              st.lists(st.integers(2, 9), min_size=1, max_size=4),
+              st.booleans()))
+
+
+@given(_closure_sets, st.integers(1, 3), st.sampled_from([OP_ADD, OP_MUL]),
+       st.one_of(st.integers(0, 12), st.just(1_000_000)))
+@settings(max_examples=400, deadline=None)
+def test_closure_search_matches_reference(A, k, op, max_tuples):
+    for given_as in (A, sorted(A)):
+        assert (_outcome(_contains_closure, given_as, k, op, max_tuples) ==
+                _outcome(_reference_closure, given_as, k, op, max_tuples))
+
+
+@pytest.mark.parametrize("A, k, op, max_tuples", [
+    (range(1, 40), 31, OP_ADD, 10),            # family larger than 30
+    (range(1, 40), 31, OP_ADD, 0),             # budget before the family
+    ({1, 2, VALUE_CAP - 1}, 2, OP_ADD, 10),    # 2 + (cap - 1) overflows
+    ({1, 2, 3, VALUE_CAP - 1}, 2, OP_ADD, 10),  # (1, 2) wins first
+    ({2, 3, 4, VALUE_CAP // 2 + 1}, 2, OP_MUL, 10),
+    ({2, 3, 6, VALUE_CAP // 2 + 1}, 2, OP_MUL, 2),
+    ({1, 2, 3, 4, 5}, 3, OP_ADD, 3),
+])
+def test_closure_search_edge_cases_match_reference(A, k, op, max_tuples):
+    assert (_outcome(_contains_closure, A, k, op, max_tuples) ==
+            _outcome(_reference_closure, A, k, op, max_tuples))
