@@ -40,10 +40,6 @@ CELL_BUDGET = 1 << 26
 #: default cap on c^(N^d) for exhaustive coloring enumeration
 ENUM_BUDGET = 1 << 22
 
-#: colorings up to this many cells get a 1-based copy as their value table;
-#: a larger one is indexed in place, since a copy would double its memory
-TABLE_COPY_CELLS = 1 << 20
-
 GENERATORS = ("constant", "parity", "mod", "blocks", "random")
 
 
@@ -108,8 +104,6 @@ class Coloring:
         are unchecked, so callers keep v in the box."""
         if self.cells is None:
             return _ByValue(self.fn)
-        if len(self.cells) > TABLE_COPY_CELLS:
-            return _ByValue(self.cells.__getitem__)
         return (None,) + self.cells
 
     def value_color(self, n: int) -> int:
@@ -124,16 +118,15 @@ class Coloring:
 
 
 class _ByValue:
-    """``table[v]`` as ``at(v - 1)``: the value table of a lazy coloring, or
-    of one too large to copy."""
+    """``table[v]`` as ``fn(v - 1)``: the value table of a lazy coloring."""
 
-    __slots__ = ("at",)
+    __slots__ = ("fn",)
 
-    def __init__(self, at):
-        self.at = at
+    def __init__(self, fn):
+        self.fn = fn
 
     def __getitem__(self, v):
-        return self.at(v - 1)
+        return self.fn(v - 1)
 
 
 # ---------------------------------------------------------------------------

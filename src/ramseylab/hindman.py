@@ -48,8 +48,8 @@ from .errors import (CompositionOutOfBoxError, MalformedInputError,
                      OutOfBoxError, RamseyError)
 from .patterns import VALUE_CAP, parse_pattern
 from .search import InstanceQuery, find_instance_detailed
-from .structures import (OP_ADD, contains_kap, contains_kfp, contains_kfs,
-                         contains_kgp, fs_values)
+from .structures import (MAX_FAMILY, OP_ADD, contains_kap, contains_kfp,
+                         contains_kfs, contains_kgp, fs_values)
 
 WITNESS_KINDS = ("fs", "grid", "composed", "bundle14", "bundle15")
 BUILTIN_OPS = ("multiplication-capped", "addition-capped")
@@ -287,16 +287,22 @@ def find_grid_witness_detailed(coloring: Coloring, L: int, d: int,
 
 def _closure_colored(block, colors, anchor: int, N: int) -> bool:
     """Is every subset sum of ``block`` (entries in [1..N]) at most N and
-    of color ``anchor``?  A block whose total exceeds :data:`VALUE_CAP`
-    goes through :func:`fs_values`, which raises its overflow error."""
-    if sum(block) > VALUE_CAP:
+    of color ``anchor``?  A block that :func:`fs_values` refuses (more than
+    :data:`MAX_FAMILY` entries, or a total above :data:`VALUE_CAP`) goes
+    through it to raise its error.  Each distinct sum is kept once, so the
+    work is bounded by the distinct sums, not by the 2^len subsets."""
+    if len(block) > MAX_FAMILY or sum(block) > VALUE_CAP:
         fs_values(block, OP_ADD)
     closure = [0]  # the empty sum; adding g to it gives g itself
+    seen = {0}
     for g in block:
         for i in range(len(closure)):
             v = closure[i] + g
+            if v in seen:
+                continue
             if v > N or colors[v] != anchor:
                 return False
+            seen.add(v)
             closure.append(v)
     return True
 

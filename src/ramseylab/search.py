@@ -71,6 +71,16 @@ class ThresholdResult:
 # instance search
 
 
+class _LazyCells:
+    """``cells[i]`` for a coloring that is not materialized."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __getitem__(self, i):
+        return self.fn(i)
+
+
 def _scan_instances(schema: PatternSchema, coloring: Coloring,
                     budget: Optional[NodeBudget], limit: Optional[int] = 1):
     """In-order scan of the schema's in-box assignments (its kernel's
@@ -80,7 +90,8 @@ def _scan_instances(schema: PatternSchema, coloring: Coloring,
     first variable; the rest of a batch is spent before the next value's
     first leaf and when the scan stops."""
     variables = schema.variables
-    colors = coloring.value_table()
+    cells = coloring.cells if coloring.cells is not None \
+        else _LazyCells(coloring.fn)
     hits: list = []
     leaves, batch, first = 0, 0, None
     for asg, values in compile_kernel(schema)(coloring.N):
@@ -94,9 +105,9 @@ def _scan_instances(schema: PatternSchema, coloring: Coloring,
             if batch == 512:
                 budget.spend(512)
                 batch = 0
-        color = colors[values[0]]
+        color = cells[values[0] - 1]
         for v in values:
-            if colors[v] != color:
+            if cells[v - 1] != color:
                 break
         else:
             hits.append((dict(zip(variables, asg)), color))

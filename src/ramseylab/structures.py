@@ -158,15 +158,23 @@ def _contains_closure(A, k: int, op: str, max_tuples: int) -> Optional[tuple]:
 
 def _closure_inside(gens, Aset, mul: bool) -> bool:
     """Do all subset sums (products) of ``gens`` lie in Aset?  The
-    generators themselves are taken to lie in it."""
+    generators themselves are taken to lie in it.  Each distinct value is
+    kept once, so the work is bounded by the size of the closure as a set,
+    not by the 2^k subsets."""
     closure = [gens[0]]
+    seen = {gens[0]}
     for g in gens[1:]:
         for i in range(len(closure)):
             v = closure[i] * g if mul else closure[i] + g
+            if v in seen:
+                continue
             if v not in Aset:
                 return False
+            seen.add(v)
             closure.append(v)
-        closure.append(g)
+        if g not in seen:
+            seen.add(g)
+            closure.append(g)
     return True
 
 

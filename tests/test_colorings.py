@@ -5,7 +5,6 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from ramseylab import colorings
 from ramseylab.colorings import (Coloring, ColoringSpec, dumps,
                                  enumerate_colorings, load_file, loads,
                                  make_coloring, save_file, seeded_cell_color)
@@ -143,15 +142,12 @@ def test_lazy_and_materialized_agree(N, c, seed):
     assert [lazy.value_color(v) for v in range(1, N + 1)] == list(eager.cells)
 
 
-@pytest.mark.parametrize("lazy, copy_limit", [(False, 1 << 20), (False, 5),
-                                              (True, 1 << 20)],
-                         ids=["copied", "in-place", "lazy"])
-def test_value_table_is_one_based(monkeypatch, lazy, copy_limit):
-    monkeypatch.setattr(colorings, "TABLE_COPY_CELLS", copy_limit)
+@pytest.mark.parametrize("lazy", [False, True], ids=["copied", "lazy"])
+def test_value_table_is_one_based(lazy):
     eager = make_coloring("random", 1, 9, 3, seed=4)
     col = make_coloring("random", 1, 9, 3, seed=4, cell_budget=0 if lazy else 9)
     table = col.value_table()
-    assert isinstance(table, tuple) == (copy_limit > 9 and not lazy)
+    assert isinstance(table, tuple) == (not lazy)
     assert [table[v] for v in range(1, 10)] == list(eager.cells)
 
 

@@ -2,12 +2,12 @@
 record round trip."""
 
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramseylab import colorings
 from ramseylab.colorings import Coloring, ColoringSpec, loads, make_coloring
 from ramseylab.errors import (BudgetExceededError, CompositionOutOfBoxError,
                               MalformedInputError, OutOfBoxError, RamseyError)
@@ -404,16 +404,22 @@ def test_finders_are_pinned(kind, N, c, seed, lazy, args, witness, nodes):
     assert exc.value.nodes == nodes
 
 
-@pytest.mark.parametrize("case", [PINNED_FINDS[6], PINNED_FINDS[10],
-                                  PINNED_FINDS[17], PINNED_FINDS[24]],
-                         ids=lambda case: case[0])
-def test_finders_read_large_colorings_in_place(monkeypatch, case):
-    # past the copy limit the color table indexes the cells themselves
-    kind, N, c, seed, _, args, witness, nodes = case
-    monkeypatch.setattr(colorings, "TABLE_COPY_CELLS", N - 1)
-    col = make_coloring("random", 1, N, c, seed=seed)
-    hit, got = _PINNED_FINDERS[kind](col, args, None)
-    assert (_plain_witness(hit), got) == (witness, nodes)
+def test_grid_finder_keeps_distinct_block_sums_only():
+    # on one color every prefix of ones passes; a block of length m has 2^m
+    # subsets but only m distinct sums
+    col = make_coloring("constant", 1, 100, 1, param=(0,))
+    tracemalloc.start()
+    try:
+        hit, nodes = find_grid_witness_detailed(col, 22, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (hit, nodes) == (((1,) * 22, 0), 21)
+    assert peak < 1 << 20
+    assert find_grid_witness_detailed(col, 25, 1) == (((1,) * 25, 0), 24)
+    # a block longer than MAX_FAMILY is refused, as fs_values refuses it
+    with pytest.raises(RamseyError, match=r"family size 31 outside \[1, 30\]"):
+        find_grid_witness_detailed(col, 31, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Subset-sum/product closures and the four structure detectors."""
 
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -217,7 +218,25 @@ def test_closure_search_matches_reference(A, k, op, max_tuples):
     ({2, 3, 4, VALUE_CAP // 2 + 1}, 2, OP_MUL, 10),
     ({2, 3, 6, VALUE_CAP // 2 + 1}, 2, OP_MUL, 2),
     ({1, 2, 3, 4, 5}, 3, OP_ADD, 3),
+    (range(1, 200), 12, OP_ADD, 10),            # repeated subset sums
+    ({2 ** i for i in range(1, 63)}, 10, OP_MUL, 10),  # repeated products
 ])
 def test_closure_search_edge_cases_match_reference(A, k, op, max_tuples):
     assert (_outcome(_contains_closure, A, k, op, max_tuples) ==
             _outcome(_reference_closure, A, k, op, max_tuples))
+
+
+def test_closure_search_keeps_distinct_values_only():
+    # the first 22-tuple of a dense A has 2^22 subsets but 253 distinct sums
+    tracemalloc.start()
+    try:
+        hit = contains_kfs(range(1, 1000), 22)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hit == tuple(range(1, 23))
+    assert peak < 1 << 20
+    assert contains_kfs(range(1, 1000), 25) == tuple(range(1, 26))
+    assert contains_kfs(range(1, 1000), 30) == tuple(range(1, 31))
+    with pytest.raises(RamseyError, match=r"family size 31 outside \[1, 30\]"):
+        contains_kfs(range(1, 1000), 31)
