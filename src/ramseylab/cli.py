@@ -8,11 +8,14 @@ Every subcommand prints one canonical JSON report to stdout::
 Exit codes: 0 when the question was answered (in either direction), 1 on
 usage or input errors, 2 when a node/conflict budget ran out first.
 
-Searches run on one thread, in a fixed chunk order; --workers is
+Every search is one in-order depth-first walk on one thread; --workers is
 accepted and ignored.  Reports are deterministic by default — time_ms is
 zeroed, so the same query produces byte-identical output whatever the
-machine; pass --timing for wall-clock numbers.  A budget that runs out
-gives verdict "unknown" with the usual query echo and the nodes spent.
+machine; pass --timing for wall-clock numbers.  A node budget of B
+(--max-nodes, --budget) gives the answer when the search needs at most B
+nodes; otherwise node B + 1 stops it, and the report has verdict
+"unknown", the usual query echo and nodes B + 1.  The sat engine reads
+--max-nodes as a conflict budget and reports conflicts plus decisions.
 """
 
 from __future__ import annotations

@@ -219,15 +219,36 @@ class ColoringSpec:
         return obj
 
     @classmethod
-    def from_json(cls, obj: dict) -> "ColoringSpec":
+    def from_json(cls, obj) -> "ColoringSpec":
+        """Inverse of :meth:`to_json`.  Anything but an object with every
+        field of its kind, each of the right type, is malformed input."""
+        if not isinstance(obj, dict):
+            raise MalformedInputError("coloring spec must be an object")
         kind = obj.get("kind")
         if kind == "file":
-            return cls(kind="file", path=obj["path"])
+            return cls(kind="file", path=_spec_field(obj, "path", str))
         if kind == "generator":
-            return cls(kind="generator", generator=obj["generator"],
-                       d=obj["d"], N=obj["N"], c=obj["c"],
-                       param=tuple(obj.get("param", ())), seed=obj.get("seed", 0))
+            param = _spec_field(obj, "param", list, [])
+            if not all(type(p) is int for p in param):
+                raise MalformedInputError(
+                    "coloring spec field 'param' must be a list of integers")
+            return cls(kind="generator",
+                       generator=_spec_field(obj, "generator", str),
+                       d=_spec_field(obj, "d", int), N=_spec_field(obj, "N", int),
+                       c=_spec_field(obj, "c", int), param=tuple(param),
+                       seed=_spec_field(obj, "seed", int, 0))
         raise MalformedInputError(f"unknown coloring spec kind {kind!r}")
+
+
+def _spec_field(obj: dict, key: str, kind: type, default=None):
+    """``obj[key]``, of type ``kind``; required unless ``default`` is given."""
+    if key not in obj and default is not None:
+        return default
+    value = obj.get(key)
+    if not (type(value) is int if kind is int else isinstance(value, kind)):
+        raise MalformedInputError(
+            f"coloring spec needs field {key!r} of type {kind.__name__}")
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,13 @@ class BudgetExceededError(RamseyError):
         super().__init__(message)
         self.nodes = nodes
 
+    @classmethod
+    def past(cls, limit: int) -> "BudgetExceededError":
+        """The error of a search whose node budget is ``limit``, raised at
+        the node after it, node ``limit + 1`` (node 1 for a negative
+        limit)."""
+        return cls(f"node budget {limit} exceeded", nodes=max(limit, 0) + 1)
+
 
 class ValueOverflowError(RamseyError):
     """An arithmetic result exceeded the supported 64-bit width."""

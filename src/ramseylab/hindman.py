@@ -25,9 +25,11 @@ finite-sums set, and shifted structures
 with A carrying k-AP, k-GP, k-FS and k-FP simultaneously.  A+B and A*B are
 the pairwise sum/product sets (a in A, b in B), never A with itself.
 
-Finders enumerate candidates in a fixed documented order, split on the
-leading coordinate into chunks that run one after another, so results,
-node counts and budget verdicts depend only on the query.  They read
+Each finder is one in-order depth-first search over its candidates, in a
+fixed documented order, that counts its nodes in one counter, so results,
+node counts and budget verdicts depend only on the query.  A budget of B
+nodes gives the answer when the search needs at most B nodes; otherwise
+node B + 1 stops it (``BudgetExceededError.past``).  Finders read
 colors from a flat table indexed by value, without bounds checks: their
 own loop bounds keep every lookup in [1..N].  Every checker recomputes its
 verdict from the raw data through the bounds-checked accessor, so it does
@@ -42,10 +44,9 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Optional
 
-from ._parallel import NodeBudget, ordered_first_hit
 from .colorings import Coloring, ColoringSpec
-from .errors import (CompositionOutOfBoxError, MalformedInputError,
-                     OutOfBoxError, RamseyError)
+from .errors import (BudgetExceededError, CompositionOutOfBoxError,
+                     MalformedInputError, OutOfBoxError, RamseyError)
 from .patterns import VALUE_CAP, parse_pattern
 from .search import InstanceQuery, find_instance_detailed
 from .structures import (MAX_FAMILY, OP_ADD, contains_kap, contains_kfp,
@@ -53,8 +54,6 @@ from .structures import (MAX_FAMILY, OP_ADD, contains_kap, contains_kfp,
 
 WITNESS_KINDS = ("fs", "grid", "composed", "bundle14", "bundle15")
 BUILTIN_OPS = ("multiplication-capped", "addition-capped")
-
-_SPEND_BATCH = 512
 
 
 def _value_color(coloring: Coloring, v: int) -> int:
@@ -99,54 +98,45 @@ def find_fs_witness_detailed(coloring: Coloring, k: int,
         raise RamseyError("k must be at least 1")
     N = coloring.N
     colors = coloring.value_table()
-    shared = NodeBudget(budget) if budget is not None else None
+    nodes = 0
+    gens: list = []
+    sums: list = []
 
-    def chunk(a1: int):
-        local = 0
-        if a1 * k > N:  # non-decreasing tuple: total sum at least a1*k
-            return None, 0
-        anchor = colors[a1]
-        gens = [a1]
-        sums = [a1]
-
-        def rec(total: int):
-            nonlocal local
-            if len(gens) == k:
-                return tuple(gens)
-            remaining = k - len(gens)
-            for v in range(gens[-1], N + 1):
-                local += 1
-                if shared is not None and local % _SPEND_BATCH == 0:
-                    shared.spend(_SPEND_BATCH)
-                if total + v * remaining > N:
+    def rec(total: int, anchor: int):
+        nonlocal nodes
+        if len(gens) == k:
+            return tuple(gens)
+        remaining = k - len(gens)
+        for v in range(gens[-1], N + 1):
+            nodes += 1
+            if budget is not None and nodes > budget:
+                raise BudgetExceededError.past(budget)
+            if total + v * remaining > N:
+                break
+            if colors[v] != anchor:
+                continue
+            for s in sums:  # s + v <= total + v <= N
+                if colors[s + v] != anchor:
                     break
-                if colors[v] != anchor:
-                    continue
-                for s in sums:  # s + v <= total + v <= N
-                    if colors[s + v] != anchor:
-                        break
-                else:
-                    n = len(sums)
-                    sums.extend([s + v for s in sums])
-                    sums.append(v)
-                    gens.append(v)
-                    hit = rec(total + v)
-                    del sums[n:]
-                    gens.pop()
-                    if hit is not None:
-                        return hit
-            return None
+            else:
+                n = len(sums)
+                sums.extend([s + v for s in sums])
+                sums.append(v)
+                gens.append(v)
+                hit = rec(total + v, anchor)
+                del sums[n:]
+                gens.pop()
+                if hit is not None:
+                    return hit
+        return None
 
-        if k == 1:
-            hit = (a1,)
-        else:
-            hit = rec(a1)
-        if shared is not None and local % _SPEND_BATCH:
-            shared.spend(local % _SPEND_BATCH)
-        return hit, local
-
-    tasks = [(lambda a=a: chunk(a)) for a in range(1, N + 1)]
-    return ordered_first_hit(tasks)
+    for a1 in range(1, N // k + 1):  # a non-decreasing tuple sums to >= a1*k
+        gens[:] = [a1]
+        sums[:] = [a1]
+        hit = rec(a1, colors[a1])
+        if hit is not None:
+            return hit, nodes
+    return None, nodes
 
 
 def find_fs_witness(coloring: Coloring, k: int, budget: Optional[int] = None):
@@ -239,7 +229,6 @@ def find_grid_witness_detailed(coloring: Coloring, L: int, d: int,
         raise RamseyError(f"need L >= d, got L={L} d={d}")
     N = coloring.N
     colors = coloring.value_table()
-    shared = NodeBudget(budget) if budget is not None else None
     # the blocks (lo, hi) of the cut tuples ending at each prefix length,
     # each once, in the order of their first appearance
     blocks_by_end: dict = {}
@@ -249,40 +238,39 @@ def find_grid_witness_detailed(coloring: Coloring, L: int, d: int,
             if block not in blocks:
                 blocks.append(block)
 
-    def chunk(a1: int):
-        local = 0
+    nodes = 0
+    seq: list = []
+
+    def prefix_ok(anchor: int) -> bool:
+        for lo, hi in blocks_by_end.get(len(seq), ()):
+            if not _closure_colored(seq[lo:hi], colors, anchor, N):
+                return False
+        return True
+
+    def rec(anchor: int):
+        nonlocal nodes
+        if len(seq) == L:
+            return (tuple(seq), anchor)
+        for v in range(1, N + 1):
+            nodes += 1
+            if budget is not None and nodes > budget:
+                raise BudgetExceededError.past(budget)
+            seq.append(v)
+            if prefix_ok(anchor):
+                hit = rec(anchor)
+                if hit is not None:
+                    return hit
+            seq.pop()
+        return None
+
+    for a1 in range(1, N + 1):
+        seq[:] = [a1]
         anchor = colors[a1]
-        seq = [a1]
-
-        def prefix_ok() -> bool:
-            for lo, hi in blocks_by_end.get(len(seq), ()):
-                if not _closure_colored(seq[lo:hi], colors, anchor, N):
-                    return False
-            return True
-
-        def rec():
-            nonlocal local
-            if len(seq) == L:
-                return (tuple(seq), anchor)
-            for v in range(1, N + 1):
-                local += 1
-                if shared is not None and local % _SPEND_BATCH == 0:
-                    shared.spend(_SPEND_BATCH)
-                seq.append(v)
-                if prefix_ok():
-                    hit = rec()
-                    if hit is not None:
-                        return hit
-                seq.pop()
-            return None
-
-        hit = rec() if prefix_ok() else None
-        if shared is not None and local % _SPEND_BATCH:
-            shared.spend(local % _SPEND_BATCH)
-        return hit, local
-
-    tasks = [(lambda a=a: chunk(a)) for a in range(1, N + 1)]
-    return ordered_first_hit(tasks)
+        if prefix_ok(anchor):
+            hit = rec(anchor)
+            if hit is not None:
+                return hit, nodes
+    return None, nodes
 
 
 def _closure_colored(block, colors, anchor: int, N: int) -> bool:
@@ -375,8 +363,12 @@ def op_from_json(obj: dict) -> OpTable:
     if not isinstance(obj, dict) or "kind" not in obj or "n" not in obj:
         raise MalformedInputError("operation record needs 'kind' and 'n'")
     rows = obj.get("rows")
-    return OpTable(kind=obj["kind"], n=int(obj["n"]),
-                   rows=tuple(tuple(r) for r in rows) if rows else None)
+    try:
+        return OpTable(kind=obj["kind"], n=int(obj["n"]),
+                       rows=tuple(tuple(r) for r in rows) if rows else None)
+    except (TypeError, ValueError) as exc:
+        raise MalformedInputError(f"malformed operation record: {exc}") \
+            from exc
 
 
 def builtin_op(kind: str, n: int) -> OpTable:
@@ -593,14 +585,73 @@ def _find_bundle(coloring: Coloring, k: int, cap_a: int,
         raise RamseyError("cap_a must be at least 1")
     N = coloring.N
     colors = coloring.value_table()
-    shared = NodeBudget(budget) if budget is not None else None
     structure_ok = _shifted_structure_ok if shifted else _scaled_structure_ok
+    nodes = 0
+    a_set: list = []
+    # first_good_b and extend read lam, vmax, image and b_by_color as the
+    # loop over lam at the bottom sets them
 
-    def chunk(lam: int):
-        local = 0
+    def first_good_b(anchor):
+        nonlocal nodes
+        amax = a_set[-1]
+        for b in b_by_color.get(anchor, ()):
+            nodes += 1
+            if budget is not None and nodes > budget:
+                raise BudgetExceededError.past(budget)
+            if shifted:
+                if amax + b > N or lam + amax * b > N:
+                    break  # both escapes are monotone in b
+                for a in a_set:
+                    if colors[a + b] != anchor or \
+                            colors[lam + a * b] != anchor:
+                        break
+                else:
+                    return b
+            else:
+                if lam * (amax + b) > N or amax * b > N:
+                    break
+                for a in a_set:
+                    if colors[a * b] != anchor or \
+                            colors[lam * (a + b)] != anchor:
+                        break
+                else:
+                    return b
+        return None
+
+    def extend(anchor, size):
+        # grows a_set in place; each A is reached once per lam and size, so
+        # each structure check is one node
+        nonlocal nodes
+        if len(a_set) == size:
+            b = first_good_b(anchor)
+            if b is None:
+                return None
+            nodes += 1
+            if budget is not None and nodes > budget:
+                raise BudgetExceededError.past(budget)
+            key = tuple(a_set)
+            return (key, (b,)) if structure_ok(key, k) else None
+        start = a_set[-1] + 1 if a_set else 1
+        need = size - len(a_set)
+        for a in range(start, vmax + 1):
+            nodes += 1
+            if budget is not None and nodes > budget:
+                raise BudgetExceededError.past(budget)
+            if vmax - a + 1 < need:
+                break  # not enough room left for the remaining elements
+            color = image[a]
+            if anchor is not None and color != anchor:
+                continue
+            a_set.append(a)
+            hit = extend(color, size)
+            a_set.pop()
+            if hit is not None:
+                return hit
+        return None
+
+    cls = ShiftedBundle if shifted else ScaledBundle
+    for lam in range(1, (N - 1 if shifted else N) + 1):
         vmax = N - lam if shifted else N // lam
-        if vmax < 1:
-            return None, 0
         # image[v]: the color of lam+v (lam*v) for v in [1..vmax]
         if shifted:
             image = [None] + [colors[lam + v] for v in range(1, vmax + 1)]
@@ -610,84 +661,13 @@ def _find_bundle(coloring: Coloring, k: int, cap_a: int,
         b_by_color: dict = {}
         for b in range(1, vmax + 1):
             b_by_color.setdefault(image[b], []).append(b)
-
-        def first_good_b(a_set, anchor):
-            nonlocal local
-            amax = a_set[-1]
-            for b in b_by_color.get(anchor, ()):
-                local += 1
-                if shared is not None and local % _SPEND_BATCH == 0:
-                    shared.spend(_SPEND_BATCH)
-                if shifted:
-                    if amax + b > N or lam + amax * b > N:
-                        break  # both escapes are monotone in b
-                    for a in a_set:
-                        if colors[a + b] != anchor or \
-                                colors[lam + a * b] != anchor:
-                            break
-                    else:
-                        return b
-                else:
-                    if lam * (amax + b) > N or amax * b > N:
-                        break
-                    for a in a_set:
-                        if colors[a * b] != anchor or \
-                                colors[lam * (a + b)] != anchor:
-                            break
-                    else:
-                        return b
-            return None
-
-        a_set: list = []
-
-        def extend(anchor, size):
-            # grows a_set in place; each A is reached once, so each
-            # structure check is one node
-            nonlocal local
-            if len(a_set) == size:
-                b = first_good_b(a_set, anchor)
-                if b is None:
-                    return None
-                local += 1
-                if shared is not None and local % _SPEND_BATCH == 0:
-                    shared.spend(_SPEND_BATCH)
-                key = tuple(a_set)
-                return (key, (b,)) if structure_ok(key, k) else None
-            start = a_set[-1] + 1 if a_set else 1
-            need = size - len(a_set)
-            for a in range(start, vmax + 1):
-                local += 1
-                if shared is not None and local % _SPEND_BATCH == 0:
-                    shared.spend(_SPEND_BATCH)
-                if vmax - a + 1 < need:
-                    break  # not enough room left for the remaining elements
-                color = image[a]
-                if anchor is not None and color != anchor:
-                    continue
-                a_set.append(a)
-                hit = extend(color, size)
-                a_set.pop()
-                if hit is not None:
-                    return hit
-            return None
-
-        hit = None
         for size in range(k, cap_a + 1):
             found = extend(None, size)
             if found is not None:
                 a_key, b_key = found
-                anchor = image[a_key[0]]
-                cls = ShiftedBundle if shifted else ScaledBundle
-                hit = cls(lam=lam, a_set=a_key, b_set=b_key, k=k,
-                          color=anchor)
-                break
-        if shared is not None and local % _SPEND_BATCH:
-            shared.spend(local % _SPEND_BATCH)
-        return hit, local
-
-    lam_hi = N - 1 if shifted else N
-    tasks = [(lambda lam=lam: chunk(lam)) for lam in range(1, lam_hi + 1)]
-    return ordered_first_hit(tasks)
+                return cls(lam=lam, a_set=a_key, b_set=b_key, k=k,
+                           color=image[a_key[0]]), nodes
+    return None, nodes
 
 
 def find_scaled_bundle_detailed(coloring: Coloring, k: int,
@@ -809,11 +789,29 @@ def load_witness(path) -> dict:
     return record
 
 
+def _ints(data: dict, key: str) -> tuple:
+    """``data[key]``, which must be a list of integers, as a tuple."""
+    value = data[key]
+    if not isinstance(value, list) or any(type(v) is not int for v in value):
+        raise MalformedInputError(
+            f"witness field {key!r} must be a list of integers")
+    return tuple(value)
+
+
+def _int(data: dict, key: str) -> int:
+    """``data[key]``, which must be an integer."""
+    value = data[key]
+    if type(value) is not int:
+        raise MalformedInputError(f"witness field {key!r} must be an integer")
+    return value
+
+
 def verify_witness(record: dict, coloring: Optional[Coloring] = None) -> tuple:
     """Re-check a witness record from scratch against a coloring (given
     directly, or loaded from the record's coloring_ref).  Returns
     (ok, detail string); out-of-box data verifies False, it does not
-    raise."""
+    raise.  A field that is missing or of the wrong type raises
+    MalformedInputError."""
     kind = record.get("kind")
     if kind not in WITNESS_KINDS:
         raise MalformedInputError(f"unknown witness kind {kind!r}")
@@ -829,19 +827,19 @@ def verify_witness(record: dict, coloring: Optional[Coloring] = None) -> tuple:
 
     try:
         if kind == "fs":
-            ok, color = check_fs_witness(coloring, data["generators"])
+            ok, color = check_fs_witness(coloring, _ints(data, "generators"))
             want = data.get("color")
             if ok and (want is None or want == color):
                 return True, f"FS closure monochromatic in color {color}"
             return False, ("closure is not monochromatic" if not ok else
                            f"closure color {color} != recorded {want}")
         if kind == "grid":
-            seq = data["sequence"]
+            seq = _ints(data, "sequence")
             if "cuts" in data:
                 ok, color = check_grid_witness(
-                    coloring, CutGrid(tuple(seq), tuple(data["cuts"])))
+                    coloring, CutGrid(seq, _ints(data, "cuts")))
             else:
-                color = grid_common_color(coloring, seq, int(data["d"]))
+                color = grid_common_color(coloring, seq, _int(data, "d"))
                 ok = color is not None
             want = data.get("color")
             if ok and (want is None or want == color):
@@ -852,25 +850,21 @@ def verify_witness(record: dict, coloring: Optional[Coloring] = None) -> tuple:
             op = op_from_json(data["op"])
             ok, color = check_composed_witness(
                 coloring, op,
-                CutGrid(tuple(data["sequence"]), tuple(data["cuts"])))
+                CutGrid(_ints(data, "sequence"), _ints(data, "cuts")))
             want = data.get("color")
             if ok and (want is None or want == color):
                 return True, f"composed values monochromatic in color {color}"
             return False, ("composed values are not monochromatic" if not ok
                            else f"composed color {color} != recorded {want}")
-        if kind == "bundle14":
-            bundle = ScaledBundle(lam=int(data["lam"]),
-                                  a_set=tuple(data["a_set"]),
-                                  b_set=tuple(data["b_set"]),
-                                  k=int(data["k"]), color=int(data["color"]))
-            ok, detail = check_scaled_bundle(coloring, bundle)
-            return ok, detail or "scaled bundle verified"
-        bundle = ShiftedBundle(lam=int(data["lam"]),
-                               a_set=tuple(data["a_set"]),
-                               b_set=tuple(data["b_set"]),
-                               k=int(data["k"]), color=int(data["color"]))
-        ok, detail = check_shifted_bundle(coloring, bundle)
-        return ok, detail or "shifted bundle verified"
+        scaled = kind == "bundle14"
+        bundle = (ScaledBundle if scaled else ShiftedBundle)(
+            lam=_int(data, "lam"), a_set=_ints(data, "a_set"),
+            b_set=_ints(data, "b_set"), k=_int(data, "k"),
+            color=_int(data, "color"))
+        check = check_scaled_bundle if scaled else check_shifted_bundle
+        ok, detail = check(coloring, bundle)
+        return ok, detail or \
+            f"{'scaled' if scaled else 'shifted'} bundle verified"
     except (OutOfBoxError, CompositionOutOfBoxError) as exc:
         return False, f"out of box: {exc}"
     except KeyError as exc:

@@ -10,10 +10,13 @@ Three engines answer "does some c-coloring of [1..N] avoid the pattern?":
 * ``exhaustive`` — enumeration over canonical colorings; the test oracle.
 
 The instance scan walks its pattern's compiled kernel (see
-:class:`ramseylab.patterns.TermPlan`) in order; backtracking runs chunks
-split on a fixed-depth color prefix one after another; both on the calling
-thread, so witnesses, node counts and budget verdicts depend only on the
-query.  Avoiding colorings are re-validated with ``find_instance``.
+:class:`ramseylab.patterns.TermPlan`) in order, and backtracking is one
+depth-first search from value 1; each counts its nodes (leaves, color
+tries) in one counter on the calling thread, so witnesses, node counts and
+budget verdicts depend only on the query.  A budget of B nodes gives the
+answer when the search needs at most B nodes; otherwise node B + 1 stops
+it (``BudgetExceededError.past``).  Avoiding colorings are re-validated
+with ``find_instance``.
 """
 
 from __future__ import annotations
@@ -23,14 +26,12 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import sat as satmod
-from ._parallel import NodeBudget, ordered_first_hit
+from ._parallel import ordered_first_hit
 from .colorings import Coloring, enumerate_colorings
 from .errors import BudgetExceededError, RamseyError
 from .patterns import PatternSchema, compile_kernel, instance_value_sets
 
 ENGINES = ("backtracking", "sat", "exhaustive")
-
-SPLIT_DEPTH = 8  # backtracking splits its tree at this prefix depth
 
 
 @dataclass(frozen=True)
@@ -82,29 +83,20 @@ class _LazyCells:
 
 
 def _scan_instances(schema: PatternSchema, coloring: Coloring,
-                    budget: Optional[NodeBudget], limit: Optional[int] = 1):
+                    max_nodes: Optional[int], limit: Optional[int] = 1):
     """In-order scan of the schema's in-box assignments (its kernel's
     leaves) for monochromatic ones.  Returns (hits as (assignment dict,
-    color), leaves visited); stops once ``limit`` hits are in.  The budget
-    is spent in batches of 512 leaves that restart at each value of the
-    first variable; the rest of a batch is spent before the next value's
-    first leaf and when the scan stops."""
+    color), leaves visited); stops once ``limit`` hits are in.  Leaf
+    ``max_nodes + 1`` raises :class:`BudgetExceededError`."""
     variables = schema.variables
     cells = coloring.cells if coloring.cells is not None \
         else _LazyCells(coloring.fn)
     hits: list = []
-    leaves, batch, first = 0, 0, None
+    leaves = 0
     for asg, values in compile_kernel(schema)(coloring.N):
         leaves += 1
-        if budget is not None:
-            if asg[:1] != first:
-                if batch:
-                    budget.spend(batch)
-                first, batch = asg[:1], 0
-            batch += 1
-            if batch == 512:
-                budget.spend(512)
-                batch = 0
+        if max_nodes is not None and leaves > max_nodes:
+            raise BudgetExceededError.past(max_nodes)
         color = cells[values[0] - 1]
         for v in values:
             if cells[v - 1] != color:
@@ -113,18 +105,16 @@ def _scan_instances(schema: PatternSchema, coloring: Coloring,
             hits.append((dict(zip(variables, asg)), color))
             if limit is not None and len(hits) >= limit:
                 break
-    if budget is not None and batch:
-        budget.spend(batch)
     return hits, leaves
 
 
 def find_instance_detailed(query: InstanceQuery,
                            max_nodes: Optional[int] = None):
     """As :func:`find_instance`, also returning the leaf count."""
-    budget = NodeBudget(max_nodes) if max_nodes is not None else None
 
     def scan():
-        hits, leaves = _scan_instances(query.schema, query.coloring, budget)
+        hits, leaves = _scan_instances(query.schema, query.coloring,
+                                       max_nodes)
         return (hits[0] if hits else None), leaves
 
     # one task, so the bench's parallel.* counters still see the scan
@@ -143,8 +133,7 @@ def find_all_instances_detailed(query: InstanceQuery,
                                 limit: Optional[int] = 1000,
                                 max_nodes: Optional[int] = None):
     """As :func:`find_all_instances`, also returning the leaf count."""
-    budget = NodeBudget(max_nodes) if max_nodes is not None else None
-    return _scan_instances(query.schema, query.coloring, budget, limit)
+    return _scan_instances(query.schema, query.coloring, max_nodes, limit)
 
 
 def find_all_instances(query: InstanceQuery, limit: Optional[int] = 1000,
@@ -195,23 +184,24 @@ def _forbidden(entry, bits) -> int:
     return mask
 
 
-def _backtrack_chunk(N, c, index, prefix, budget: Optional[NodeBudget]):
-    """Continue the canonical-coloring DFS from a fixed color prefix;
-    returns (lexicographically least avoiding completion or None, nodes)."""
-    bits = [1 << color for color in prefix] + [0] * (N - len(prefix))
+def _backtrack(N, c, index, max_nodes: Optional[int]):
+    """Canonical-coloring DFS over [1..N], one node per color tried;
+    returns (lexicographically least avoiding coloring or None, nodes).
+    Node ``max_nodes + 1`` raises :class:`BudgetExceededError`."""
+    bits = [0] * N
     choices = [[(color, 1 << color) for color in range(min(u + 1, c))]
                for u in range(c + 1)]
-    local_nodes = 0
+    nodes = 0
 
     def rec(i: int, used: int):
-        nonlocal local_nodes
+        nonlocal nodes
         if i == N:
             return tuple(b.bit_length() - 1 for b in bits)
         forbidden = _forbidden(index[i], bits)
         for color, bit in choices[used]:
-            local_nodes += 1
-            if budget is not None and local_nodes % 1024 == 0:
-                budget.spend(1024)
+            nodes += 1
+            if max_nodes is not None and nodes > max_nodes:
+                raise BudgetExceededError.past(max_nodes)
             if not forbidden & bit:
                 bits[i] = bit
                 hit = rec(i + 1, used + 1 if color == used else used)
@@ -219,33 +209,7 @@ def _backtrack_chunk(N, c, index, prefix, budget: Optional[NodeBudget]):
                     return hit
         return None
 
-    hit = rec(len(prefix), len(set(prefix)))
-    if budget is not None and local_nodes % 1024:
-        budget.spend(local_nodes % 1024)
-    return hit, local_nodes
-
-
-def _backtrack_prefixes(c, index, depth):
-    """Consistent canonical color prefixes of the given depth, in
-    lexicographic order: the split frontier.  Instances with max value
-    <= depth are fully assigned within the prefix, so the same forbidden-
-    color rule applies."""
-    prefixes = []
-    bits = [0] * depth
-
-    def rec(i, used):
-        if i == depth:
-            prefixes.append(tuple(b.bit_length() - 1 for b in bits))
-            return
-        forbidden = _forbidden(index[i], bits)
-        for color in range(min(used + 1, c)):
-            bit = 1 << color
-            if not forbidden & bit:
-                bits[i] = bit
-                rec(i + 1, max(used, color + 1))
-
-    rec(0, 0)
-    return prefixes
+    return rec(0, 0), nodes
 
 
 def find_avoiding_coloring(schema: PatternSchema, N: int, c: int,
@@ -288,24 +252,15 @@ def find_avoiding_coloring(schema: PatternSchema, N: int, c: int,
         stats.nodes = nodes
     else:
         index = _index_by_max(instance_value_sets(schema, N), N)
-        budget = NodeBudget(max_nodes) if max_nodes is not None else None
         try:
-            depth = min(SPLIT_DEPTH, N)
-            if N <= depth:
-                cells, nodes = _backtrack_chunk(N, c, index, (), budget)
-            else:
-                prefixes = _backtrack_prefixes(c, index, depth)
-                tasks = [
-                    (lambda p=p: _backtrack_chunk(N, c, index, p, budget))
-                    for p in prefixes
-                ]
-                cells, nodes = ordered_first_hit(tasks)
-            stats.nodes = nodes
+            # one task, so the bench's parallel.* counters still see it
+            cells, stats.nodes = ordered_first_hit(
+                [lambda: _backtrack(N, c, index, max_nodes)])
             if cells is not None:
                 verdict, found = "sat", Coloring(d=1, N=N, c=c, cells=cells)
-        except BudgetExceededError:
+        except BudgetExceededError as exc:
             verdict = "unknown"
-            stats.nodes = budget.count
+            stats.nodes = exc.nodes
 
     stats.time_ms = (time.perf_counter() - t0) * 1000.0
     if found is not None and validate:

@@ -5,11 +5,12 @@ over nonempty subsets.  The detectors ask whether a finite set contains a
 k-term arithmetic progression, geometric progression, finite-sums set, or
 finite-products set, and return the lexicographically least witness.
 
-Degeneracy policy: geometric ratios must be >= 2 and product generators
-must be >= 2 — otherwise every nonempty set contains these structures and
-the detectors say nothing.  The k = 1 case is the deliberate exception:
-a single element is trivially a 1-AP/1-GP/1-FS/1-FP, so k = 1 always
-succeeds on nonempty sets (witness: the least element).
+Degeneracy policy: geometric ratios must be >= 2, geometric progressions
+must start at a positive element, and product generators must be >= 2 —
+otherwise every nonempty set (every set holding 0) contains these
+structures and the detectors say nothing.  The k = 1 case is the
+deliberate exception: a single element is trivially a 1-AP/1-GP/1-FS/1-FP,
+so k = 1 always succeeds on nonempty sets (witness: the least element).
 """
 
 from __future__ import annotations
@@ -73,41 +74,52 @@ def fs_values(generators, op: str = OP_ADD) -> frozenset:
 
 
 def contains_kap(A, k: int) -> Optional[tuple]:
-    """Least (a, d) with {a, a+d, ..., a+(k-1)d} <= A, step d >= 1."""
+    """Least (a, d) with {a, a+d, ..., a+(k-1)d} <= A, step d >= 1.  The
+    steps tried from a are the differences b - a to the larger elements b
+    of A, in ascending order, so the work grows with |A|, not with the
+    values."""
     if k < 1:
         raise RamseyError("k must be >= 1")
     if not A:
         return None
-    sortedA = sorted(A)
+    Aset = set(A)
+    sortedA = sorted(Aset)
     if k == 1:
         return (sortedA[0], 1)
-    Aset = set(A)
     top = sortedA[-1]
-    for a in sortedA:
-        max_d = (top - a) // (k - 1)
-        for d in range(1, max_d + 1):
-            if all(a + i * d in Aset for i in range(1, k)):
+    for i, a in enumerate(sortedA):
+        for b in sortedA[i + 1:]:
+            d = b - a
+            if a + (k - 1) * d > top:
+                break
+            if all(a + j * d in Aset for j in range(2, k)):
                 return (a, d)
     return None
 
 
 def contains_kgp(A, k: int) -> Optional[tuple]:
-    """Least (a, r) with {a, a*r, ..., a*r^(k-1)} <= A, ratio r >= 2."""
+    """Least (a, r) with {a, a*r, ..., a*r^(k-1)} <= A, ratio r >= 2 and
+    a >= 1.  The ratios tried from a are the quotients b // a of the
+    larger elements b of A that a divides, in ascending order."""
     if k < 1:
         raise RamseyError("k must be >= 1")
     if not A:
         return None
-    sortedA = sorted(A)
+    Aset = set(A)
+    sortedA = sorted(Aset)
     if k == 1:
         return (sortedA[0], 2)
-    Aset = set(A)
     top = sortedA[-1]
-    for a in sortedA:
-        r = 2
-        while a * r ** (k - 1) <= top:
-            if all(a * r ** i in Aset for i in range(1, k)):
+    for i, a in enumerate(sortedA):
+        if a < 1:
+            continue
+        for b in sortedA[i + 1:]:
+            r, rest = divmod(b, a)
+            if a * r ** (k - 1) > top:
+                break
+            if r >= 2 and not rest and \
+                    all(a * r ** j in Aset for j in range(2, k)):
                 return (a, r)
-            r += 1
     return None
 
 

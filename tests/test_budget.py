@@ -1,0 +1,107 @@
+"""The budget rule every node-counting search follows.
+
+A budget of B nodes gives the answer when the search needs at most B
+nodes; otherwise node B + 1 stops it, and the error (or, for backtracking,
+the ``unknown`` result) carries ``nodes`` B + 1.
+"""
+
+import pytest
+
+from ramseylab.colorings import make_coloring
+from ramseylab.errors import BudgetExceededError
+from ramseylab.hindman import (find_fs_witness_detailed,
+                               find_grid_witness_detailed,
+                               find_scaled_bundle_detailed,
+                               find_scaled_quad_detailed,
+                               find_shifted_bundle_detailed)
+from ramseylab.patterns import parse_pattern
+from ramseylab.search import (InstanceQuery, find_all_instances_detailed,
+                              find_avoiding_coloring, find_instance_detailed,
+                              threshold_number)
+
+
+def _random(N, c=2, seed=0):
+    return make_coloring("random", 1, N, c, seed=seed)
+
+
+def _query(pattern, coloring):
+    return InstanceQuery(schema=parse_pattern(pattern), coloring=coloring)
+
+
+def _avoid(pattern, N, c):
+    """Backtracking as (answer, nodes), raising where it reports unknown."""
+    schema = parse_pattern(pattern)
+
+    def search(budget):
+        res = find_avoiding_coloring(schema, N, c, max_nodes=budget)
+        if res.verdict == "unknown":
+            raise BudgetExceededError(nodes=res.stats.nodes)
+        return (res.verdict, res.coloring), res.stats.nodes
+    return search
+
+
+# each case maps a budget to (answer, nodes); "-none" cases search the
+# whole tree and find nothing
+SEARCHES = {
+    # found at leaf 13, x = 1 and y = 13
+    "scan": lambda b: find_instance_detailed(
+        _query("{x, y, x*y, x+y}", _random(60)), max_nodes=b),
+    # parity colors 2x+100 and 2y+1 apart: all 25 * 74 leaves, none
+    "scan-none": lambda b: find_instance_detailed(
+        _query("{2*x+100, 2*y+1}", make_coloring("parity", 1, 150, 2)),
+        max_nodes=b),
+    # three hits, the last at leaf 52
+    "find-all": lambda b: find_all_instances_detailed(
+        _query("{x, y, 4*x+4*y}", _random(3000, 4, 1)), limit=3,
+        max_nodes=b),
+    "backtracking-sat": _avoid("{x, y, x+y}", 13, 3),
+    "backtracking-unsat": _avoid("{x, y, x+y}", 14, 3),
+    "fs": lambda b: find_fs_witness_detailed(_random(60), 3, budget=b),
+    "fs-none": lambda b: find_fs_witness_detailed(_random(30, 3, 5), 4,
+                                                  budget=b),
+    "grid": lambda b: find_grid_witness_detailed(_random(60), 4, 2, budget=b),
+    "grid-none": lambda b: find_grid_witness_detailed(_random(12, 3, 8), 4, 2,
+                                                      budget=b),
+    "bundle14": lambda b: find_scaled_bundle_detailed(_random(100), 2,
+                                                      budget=b),
+    "bundle14-none": lambda b: find_scaled_bundle_detailed(_random(16, 3, 8),
+                                                           2, budget=b),
+    "bundle15": lambda b: find_shifted_bundle_detailed(_random(40), 2,
+                                                       budget=b),
+    "bundle15-none": lambda b: find_shifted_bundle_detailed(_random(20, 3, 3),
+                                                            2, budget=b),
+    # the shifted quad always hits at its first leaf, u = v = b = 1
+    "quad14": lambda b: find_scaled_quad_detailed(_random(60), max_nodes=b),
+}
+
+
+@pytest.mark.parametrize("name", list(SEARCHES))
+def test_budget_rule(name):
+    search = SEARCHES[name]
+    answer, nodes = search(None)
+    assert nodes > 7
+    assert search(nodes) == (answer, nodes)
+    for budget in (0, 1, 7, nodes - 1):
+        with pytest.raises(BudgetExceededError) as exc:
+            search(budget)
+        assert exc.value.nodes == budget + 1
+    with pytest.raises(BudgetExceededError) as exc:
+        search(-1)
+    assert exc.value.nodes == 1  # a negative budget acts as 0
+
+
+@pytest.mark.parametrize("pattern, distinct, c", [
+    ("{x, y, x+y}", False, 3),
+    ("{x, y, x+y}", True, 3),
+    ("{a, a+d, a+2*d}", False, 2),
+    ("{a, a+d, a+2*d, a+3*d}", False, 2),
+])
+def test_backtracking_rows_do_not_shrink_while_sat(pattern, distinct, c):
+    # the search at N + 1 walks the same tree in the same order, one level
+    # deeper, so it visits at least the nodes the search at N did
+    schema = parse_pattern(pattern, distinct_vars=distinct)
+    res = threshold_number(schema, c, 40)
+    assert res.status == "found"
+    sat_nodes = [nodes for _, verdict, nodes, _ in res.rows if verdict == "sat"]
+    assert len(sat_nodes) >= 8
+    assert sat_nodes == sorted(sat_nodes)

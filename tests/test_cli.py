@@ -119,7 +119,7 @@ def test_avoid_budget_exhaustion_exits_two(capsys):
     assert report["verdict"] == "unknown"
 
 
-@pytest.mark.parametrize("engine, nodes", [("backtracking", 12),
+@pytest.mark.parametrize("engine, nodes", [("backtracking", 6),
                                            ("exhaustive", 6), ("sat", 15)])
 def test_avoid_budget_exhaustion_reports_nodes(capsys, engine, nodes):
     code, report = run_json(
@@ -181,12 +181,12 @@ def test_find_all_budget_exhaustion_reports_query_and_nodes(capsys):
     code, base = run_json(capsys, *FIND_ALL_N3000)
     assert code == 0 and base["verdict"] == "found"
     assert [w["assignment"]["y"] for w in base["witness"]] == [1, 37, 52]
-    # the third hit is leaf 52 (x=1, y=52): the whole batch is spent there
+    # the third hit is leaf 52 (x=1, y=52); a budget of 5 stops at leaf 6
     assert run_json(capsys, *FIND_ALL_N3000, "--max-nodes", "52") == (0, base)
     code, report = run_json(capsys, *FIND_ALL_N3000, "--max-nodes", "5")
     assert code == 2
     assert report == dict(base, verdict="unknown", witness=None,
-                          stats=dict(base["stats"], nodes=52))
+                          stats=dict(base["stats"], nodes=6))
 
 
 def test_find_all_reports_leaves_visited(capsys):
@@ -348,6 +348,28 @@ def test_fs_witness_then_verify(capsys, tmp_path):
         capsys, "verify", str(record_path), "--coloring-file", str(bad))
     assert code == 0
     assert report["verdict"] == "invalid"
+
+
+PARITY_REF = {"kind": "generator", "generator": "parity", "d": 1, "N": 8,
+              "c": 2}
+
+
+@pytest.mark.parametrize("data, ref, error", [
+    ({"generators": [2, 2]}, {"kind": "generator", "generator": "parity",
+                              "N": 8},
+     "coloring spec needs field 'd' of type int"),
+    ({"generators": [2, 2]}, "parity", "coloring spec must be an object"),
+    ({"generators": "ab"}, PARITY_REF,
+     "witness field 'generators' must be a list of integers"),
+], ids=["ref-lacks-fields", "ref-not-object", "generators-string"])
+def test_verify_malformed_record_is_an_input_error(capsys, tmp_path, data,
+                                                  ref, error):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({"schema_version": 1, "kind": "fs",
+                                "data": data, "coloring_ref": ref,
+                                "validated": True}))
+    code, report = run_json(capsys, "verify", str(path))
+    assert (code, report["verdict"], report["error"]) == (1, "error", error)
 
 
 def test_grid_witness(capsys):

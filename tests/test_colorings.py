@@ -101,6 +101,26 @@ def test_spec_json_round_trip():
     assert again.load().cells == spec.load().cells
     fspec = ColoringSpec(kind="file", path="somewhere.grid")
     assert ColoringSpec.from_json(fspec.to_json()).path == "somewhere.grid"
+    bspec = ColoringSpec(kind="generator", generator="blocks", d=1, N=8, c=2,
+                         param=(1, 2))
+    assert ColoringSpec.from_json(bspec.to_json()) == bspec
+
+
+_GEN = {"kind": "generator", "generator": "blocks", "d": 1, "N": 8, "c": 2,
+        "param": [1, 2], "seed": 0}
+
+
+@pytest.mark.parametrize("obj", [
+    "parity", None, ["kind"], {"kind": "file"}, {"kind": "file", "path": 3},
+    {"kind": "mystery"},
+    {k: v for k, v in _GEN.items() if k != "d"},
+    {k: v for k, v in _GEN.items() if k != "generator"},
+    dict(_GEN, N="8"), dict(_GEN, c=2.0), dict(_GEN, d=True),
+    dict(_GEN, param="12"), dict(_GEN, param=[1, "2"]), dict(_GEN, seed=None),
+])
+def test_spec_from_json_rejects_malformed(obj):
+    with pytest.raises(MalformedInputError):
+        ColoringSpec.from_json(obj)
 
 
 def test_enumerate_full_count():

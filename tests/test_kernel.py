@@ -3,9 +3,8 @@
 The reference enumerates [min_value..N]^k with ``itertools.product`` in
 lexicographic order, evaluates every term with ``eval_term`` and keeps the
 assignments whose values all land in [1..N].  Budget verdicts are checked
-against the batch rule the scan has always followed: 512-leaf batches that
-restart at each value of the first variable, the rest of a batch spent when
-that value's leaves end or the scan stops.
+against the scan's exact rule: a budget of B leaves answers when the scan
+stops within B leaves, and otherwise leaf B + 1 raises with ``nodes`` B + 1.
 """
 
 import itertools
@@ -38,28 +37,6 @@ def brute_leaves(schema, N):
 
 def monochromatic(cells, values):
     return len({cells[v - 1] for v in values}) == 1
-
-
-def batch_spends(firsts):
-    """Cumulative budget counts at each spend, for the leaves visited (given
-    by their first-variable values, in order)."""
-    counts, total = [], 0
-    for _, group in itertools.groupby(firsts):
-        local = 0
-        for _ in group:
-            local += 1
-            if local % 512 == 0:
-                total += 512
-                counts.append(total)
-        if local % 512:
-            total += local % 512
-            counts.append(total)
-    return counts
-
-
-def expected_under_budget(spends, budget):
-    """Nodes reported when ``budget`` runs out, or None if it never does."""
-    return next((c for c in spends if c > budget), None)
 
 
 _names = st.sampled_from(["x", "y", "z"])
@@ -109,32 +86,29 @@ def test_scan_matches_brute_force(schema, N, c, seed):
         keep = len(hits) if limit is None else max(limit, 1)
         assert find_all_instances(query, limit=limit) == hits[:keep]
 
-    spends = batch_spends(a[:1] for a, _ in leaves[:stop])
     for budget in range(stop + 1):
-        nodes = expected_under_budget(spends, budget)
-        if nodes is None:
+        if budget >= stop:
             assert find_instance_detailed(query, max_nodes=budget)[1] == stop
         else:
             with pytest.raises(BudgetExceededError) as exc:
                 find_instance_detailed(query, max_nodes=budget)
-            assert exc.value.nodes == nodes
+            assert exc.value.nodes == budget + 1
 
 
-def test_budget_batches_restart_at_each_first_value():
+def test_budget_stops_at_the_leaf_past_it():
     # parity colors 2x+1000 and 2y+1 apart, so every one of the 50 * 549
-    # leaves is visited, 549 per value of x: a full batch plus 37 each
+    # leaves is visited, 549 per value of x; a budget stops at the leaf
+    # past it wherever that falls, also across a change of x
     schema = parse_pattern("{2*x+1000, 2*y+1}")
     col = make_coloring("parity", 1, 1100, 2)
     query = InstanceQuery(schema=schema, coloring=col)
-    assert find_instance_detailed(query) == (None, 50 * 549)
-    spends = batch_spends(x for x in range(1, 51) for _ in range(549))
-    assert spends[:4] == [512, 549, 1061, 1098]
-    for budget in sorted({b for s in spends[:6] + spends[-3:-1]
-                          for b in (s - 1, s)}):
+    total = 50 * 549
+    assert find_instance_detailed(query) == (None, total)
+    for budget in (0, 1, 511, 512, 548, 549, 550, 1024, 1098, total - 1):
         with pytest.raises(BudgetExceededError) as exc:
             find_instance_detailed(query, max_nodes=budget)
-        assert exc.value.nodes == expected_under_budget(spends, budget)
-    assert find_instance_detailed(query, max_nodes=spends[-1])[1] == spends[-1]
+        assert exc.value.nodes == budget + 1
+    assert find_instance_detailed(query, max_nodes=total) == (None, total)
 
 
 def test_find_all_spends_its_budget():
@@ -144,7 +118,7 @@ def test_find_all_spends_its_budget():
     assert len(find_all_instances(query, limit=None, max_nodes=15)) == 15
     with pytest.raises(BudgetExceededError) as exc:
         find_all_instances(query, limit=None, max_nodes=14)
-    assert exc.value.nodes == 15  # x=1..5 are one batch each: 5, 4, 3, 2, 1
+    assert exc.value.nodes == 15
 
 
 def test_kernel_source_has_no_pattern_text():

@@ -118,6 +118,65 @@ def test_kap_matches_brute_force(A, k):
         assert validate_kap(A, k, hit)
 
 
+def _reference_kap(A, k):
+    """contains_kap as it was: every step d up to the largest value."""
+    sortedA = sorted(A)
+    if k == 1:
+        return (sortedA[0], 1)
+    for a in sortedA:
+        for d in range(1, (sortedA[-1] - a) // (k - 1) + 1):
+            if all(a + i * d in A for i in range(1, k)):
+                return (a, d)
+    return None
+
+
+def _reference_kgp(A, k):
+    """contains_kgp as it was: every ratio r >= 2 up to the largest value."""
+    sortedA = sorted(A)
+    if k == 1:
+        return (sortedA[0], 2)
+    for a in sortedA:
+        r = 2
+        while a * r ** (k - 1) <= sortedA[-1]:
+            if all(a * r ** i in A for i in range(1, k)):
+                return (a, r)
+            r += 1
+    return None
+
+
+# sets of positive values, some with a planted progression among noise
+_progression_sets = st.one_of(
+    st.frozensets(st.integers(1, 300), min_size=1, max_size=12),
+    st.builds(lambda a, step, n, noise, geometric: noise | frozenset(
+        a * step ** i if geometric else a + step * i for i in range(n)),
+        st.integers(1, 12), st.integers(2, 6), st.integers(2, 5),
+        st.frozensets(st.integers(1, 400), max_size=6), st.booleans()))
+
+
+@pytest.mark.parametrize("detector, reference, validate", [
+    (contains_kap, _reference_kap, validate_kap),
+    (contains_kgp, _reference_kgp, validate_kgp),
+], ids=["kap", "kgp"])
+@given(A=_progression_sets, k=st.integers(1, 5))
+@settings(max_examples=300, deadline=None)
+def test_progression_detectors_match_reference(detector, reference,
+                                               validate, A, k):
+    hit = detector(A, k)
+    assert hit == reference(A, k)
+    if hit is not None:
+        assert validate(A, k, hit)
+
+
+def test_progression_detectors_skip_steps_the_set_lacks():
+    # two far-apart values: the old loops tried every step up to 10^12
+    A = frozenset({1, 10 ** 12})
+    assert contains_kap(A, 2) == (1, 10 ** 12 - 1)
+    assert contains_kap(A, 3) is None
+    assert contains_kgp(A, 2) == (1, 10 ** 12)
+    assert contains_kgp(A, 3) is None
+    assert contains_kgp(A | {10 ** 6}, 3) == (1, 10 ** 6)
+
+
 @given(_sets, st.integers(2, 3))
 @settings(max_examples=150)
 def test_kfs_matches_brute_force(A, k):
