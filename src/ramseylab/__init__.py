@@ -6,12 +6,11 @@ from .colorings import Coloring, ColoringSpec, enumerate_colorings, make_colorin
 from .errors import (BudgetExceededError, CompositionOutOfBoxError,
                      MalformedInputError, OutOfBoxError, RamseyError,
                      ValueOverflowError)
-from .hindman import (CutGrid, OpTable, ScaledBundle, ShiftedBundle,
-                      builtin_op, check_composed_witness,
-                      check_depth_indexed_witness, check_fs_witness,
-                      check_grid_witness, check_scaled_bundle,
-                      check_scaled_quad, check_shifted_bundle,
-                      check_shifted_quad, composed_color_by_depth,
+from .hindman import (Bundle, CutGrid, OpTable, builtin_op, check_bundle,
+                      check_composed_witness, check_depth_indexed_witness,
+                      check_fs_witness, check_grid_witness,
+                      check_scaled_quad, check_shifted_quad,
+                      composed_color_by_depth,
                       find_fs_witness, find_grid_witness, find_scaled_bundle,
                       find_scaled_quad, find_shifted_bundle,
                       find_shifted_quad, grid_common_color, load_op_table,
@@ -32,14 +31,14 @@ from .structures import (FSFamily, contains_kap, contains_kfp, contains_kfs,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AvoidanceResult", "BudgetExceededError", "CayleyTable", "Coloring",
-    "ColoringSpec", "CompositionOutOfBoxError", "CutGrid", "FSFamily",
-    "InstanceQuery", "MalformedInputError", "OpTable", "OutOfBoxError",
-    "PatternSchema", "RamseyError", "ScaledBundle", "ShiftedBundle",
-    "ThresholdResult", "ValueOverflowError", "algebra_report", "builtin_op",
+    "AvoidanceResult", "BudgetExceededError", "Bundle", "CayleyTable",
+    "Coloring", "ColoringSpec", "CompositionOutOfBoxError", "CutGrid",
+    "FSFamily", "InstanceQuery", "MalformedInputError", "OpTable",
+    "OutOfBoxError", "PatternSchema", "RamseyError", "ThresholdResult",
+    "ValueOverflowError", "algebra_report", "builtin_op", "check_bundle",
     "check_composed_witness", "check_depth_indexed_witness",
-    "check_fs_witness", "check_grid_witness", "check_scaled_bundle",
-    "check_scaled_quad", "check_shifted_bundle", "check_shifted_quad",
+    "check_fs_witness", "check_grid_witness", "check_scaled_quad",
+    "check_shifted_quad",
     "composed_color_by_depth", "contains_kap", "contains_kfp",
     "contains_kfs", "contains_kgp", "enumerate_colorings",
     "find_all_instances", "find_avoiding_coloring", "find_fs_witness",

@@ -30,12 +30,11 @@ from . import sat as satmod
 from .colorings import (GENERATORS, Coloring, ColoringSpec, load_file,
                         save_file)
 from .errors import BudgetExceededError, MalformedInputError, RamseyError
-from .hindman import (BUILTIN_OPS, CutGrid, ScaledBundle, ShiftedBundle,
-                      builtin_op, check_composed_witness,
-                      check_depth_indexed_witness, check_fs_witness,
-                      check_grid_witness, check_scaled_bundle,
-                      check_scaled_quad, check_shifted_bundle,
-                      check_shifted_quad, composed_color_by_depth,
+from .hindman import (BUILTIN_OPS, CutGrid, builtin_op, check_bundle,
+                      check_composed_witness, check_depth_indexed_witness,
+                      check_fs_witness, check_grid_witness,
+                      check_scaled_quad, check_shifted_quad,
+                      composed_color_by_depth,
                       find_fs_witness_detailed, find_grid_witness_detailed,
                       find_scaled_bundle_detailed, find_scaled_quad_detailed,
                       find_shifted_bundle_detailed,
@@ -338,22 +337,22 @@ def cmd_composed_witness(args) -> int:
     return 0
 
 
-def _cmd_bundle(args, shifted: bool) -> int:
+def cmd_bundle(args) -> int:
     coloring, spec = _coloring_from_args(args)
-    name = "bundle15" if shifted else "bundle14"
+    name, shifted = args.command, args.shifted
     if args.corollary:
-        find = find_shifted_quad_detailed if shifted else find_scaled_quad_detailed
         query = {"command": name, "mode": "corollary",
                  "coloring": spec.to_json()}
+        if shifted:
+            find, check, names = (find_shifted_quad_detailed,
+                                  check_shifted_quad, "buv")
+        else:
+            find, check, names = (find_scaled_quad_detailed,
+                                  check_scaled_quad, "axy")
 
         def quad_witness(hit):
             asg, color = hit
-            if shifted:
-                ok, chk = check_shifted_quad(coloring, asg["b"], asg["u"],
-                                             asg["v"])
-            else:
-                ok, chk = check_scaled_quad(coloring, asg["a"], asg["x"],
-                                            asg["y"])
+            ok, chk = check(coloring, *(asg[v] for v in names))
             assert ok and chk == color
             return {"assignment": asg, "color": color}
 
@@ -365,8 +364,7 @@ def _cmd_bundle(args, shifted: bool) -> int:
     find = find_shifted_bundle_detailed if shifted else find_scaled_bundle_detailed
 
     def bundle_witness(hit):
-        check = check_shifted_bundle if shifted else check_scaled_bundle
-        ok, detail = check(coloring, hit)
+        ok, detail = check_bundle(coloring, hit)
         assert ok, detail
         witness = {"lam": hit.lam, "a_set": list(hit.a_set),
                    "b_set": list(hit.b_set), "k": hit.k, "color": hit.color}
@@ -379,24 +377,23 @@ def _cmd_bundle(args, shifted: bool) -> int:
         bundle_witness)
 
 
-def cmd_bundle14(args) -> int:
-    return _cmd_bundle(args, shifted=False)
-
-
-def cmd_bundle15(args) -> int:
-    return _cmd_bundle(args, shifted=True)
-
-
 def cmd_verify(args) -> int:
     record = load_witness(args.witness)
     coloring = None
     if args.coloring_file or args.generator:
         coloring, _ = _coloring_from_args(args)
-    ok, detail = verify_witness(record, coloring=coloring)
     query = {"command": "verify", "witness": args.witness,
              "kind": record["kind"]}
+    stats = {"engine": "verify", "nodes": 0, "time_ms": 0.0}
+    try:
+        ok, detail = verify_witness(record, coloring=coloring)
+    except BudgetExceededError as exc:
+        # a structure probe of a hand-made record ran past its budget
+        _emit(dict(_report(query, "unknown", None, stats), error=str(exc)),
+              args.out)
+        return 2
     _emit(_report(query, "valid" if ok else "invalid", {"detail": detail},
-                  {"engine": "verify", "nodes": 0, "time_ms": 0.0}), args.out)
+                  stats), args.out)
     return 0
 
 
@@ -565,7 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
         _search_args(p, "--budget")
         p.add_argument("--witness-out", help="save the witness record here")
         _common_out(p)
-        p.set_defaults(fn=cmd_bundle14 if name == "bundle14" else cmd_bundle15)
+        p.set_defaults(fn=cmd_bundle, shifted=name == "bundle15")
 
     p = sub.add_parser("verify", help="re-check a saved witness record")
     p.add_argument("witness")

@@ -13,17 +13,20 @@ left-nested, and color the results; the *depth-indexed* variant ties the
 number of blocks d to the subset sums of the sequence's own head.  Both are
 check-only: there is no composed finder.
 
-Bundle searches look for scaled structures
+A :class:`Bundle` is one of the paper's two structures, told apart by its
+``shifted`` flag: the scaled
 
     lam*A ∪ lam*B ∪ lam*(A+B) ∪ A*B          (witness kind ``bundle14``)
 
-with A carrying a k-term arithmetic progression and a k-generator
-finite-sums set, and shifted structures
+with A carrying a k-generator finite-sums set and a k-term arithmetic
+progression, or the shifted
 
     (lam+A) ∪ (lam+B) ∪ (lam+A*B) ∪ (A+B)    (witness kind ``bundle15``)
 
-with A carrying k-AP, k-GP, k-FS and k-FP simultaneously.  A+B and A*B are
-the pairwise sum/product sets (a in A, b in B), never A with itself.
+with A carrying k-FS, k-AP, k-GP and k-FP.  A+B and A*B are the pairwise
+sum/product sets (a in A, b in B), never A with itself.  Both bundle
+finders run one search, and :func:`check_bundle` checks either structure,
+asking for A's structures in the finder's order.
 
 Each finder is one in-order depth-first search over its candidates, in a
 fixed documented order, that counts its nodes in one counter, so results,
@@ -363,12 +366,12 @@ def op_from_json(obj: dict) -> OpTable:
     if not isinstance(obj, dict) or "kind" not in obj or "n" not in obj:
         raise MalformedInputError("operation record needs 'kind' and 'n'")
     rows = obj.get("rows")
-    try:
-        return OpTable(kind=obj["kind"], n=int(obj["n"]),
-                       rows=tuple(tuple(r) for r in rows) if rows else None)
-    except (TypeError, ValueError) as exc:
-        raise MalformedInputError(f"malformed operation record: {exc}") \
-            from exc
+    if rows:
+        if not isinstance(rows, list):
+            raise MalformedInputError(
+                "witness field 'rows' must be a list of rows")
+        rows = tuple(_ints({"rows": row}, "rows") for row in rows)
+    return OpTable(kind=obj["kind"], n=_int(obj, "n"), rows=rows or None)
 
 
 def builtin_op(kind: str, n: int) -> OpTable:
@@ -482,92 +485,61 @@ def check_depth_indexed_witness(coloring: Coloring, op: OpTable, sequence,
 
 
 @dataclass(frozen=True)
-class ScaledBundle:
+class Bundle:
+    """A bundle witness: the scaled structure lam*A ∪ lam*B ∪ lam*(A+B) ∪ A*B
+    (``shifted`` False, kind ``bundle14``) or the shifted structure
+    (lam+A) ∪ (lam+B) ∪ (lam+A*B) ∪ (A+B) (``shifted`` True, kind
+    ``bundle15``), all of ``color``, with A carrying the k-structures that
+    :func:`_missing_structure` asks for."""
+
+    shifted: bool
     lam: int
     a_set: tuple
     b_set: tuple
     k: int
     color: int
 
-
-@dataclass(frozen=True)
-class ShiftedBundle:
-    lam: int
-    a_set: tuple
-    b_set: tuple
-    k: int
-    color: int
-
-
-def derived_scaled(lam: int, a_set, b_set) -> tuple:
-    """lam*A ∪ lam*B ∪ lam*(A+B) ∪ A*B, sorted."""
-    out = set()
-    for a in a_set:
-        out.add(lam * a)
-    for b in b_set:
-        out.add(lam * b)
-    for a in a_set:
-        for b in b_set:
-            out.add(lam * (a + b))
-            out.add(a * b)
-    return tuple(sorted(out))
+    def derived(self) -> tuple:
+        """The structure's values, sorted."""
+        lam, shifted = self.lam, self.shifted
+        out = {lam + v if shifted else lam * v
+               for v in (*self.a_set, *self.b_set)}
+        for a in self.a_set:
+            for b in self.b_set:
+                out.update((lam + a * b, a + b) if shifted else
+                           (lam * (a + b), a * b))
+        return tuple(sorted(out))
 
 
-def derived_shifted(lam: int, a_set, b_set) -> tuple:
-    """(lam+A) ∪ (lam+B) ∪ (lam+A*B) ∪ (A+B), sorted."""
-    out = set()
-    for a in a_set:
-        out.add(lam + a)
-    for b in b_set:
-        out.add(lam + b)
-    for a in a_set:
-        for b in b_set:
-            out.add(lam + a * b)
-            out.add(a + b)
-    return tuple(sorted(out))
+def _missing_structure(A: frozenset, k: int, shifted: bool) -> Optional[str]:
+    """The first k-structure A lacks, named for a detail after "k-", or
+    None: a finite-sums set, an arithmetic progression, then, when shifted,
+    a geometric progression and a finite-products set.  The detectors are
+    looked up at each call, so a wrapped ``contains_k*`` sees every probe."""
+    if contains_kfs(A, k) is None:
+        return "generator finite-sums set"
+    if contains_kap(A, k) is None:
+        return "term arithmetic progression"
+    if shifted:
+        if contains_kgp(A, k) is None:
+            return "term geometric progression"
+        if contains_kfp(A, k) is None:
+            return "generator finite-products set"
+    return None
 
 
-def _scaled_structure_ok(a_set: tuple, k: int) -> bool:
-    A = frozenset(a_set)
-    return (contains_kfs(A, k) is not None and
-            contains_kap(A, k) is not None)
-
-
-def _shifted_structure_ok(a_set: tuple, k: int) -> bool:
-    A = frozenset(a_set)
-    return (contains_kfs(A, k) is not None and
-            contains_kap(A, k) is not None and
-            contains_kgp(A, k) is not None and
-            contains_kfp(A, k) is not None)
-
-
-def check_scaled_bundle(coloring: Coloring, bundle: ScaledBundle) -> tuple:
-    """Recompute everything from the raw sets: derived values in box and
-    monochromatic in bundle.color, A carrying k-AP and k-FS.  Returns
-    (ok, detail)."""
+def check_bundle(coloring: Coloring, bundle: Bundle) -> tuple:
+    """Recompute everything from the raw sets: the derived values in box
+    and all of bundle.color, then A's structures in the finder's order.
+    Returns (ok, detail)."""
     _require_d1(coloring)
-    for v in derived_scaled(bundle.lam, bundle.a_set, bundle.b_set):
+    for v in bundle.derived():
         if _value_color(coloring, v) != bundle.color:
             return False, f"derived value {v} is not color {bundle.color}"
-    if contains_kap(frozenset(bundle.a_set), bundle.k) is None:
-        return False, f"A has no {bundle.k}-term arithmetic progression"
-    if contains_kfs(frozenset(bundle.a_set), bundle.k) is None:
-        return False, f"A has no {bundle.k}-generator finite-sums set"
-    return True, None
-
-
-def check_shifted_bundle(coloring: Coloring, bundle: ShiftedBundle) -> tuple:
-    _require_d1(coloring)
-    for v in derived_shifted(bundle.lam, bundle.a_set, bundle.b_set):
-        if _value_color(coloring, v) != bundle.color:
-            return False, f"derived value {v} is not color {bundle.color}"
-    A = frozenset(bundle.a_set)
-    for label, probe in (("arithmetic progression", contains_kap),
-                         ("geometric progression", contains_kgp),
-                         ("finite-sums set", contains_kfs),
-                         ("finite-products set", contains_kfp)):
-        if probe(A, bundle.k) is None:
-            return False, f"A has no {bundle.k}-term {label}"
+    missing = _missing_structure(frozenset(bundle.a_set), bundle.k,
+                                 bundle.shifted)
+    if missing is not None:
+        return False, f"A has no {bundle.k}-{missing}"
     return True, None
 
 
@@ -585,7 +557,6 @@ def _find_bundle(coloring: Coloring, k: int, cap_a: int,
         raise RamseyError("cap_a must be at least 1")
     N = coloring.N
     colors = coloring.value_table()
-    structure_ok = _shifted_structure_ok if shifted else _scaled_structure_ok
     nodes = 0
     a_set: list = []
     # first_good_b and extend read lam, vmax, image and b_by_color as the
@@ -630,7 +601,9 @@ def _find_bundle(coloring: Coloring, k: int, cap_a: int,
             if budget is not None and nodes > budget:
                 raise BudgetExceededError.past(budget)
             key = tuple(a_set)
-            return (key, (b,)) if structure_ok(key, k) else None
+            if _missing_structure(frozenset(key), k, shifted) is not None:
+                return None
+            return key, (b,)
         start = a_set[-1] + 1 if a_set else 1
         need = size - len(a_set)
         for a in range(start, vmax + 1):
@@ -649,7 +622,6 @@ def _find_bundle(coloring: Coloring, k: int, cap_a: int,
                 return hit
         return None
 
-    cls = ShiftedBundle if shifted else ScaledBundle
     for lam in range(1, (N - 1 if shifted else N) + 1):
         vmax = N - lam if shifted else N // lam
         # image[v]: the color of lam+v (lam*v) for v in [1..vmax]
@@ -665,8 +637,8 @@ def _find_bundle(coloring: Coloring, k: int, cap_a: int,
             found = extend(None, size)
             if found is not None:
                 a_key, b_key = found
-                return cls(lam=lam, a_set=a_key, b_set=b_key, k=k,
-                           color=image[a_key[0]]), nodes
+                return Bundle(shifted=shifted, lam=lam, a_set=a_key,
+                              b_set=b_key, k=k, color=image[a_key[0]]), nodes
     return None, nodes
 
 
@@ -856,15 +828,13 @@ def verify_witness(record: dict, coloring: Optional[Coloring] = None) -> tuple:
                 return True, f"composed values monochromatic in color {color}"
             return False, ("composed values are not monochromatic" if not ok
                            else f"composed color {color} != recorded {want}")
-        scaled = kind == "bundle14"
-        bundle = (ScaledBundle if scaled else ShiftedBundle)(
-            lam=_int(data, "lam"), a_set=_ints(data, "a_set"),
-            b_set=_ints(data, "b_set"), k=_int(data, "k"),
-            color=_int(data, "color"))
-        check = check_scaled_bundle if scaled else check_shifted_bundle
-        ok, detail = check(coloring, bundle)
+        shifted = kind == "bundle15"
+        ok, detail = check_bundle(coloring, Bundle(
+            shifted=shifted, lam=_int(data, "lam"),
+            a_set=_ints(data, "a_set"), b_set=_ints(data, "b_set"),
+            k=_int(data, "k"), color=_int(data, "color")))
         return ok, detail or \
-            f"{'scaled' if scaled else 'shifted'} bundle verified"
+            f"{'shifted' if shifted else 'scaled'} bundle verified"
     except (OutOfBoxError, CompositionOutOfBoxError) as exc:
         return False, f"out of box: {exc}"
     except KeyError as exc:

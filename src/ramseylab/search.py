@@ -28,7 +28,7 @@ from typing import Optional
 from . import sat as satmod
 from ._parallel import ordered_first_hit
 from .colorings import Coloring, enumerate_colorings
-from .errors import BudgetExceededError, RamseyError
+from .errors import BudgetExceededError, MalformedInputError, RamseyError
 from .patterns import PatternSchema, compile_kernel, instance_value_sets
 
 ENGINES = ("backtracking", "sat", "exhaustive")
@@ -218,6 +218,8 @@ def find_avoiding_coloring(schema: PatternSchema, N: int, c: int,
                            max_nodes: Optional[int] = None,
                            validate: bool = True) -> AvoidanceResult:
     """Search for a c-coloring of [1..N] with no monochromatic instance."""
+    if N < 1 or c < 1:
+        raise MalformedInputError("avoidance search needs N >= 1 and c >= 1")
     if engine not in ENGINES:
         raise RamseyError(f"unknown engine {engine!r} (choose from {ENGINES})")
     t0 = time.perf_counter()

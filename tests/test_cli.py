@@ -130,6 +130,25 @@ def test_avoid_budget_exhaustion_reports_nodes(capsys, engine, nodes):
     assert report["stats"]["nodes"] == nodes
 
 
+@pytest.mark.parametrize("engine", ["backtracking", "exhaustive", "sat"])
+@pytest.mark.parametrize("n, colors", [(3, 0), (3, -1), (-3, 2)])
+def test_avoid_rejects_an_empty_box_or_palette(capsys, engine, n, colors):
+    # every engine used to answer differently: unsat, an IndexError, exit 1
+    code, report = run_json(
+        capsys, "avoid", "--pattern", SCHUR, "--n", str(n),
+        "--colors", str(colors), "--engine", engine)
+    assert (code, report["verdict"], report["error"]) == (
+        1, "error", "avoidance search needs N >= 1 and c >= 1")
+
+
+def test_threshold_rejects_zero_colors(capsys):
+    # with no colors nothing can be colored, so N* = 1 was no answer
+    code, report = run_json(
+        capsys, "threshold", "--pattern", SCHUR, "--colors", "0",
+        "--n-max", "5")
+    assert (code, report["verdict"]) == (1, "error")
+
+
 def _random(N):
     return ("--generator", "random", "--n", str(N), "--colors", "2",
             "--seed", "0")
@@ -372,6 +391,57 @@ def test_verify_malformed_record_is_an_input_error(capsys, tmp_path, data,
     assert (code, report["verdict"], report["error"]) == (1, "error", error)
 
 
+def _verify_record(capsys, tmp_path, kind, data, ref):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({"schema_version": 1, "kind": kind,
+                                "data": data, "coloring_ref": ref,
+                                "validated": False}))
+    return run_json(capsys, "verify", str(path))
+
+
+MUL8 = {"kind": "multiplication-capped", "n": 8}
+
+
+@pytest.mark.parametrize("op, error", [
+    (dict(MUL8, n="8"), "witness field 'n' must be an integer"),
+    (dict(MUL8, n=True), "witness field 'n' must be an integer"),
+    (dict(MUL8, n=8.9), "witness field 'n' must be an integer"),
+    ({"kind": "table", "n": 2, "rows": [["1", "2"], ["2", "1"]]},
+     "witness field 'rows' must be a list of integers"),
+    ({"kind": "table", "n": 2, "rows": 5},
+     "witness field 'rows' must be a list of rows"),
+], ids=["n-string", "n-bool", "n-float", "row-strings", "rows-int"])
+def test_verify_reads_the_operation_strictly(capsys, tmp_path, op, error):
+    # n = 8.9 used to pass as n = 8, and n = true as n = 1
+    data = {"op": op, "sequence": [2, 2], "cuts": [0, 1, 2]}
+    code, report = _verify_record(capsys, tmp_path, "composed", data,
+                                  PARITY_REF)
+    assert (code, report["verdict"], report["error"]) == (1, "error", error)
+    data["op"] = MUL8
+    code, report = _verify_record(capsys, tmp_path, "composed", data,
+                                  PARITY_REF)
+    assert (code, report["verdict"], report["witness"]) == (
+        0, "valid", {"detail": "composed values monochromatic in color 0"})
+
+
+def test_verify_out_of_budget_keeps_its_query(capsys, tmp_path):
+    # the 45 odd numbers below 90 have 1,221,759 5-subsets, past the
+    # million-tuple budget of the FS probe, and no two sum into the set
+    data = {"lam": 1, "a_set": list(range(1, 90, 2)), "b_set": [1],
+            "k": 5, "color": 0}
+    ref = {"kind": "generator", "generator": "constant", "d": 1, "N": 100,
+           "c": 1, "param": [0]}
+    code, report = _verify_record(capsys, tmp_path, "bundle14", data, ref)
+    assert code == 2
+    assert report == {
+        "schema_version": 1,
+        "query": {"command": "verify", "witness": str(tmp_path / "w.json"),
+                  "kind": "bundle14"},
+        "verdict": "unknown", "witness": None,
+        "stats": {"engine": "verify", "nodes": 0, "time_ms": 0.0},
+        "error": "closure search budget 1000000 exceeded"}
+
+
 def test_grid_witness(capsys):
     code, report = run_json(
         capsys, "grid-witness", "--length", "3", "--blocks", "2",
@@ -451,6 +521,65 @@ def test_bundle_commands(capsys, tmp_path):
     assert report["query"] == {"command": "bundle15", "mode": "bundle",
                                "k": 2, "cap_a": None,
                                "coloring": report["query"]["coloring"]}
+
+
+@pytest.mark.parametrize("name, detail", [
+    ("bundle14", "scaled bundle verified"),
+    ("bundle15", "shifted bundle verified"),
+])
+def test_bundle_witness_round_trip(capsys, tmp_path, name, detail):
+    path = tmp_path / "w.json"
+    code, found = run_json(capsys, name, "--k", "2", *_random(40),
+                           "--witness-out", str(path))
+    assert (code, found["verdict"]) == (0, "found")
+    record = json.loads(path.read_text())
+    assert (record["kind"], record["data"]) == (name, found["witness"])
+    code, report = run_json(capsys, "verify", str(path))
+    assert (code, report["verdict"], report["witness"]) == (
+        0, "valid", {"detail": detail})
+    assert report["query"] == {"command": "verify", "witness": str(path),
+                               "kind": name}
+
+
+CONSTANT30 = {"kind": "generator", "generator": "constant", "d": 1, "N": 30,
+              "c": 1, "param": [0]}
+PARITY30 = {"kind": "generator", "generator": "parity", "d": 1, "N": 30,
+            "c": 2}
+
+
+# Hand-made invalid bundle records and the detail verify gives: a wrong
+# color, then A lacking each structure in turn (FS, AP, then for bundle15
+# GP and FP) while carrying the ones checked before it and lacking the
+# next one, so each row also pins the order.  FS({1, 3, 10}) is the A
+# that lacks AP, GP and FP.
+FS_1_3_10 = [1, 3, 4, 10, 11, 13, 14]
+
+
+@pytest.mark.parametrize("kind, a_set, k, color, ref, detail", [
+    ("bundle14", [2, 4, 6], 2, 1, PARITY30, "derived value 2 is not color 1"),
+    ("bundle14", [2, 4, 8], 3, 0, CONSTANT30,
+     "A has no 3-generator finite-sums set"),
+    ("bundle14", FS_1_3_10, 3, 0, CONSTANT30,
+     "A has no 3-term arithmetic progression"),
+    ("bundle15", [2, 4, 6, 8], 2, 1, PARITY30,
+     "derived value 4 is not color 1"),
+    ("bundle15", [2, 4, 8], 3, 0, CONSTANT30,
+     "A has no 3-generator finite-sums set"),
+    ("bundle15", FS_1_3_10, 3, 0, CONSTANT30,
+     "A has no 3-term arithmetic progression"),
+    ("bundle15", [2, 3, 5], 2, 0, CONSTANT30,
+     "A has no 2-term geometric progression"),
+    ("bundle15", [3, 6, 9], 2, 0, CONSTANT30,
+     "A has no 2-generator finite-products set"),
+], ids=["14-color", "14-fs", "14-ap", "15-color", "15-fs", "15-ap", "15-gp",
+        "15-fp"])
+def test_verify_names_what_a_bundle_lacks(capsys, tmp_path, kind, a_set, k,
+                                          color, ref, detail):
+    lam = 2 if kind == "bundle15" else 1
+    data = {"lam": lam, "a_set": a_set, "b_set": [2], "k": k, "color": color}
+    code, report = _verify_record(capsys, tmp_path, kind, data, ref)
+    assert (code, report["verdict"], report["witness"]) == (
+        0, "invalid", {"detail": detail})
 
 
 def test_bundle_corollary_mode(capsys):

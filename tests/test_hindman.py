@@ -11,11 +11,10 @@ from hypothesis import strategies as st
 from ramseylab.colorings import Coloring, ColoringSpec, loads, make_coloring
 from ramseylab.errors import (BudgetExceededError, CompositionOutOfBoxError,
                               MalformedInputError, OutOfBoxError, RamseyError)
-from ramseylab.hindman import (CutGrid, OpTable, ScaledBundle, ShiftedBundle,
-                               builtin_op, check_composed_witness,
+from ramseylab.hindman import (Bundle, CutGrid, OpTable, builtin_op,
+                               check_bundle, check_composed_witness,
                                check_depth_indexed_witness, check_fs_witness,
-                               check_grid_witness, check_scaled_bundle,
-                               check_scaled_quad, check_shifted_bundle,
+                               check_grid_witness, check_scaled_quad,
                                check_shifted_quad, composed_color_by_depth,
                                find_fs_witness, find_fs_witness_detailed,
                                find_grid_witness, find_grid_witness_detailed,
@@ -270,43 +269,58 @@ def test_depth_indexed_witness_validates_m0():
 
 def test_find_scaled_bundle_parity():
     bundle = find_scaled_bundle(parity(20), 2)
-    assert bundle == ScaledBundle(lam=1, a_set=(2, 4, 6), b_set=(2,), k=2,
-                                  color=0)
-    assert check_scaled_bundle(parity(20), bundle) == (True, None)
+    assert bundle == Bundle(shifted=False, lam=1, a_set=(2, 4, 6),
+                            b_set=(2,), k=2, color=0)
+    assert check_bundle(parity(20), bundle) == (True, None)
 
 
 def test_find_shifted_bundle_parity():
     bundle = find_shifted_bundle(parity(20), 2)
-    assert bundle == ShiftedBundle(lam=2, a_set=(2, 4, 6, 8), b_set=(2,), k=2,
-                                   color=0)
-    assert check_shifted_bundle(parity(20), bundle) == (True, None)
+    assert bundle == Bundle(shifted=True, lam=2, a_set=(2, 4, 6, 8),
+                            b_set=(2,), k=2, color=0)
+    assert check_bundle(parity(20), bundle) == (True, None)
+
+
+def test_bundle_derived_values():
+    # A = {2, 3}, B = {5}, lam = 7: every value comes from one rule
+    scaled = Bundle(shifted=False, lam=7, a_set=(2, 3), b_set=(5,), k=2,
+                    color=0)
+    # lam*A 14 21, lam*B 35, lam*(A+B) 49 56, A*B 10 15
+    assert scaled.derived() == (10, 14, 15, 21, 35, 49, 56)
+    # lam+A 9 10, lam+B 12, lam+A*B 17 22, A+B 7 8
+    shifted = Bundle(shifted=True, lam=7, a_set=(2, 3), b_set=(5,), k=2,
+                     color=0)
+    assert shifted.derived() == (7, 8, 9, 10, 12, 17, 22)
 
 
 def test_check_scaled_bundle_rejects_wrong_color():
-    bundle = ScaledBundle(lam=1, a_set=(2, 4, 6), b_set=(2,), k=2, color=1)
-    ok, detail = check_scaled_bundle(parity(20), bundle)
+    bundle = Bundle(shifted=False, lam=1, a_set=(2, 4, 6), b_set=(2,), k=2,
+                    color=1)
+    ok, detail = check_bundle(parity(20), bundle)
     assert not ok and "not color 1" in detail
 
 
 def test_check_scaled_bundle_rejects_structureless_a():
     # lam*A, lam*B, lam*(A+B), A*B all even, but {2, 8} carries no 2-FS
-    bundle = ScaledBundle(lam=1, a_set=(2, 8), b_set=(2,), k=2, color=0)
-    ok, detail = check_scaled_bundle(parity(20), bundle)
+    bundle = Bundle(shifted=False, lam=1, a_set=(2, 8), b_set=(2,), k=2,
+                    color=0)
+    ok, detail = check_bundle(parity(20), bundle)
     assert not ok and "finite-sums" in detail
 
 
 def test_check_shifted_bundle_requires_all_four_structures():
     # {3, 6, 9} has a 2-AP and 2-FS (3 + 6 = 9) but no 2-FP (3 * 6 = 18)
     col = make_coloring("constant", 1, 30, 2, param=(0,))
-    bundle = ShiftedBundle(lam=1, a_set=(3, 6, 9), b_set=(1,), k=2, color=0)
-    ok, detail = check_shifted_bundle(col, bundle)
+    bundle = Bundle(shifted=True, lam=1, a_set=(3, 6, 9), b_set=(1,), k=2,
+                    color=0)
+    ok, detail = check_bundle(col, bundle)
     assert not ok and "finite-products" in detail
 
 
 def test_bundle_checkers_raise_on_escape():
     with pytest.raises(OutOfBoxError):
-        check_scaled_bundle(parity(8), ScaledBundle(
-            lam=1, a_set=(2, 4, 6), b_set=(2,), k=2, color=0))
+        check_bundle(parity(8), Bundle(
+            shifted=False, lam=1, a_set=(2, 4, 6), b_set=(2,), k=2, color=0))
 
 
 def test_find_bundle_rejects_bad_k():
@@ -382,7 +396,7 @@ _PINNED_FINDERS = {
 def _plain_witness(hit):
     if hit is None:
         return None
-    if isinstance(hit, (ScaledBundle, ShiftedBundle)):
+    if isinstance(hit, Bundle):
         return [hit.lam, list(hit.a_set), list(hit.b_set), hit.k, hit.color]
     if isinstance(hit[0], tuple):  # grid: (sequence, color)
         return [list(hit[0]), hit[1]]
