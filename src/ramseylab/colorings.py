@@ -21,11 +21,16 @@ index i and 64-bit seed s, ::
     color(i) = (z ^ (z >> 31)) mod c
 
 This is the reproducibility contract for every ``random`` coloring.
+:func:`seeded_cell_color` computes it for one cell, as lazy colorings do.
+A materialized coloring computes the same formula a block of cells at a
+time: each cell's state sits in its own 128-bit lane of one Python int, so
+each step above is one big-integer operation over the whole block.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -33,6 +38,8 @@ from .errors import BudgetExceededError, MalformedInputError, OutOfBoxError, Ram
 
 _M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 #: colorings larger than this many cells are not materialized
 CELL_BUDGET = 1 << 26
@@ -46,9 +53,49 @@ GENERATORS = ("constant", "parity", "mod", "blocks", "random")
 def seeded_cell_color(seed: int, index: int, c: int) -> int:
     """Color of 0-based row-major cell ``index`` in the documented stream."""
     z = (seed + (index + 1) * _GOLDEN) & _M64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+    z = ((z ^ (z >> 30)) * _MIX1) & _M64
+    z = ((z ^ (z >> 27)) * _MIX2) & _M64
     return (z ^ (z >> 31)) % c
+
+
+#: cells per block of the batch kernel; its three lane constants take
+#: 16 bytes per cell each
+_BLOCK = 2048
+
+
+def _lanes(values) -> int:
+    """One int holding ``values[j]`` (each below 2^128) in bits
+    [128j, 128j + 128)."""
+    return int.from_bytes(b"".join(v.to_bytes(16, "little") for v in values),
+                          "little")
+
+
+_ONES = _lanes([1] * _BLOCK)
+_STEPS = _lanes([(j * _GOLDEN) & _M64 for j in range(_BLOCK)])
+_LOW64 = _ONES * _M64
+
+
+def _random_blocks(seed: int, count: int, c: int):
+    """The colors of cells 0..count-1 of the seeded stream, one iterator
+    per block of at most ``_BLOCK`` cells.
+
+    Lane j of a block starting at cell b holds cell b+j's state.  The
+    arithmetic is exact: the start plus the step is below 2^65, a product of
+    two 64-bit numbers fits its lane, and ``& low64`` drops the bits a right
+    shift pulls down from the next lane before they reach a product.  After
+    the last shift they stay in the lane's upper half, which is not read."""
+    for start in range(0, count, _BLOCK):
+        n = min(_BLOCK, count - start)
+        ones, steps, low64 = _ONES, _STEPS, _LOW64
+        if n < _BLOCK:
+            keep = (1 << (128 * n)) - 1
+            ones, steps, low64 = ones & keep, steps & keep, low64 & keep
+        z = (((seed + (start + 1) * _GOLDEN) & _M64) * ones + steps) & low64
+        z = (((z ^ (z >> 30)) & low64) * _MIX1) & low64
+        z = (((z ^ (z >> 27)) & low64) * _MIX2) & low64
+        z ^= z >> 31
+        lanes = memoryview(z.to_bytes(16 * n, "little")).cast("Q")[0::2]
+        yield map(operator.mod, lanes, itertools.repeat(c, n))
 
 
 @dataclass(frozen=True)
@@ -74,9 +121,11 @@ class Coloring:
             if len(self.cells) != self.N ** self.d:
                 raise MalformedInputError(
                     f"expected {self.N ** self.d} cells, got {len(self.cells)}")
-            for v in self.cells:
-                if not 0 <= v < self.c:
-                    raise MalformedInputError(f"cell color {v} out of range [0, {self.c})")
+            if min(self.cells) < 0 or max(self.cells) >= self.c:
+                for v in self.cells:
+                    if not 0 <= v < self.c:
+                        raise MalformedInputError(
+                            f"cell color {v} out of range [0, {self.c})")
 
     @property
     def cell_count(self) -> int:
@@ -165,6 +214,10 @@ def make_coloring(generator: str, d: int, N: int, c: int, param=(), seed: int = 
                   cell_budget: int = CELL_BUDGET) -> Coloring:
     """Materialize a named-generator coloring (lazy beyond the cell budget)."""
     fn = _generator_fn(generator, d, N, c, tuple(param), seed)
+    # after the generator's own checks, which name its parameter, and before
+    # any cell: a random color is a residue mod c
+    if d < 1 or N < 1 or c < 1:
+        raise MalformedInputError("coloring requires d >= 1, N >= 1, c >= 1")
     cells_total = N ** d
     if cells_total > cell_budget:
         def by_index(idx: int, _fn=fn, _N=N, _d=d) -> int:
@@ -176,7 +229,10 @@ def make_coloring(generator: str, d: int, N: int, c: int, param=(), seed: int = 
             point.reverse()
             return _fn(tuple(point), idx)
         return Coloring(d=d, N=N, c=c, fn=by_index)
-    if d == 1:
+    if generator == "random":
+        cells = tuple(itertools.chain.from_iterable(
+            _random_blocks(seed, cells_total, c)))
+    elif d == 1:
         cells = tuple(fn((x,), x - 1) for x in range(1, N + 1))
     else:
         cells = tuple(fn(point, rank) for rank, point
@@ -266,8 +322,8 @@ def loads(text: str) -> Coloring:
     if len(tokens) < 3:
         raise MalformedInputError("coloring file needs a 'd N c' header")
     try:
-        d, N, c = (int(t) for t in tokens[:3])
-        cells = tuple(int(t) for t in tokens[3:])
+        d, N, c = map(int, tokens[:3])
+        cells = tuple(map(int, itertools.islice(tokens, 3, None)))
     except ValueError as exc:
         raise MalformedInputError(f"non-integer token in coloring file: {exc}") from None
     if d < 1 or N < 1 or c < 1:

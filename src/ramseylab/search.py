@@ -286,6 +286,8 @@ def threshold_number(schema: PatternSchema, c: int, n_max: int,
     first unsat N is the threshold."""
     from .patterns import format_pattern
 
+    if n_max < 1:
+        raise MalformedInputError("threshold scan needs n_max >= 1")
     result = ThresholdResult(pattern=format_pattern(schema), colors=c,
                              threshold=None, certificate=None)
     last_cert: Optional[Coloring] = None

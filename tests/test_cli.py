@@ -149,6 +149,34 @@ def test_threshold_rejects_zero_colors(capsys):
     assert (code, report["verdict"]) == (1, "error")
 
 
+@pytest.mark.parametrize("n_max", [0, -3])
+def test_threshold_rejects_an_empty_scan(capsys, n_max):
+    # scanning nothing used to answer "unknown" with the budget's exit 2
+    code, report = run_json(
+        capsys, "threshold", "--pattern", SCHUR, "--colors", "2",
+        "--n-max", str(n_max))
+    assert (code, report["verdict"], report["error"]) == (
+        1, "error", "threshold scan needs n_max >= 1")
+
+
+@pytest.mark.parametrize("argv", [
+    ("find", "--pattern", "{x}"),
+    ("fs-witness", "--k", "2"),
+    ("grid-witness", "--length", "3", "--blocks", "2"),
+    ("bundle14", "--k", "2"),
+    ("bundle15", "--corollary"),
+], ids=["find", "fs-witness", "grid-witness", "bundle14", "corollary"])
+@pytest.mark.parametrize("box", [("--colors", "0"), ("--colors", "-2"),
+                                 ("--colors", "2", "--d", "-1")],
+                         ids=["colors0", "colors-2", "d-1"])
+def test_random_generator_rejects_an_empty_palette(capsys, argv, box):
+    # a random coloring with no colors used to crash with a traceback
+    code, report = run_json(
+        capsys, *argv, "--generator", "random", "--n", "10", *box)
+    assert (code, report["verdict"], report["error"]) == (
+        1, "error", "coloring requires d >= 1, N >= 1, c >= 1")
+
+
 def _random(N):
     return ("--generator", "random", "--n", str(N), "--colors", "2",
             "--seed", "0")

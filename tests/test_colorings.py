@@ -1,10 +1,12 @@
 """Colorings: generators, the seeded cell stream, files, enumeration."""
 
 import itertools
+import tracemalloc
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from ramseylab import colorings
 from ramseylab.colorings import (Coloring, ColoringSpec, dumps,
                                  enumerate_colorings, load_file, loads,
                                  make_coloring, save_file, seeded_cell_color)
@@ -55,6 +57,73 @@ def test_random_generator_uses_stream():
     assert col.cells == (3, 1, 8, 4, 0)
 
 
+BLOCK = colorings._BLOCK
+
+#: the largest side per dimension, so that N^d reaches past two blocks
+_SIDE = {1: 2 * BLOCK + 9, 2: 70, 3: 17}
+
+_seeds = st.one_of(st.sampled_from([0, 2 ** 64 - 1, 2 ** 64, -1]),
+                   st.integers(0, 2 ** 64 - 1), st.integers(2 ** 64, 2 ** 80),
+                   st.integers(-2 ** 70, -1))
+_colors = st.sampled_from([1, 2, 3, 7, 256, 1000])
+_boxes = st.sampled_from([1, 2, 3]).flatmap(
+    lambda d: st.tuples(st.just(d), st.integers(1, _SIDE[d])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_boxes, _colors, _seeds)
+@example((1, BLOCK - 1), 3, 2 ** 64 - 1)
+@example((1, BLOCK), 7, -5)
+@example((1, BLOCK + 1), 2, 2 ** 64 + 3)
+@example((1, 2 * BLOCK), 1000, 0)
+@example((3, 13), 256, 12345)  # 2197 cells: one full block and a tail
+def test_random_cells_follow_the_one_cell_formula(box, c, seed):
+    d, N = box
+    col = make_coloring("random", d, N, c, seed=seed)
+    assert col.cells == tuple(seeded_cell_color(seed, i, c)
+                              for i in range(N ** d))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_boxes, _colors, _seeds)
+@example((1, BLOCK + 1), 2, 2 ** 64 - 1)
+def test_lazy_and_materialized_agree(box, c, seed):
+    d, N = box
+    eager = make_coloring("random", d, N, c, seed=seed)
+    lazy = make_coloring("random", d, N, c, seed=seed, cell_budget=0)
+    assert lazy.cells is None
+    points = list(itertools.product(range(1, N + 1), repeat=d))
+    assert [lazy.color_of(p) for p in points] == list(eager.cells)
+    if d == 1:
+        assert [lazy.value_color(v) for (v,) in points] == list(eager.cells)
+
+
+def _peak_bytes(build):
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_random_build_holds_one_tuple():
+    # the reference is a tuple built from a generator, as the one-cell path
+    # built it: the kernel may add its block scratch, not a second copy
+    n = 10 ** 6
+    reference = _peak_bytes(lambda: tuple(0 for _ in range(n)))
+    peak = _peak_bytes(lambda: make_coloring("random", 1, n, 2, seed=5))
+    assert peak <= reference + (1 << 20)
+
+
+@pytest.mark.parametrize("cells, bad", [((0, 5, -1), 5), ((0, -1, 5), -1),
+                                        ((0, -1, 1), -1), ((1, 1, 2), 2)])
+def test_coloring_names_the_first_bad_cell(cells, bad):
+    with pytest.raises(MalformedInputError,
+                       match=rf"^cell color {bad} out of range \[0, 2\)$"):
+        Coloring(d=1, N=3, c=2, cells=cells)
+
+
 def test_value_color_out_of_range():
     col = make_coloring("parity", 1, 5, 2)
     with pytest.raises(RamseyError):
@@ -72,13 +141,22 @@ def test_loads_is_whitespace_insensitive():
     assert col.cells == (0, 1, 1, 0)
 
 
-@pytest.mark.parametrize("bad", [
-    "", "1 4", "1 4 2\n0 1 1", "1 4 2\n0 1 1 0 1", "1 4 2\n0 1 2 0",
-    "1 4 x\n0 1 1 0",
-])
+_LOAD_ERRORS = {
+    "": "coloring file needs a 'd N c' header",
+    "1 4": "coloring file needs a 'd N c' header",
+    "1 4 2\n0 1 1": "expected 4 cells, got 3",
+    "1 4 2\n0 1 1 0 1": "expected 4 cells, got 5",
+    "1 4 2\n0 1 2 0": "cell color 2 out of range [0, 2)",
+    "1 4 x\n0 1 1 0": "non-integer token in coloring file: "
+                       "invalid literal for int() with base 10: 'x'",
+}
+
+
+@pytest.mark.parametrize("bad", list(_LOAD_ERRORS))
 def test_loads_rejects_malformed(bad):
-    with pytest.raises(MalformedInputError):
+    with pytest.raises(MalformedInputError) as err:
         loads(bad)
+    assert str(err.value) == _LOAD_ERRORS[bad]
 
 
 def test_file_round_trip(tmp_path):
@@ -152,14 +230,6 @@ def test_enumerate_canonical_matches_orbit_representatives(n, c):
                  for col in enumerate_colorings(1, n, c, symmetry_break=True)}
     expected = {_orbit_least(cells, c) for cells in full}
     assert canonical == expected
-
-
-@given(st.integers(1, 6), st.integers(1, 3), st.integers(0, 2 ** 30))
-def test_lazy_and_materialized_agree(N, c, seed):
-    eager = make_coloring("random", 1, N, c, seed=seed)
-    lazy = make_coloring("random", 1, N, c, seed=seed, cell_budget=0)
-    assert lazy.cells is None
-    assert [lazy.value_color(v) for v in range(1, N + 1)] == list(eager.cells)
 
 
 @pytest.mark.parametrize("lazy", [False, True], ids=["copied", "lazy"])
