@@ -13,8 +13,10 @@ Example:
 
 import argparse
 import collections
+import sys
 
-from ramseylab import InstanceQuery, find_instance, make_coloring, parse_pattern
+from ramseylab import (InstanceQuery, RamseyError, find_instance,
+                       make_coloring, parse_pattern)
 
 
 def parse_args(argv=None):
@@ -35,6 +37,14 @@ def parse_args(argv=None):
 
 def main(argv=None) -> int:
     args = parse_args(argv)
+    try:
+        return run(args)
+    except RamseyError as exc:
+        print(f"random_instance_sweep: error: {exc}", file=sys.stderr)
+        return 1
+
+
+def run(args) -> int:
     schema = parse_pattern(args.pattern, distinct_vars=args.distinct,
                            min_value=args.min_value)
     forced = 0

@@ -10,7 +10,9 @@ unless --force is given.
 
 import argparse
 import collections
+import sys
 
+from ramseylab.errors import RamseyError
 from ramseylab.semigroups import (idempotents, iter_semigroups,
                                   minimal_idempotents, minimal_left_ideals)
 
@@ -27,6 +29,14 @@ def parse_args(argv=None):
 
 def main(argv=None) -> int:
     args = parse_args(argv)
+    try:
+        return run(args)
+    except RamseyError as exc:
+        print(f"semigroup_census: error: {exc}", file=sys.stderr)
+        return 1
+
+
+def run(args) -> int:
     if args.order > 3 and not args.force:
         raise SystemExit(f"order {args.order} means {args.order}^"
                          f"{args.order * args.order} tables; pass --force "

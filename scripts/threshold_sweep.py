@@ -12,7 +12,7 @@ import csv
 import sys
 import time
 
-from ramseylab import parse_pattern, threshold_number
+from ramseylab import RamseyError, parse_pattern, threshold_number
 
 
 def parse_args(argv=None):
@@ -33,6 +33,14 @@ def parse_args(argv=None):
 
 def main(argv=None) -> int:
     args = parse_args(argv)
+    try:
+        return run(args)
+    except RamseyError as exc:
+        print(f"threshold_sweep: error: {exc}", file=sys.stderr)
+        return 1
+
+
+def run(args) -> int:
     colors = [int(t) for t in args.colors.split(",") if t.strip()]
     rows = []
     for text in args.pattern:

@@ -9,11 +9,11 @@ shrinking the bound.
 
 from __future__ import annotations
 
-import io
 import os
+import subprocess
+import sys
 import tempfile
 import time
-from contextlib import redirect_stdout
 
 from . import sat as satmod
 from .colorings import (ColoringSpec, Coloring, enumerate_colorings,
@@ -145,7 +145,7 @@ def criterion_5():
     exactly when plain witnesses do (same color both ways) over a mixed
     coloring family on [1..30]."""
     count = 0
-    for col in enumerate_colorings(1, 5, 2, symmetry_break=False):
+    for col in enumerate_colorings(5, 2, symmetry_break=False):
         if find_fs_witness(col, 2) is None:
             return False, f"coloring {col.cells} of [1..5] has no 2-witness"
         count += 1
@@ -306,10 +306,12 @@ def criterion_8():
 
 
 def criterion_9():
-    """Reports are byte-identical for 1, 4, and 8 workers across the
-    searching subcommands (deterministic output is the default)."""
-    from .cli import main as cli_main
-
+    """Reports depend only on the query: each searching subcommand, run in
+    three fresh ``python -m ramseylab.cli`` processes with PYTHONHASHSEED
+    0, 1 and 2 and --workers 1, 4 and 8, prints byte-identical stdout
+    (deterministic output is the default)."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     commands = [
         ["threshold", "--pattern", SCHUR, "--colors", "2", "--n-max", "6"],
         ["find", "--pattern", SUM_PRODUCT_QUAD, "--generator", "random",
@@ -326,16 +328,21 @@ def criterion_9():
     ]
     for argv in commands:
         outputs = []
-        for workers in ("1", "4", "8"):
-            buf = io.StringIO()
-            with redirect_stdout(buf):
-                code = cli_main(argv + ["--workers", workers])
-            if code != 0:
-                return False, f"{argv[0]} exited {code} at {workers} workers"
-            outputs.append(buf.getvalue())
-        if not (outputs[0] == outputs[1] == outputs[2]):
-            return False, f"{argv[0]} output varies with the worker count"
-    return True, f"{len(commands)} subcommands byte-identical at 1/4/8 workers"
+        for hash_seed, workers in (("0", "1"), ("1", "4"), ("2", "8")):
+            proc = subprocess.run(
+                [sys.executable, "-m", "ramseylab.cli", *argv,
+                 "--workers", workers],
+                env=dict(os.environ, PYTHONHASHSEED=hash_seed,
+                         PYTHONPATH=path),
+                capture_output=True, timeout=120)
+            if proc.returncode != 0:
+                return False, (f"{argv[0]} exited {proc.returncode} at hash "
+                               f"seed {hash_seed}, {workers} workers")
+            outputs.append(proc.stdout)
+        if len(set(outputs)) != 1:
+            return False, f"{argv[0]} output varies between processes"
+    return True, (f"{len(commands)} subcommands byte-identical in 3 processes "
+                  "(hash seeds 0/1/2, 1/4/8 workers)")
 
 
 CRITERIA = (

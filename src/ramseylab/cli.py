@@ -5,6 +5,9 @@ Every subcommand prints one canonical JSON report to stdout::
     {"schema_version": 1, "query": {...}, "verdict": "...",
      "witness": ..., "stats": {"engine": ..., "nodes": ..., "time_ms": ...}}
 
+Colorings are of [1..N]: --coloring-file reads one from a "1 N c" file,
+and --generator builds one from --n, --colors, --param and --seed.
+
 Exit codes: 0 when the question was answered (in either direction), 1 on
 usage or input errors, 2 when a node/conflict budget ran out first.
 
@@ -77,7 +80,6 @@ def _add_coloring_args(p: argparse.ArgumentParser):
                    help="read the coloring from a grid file")
     g.add_argument("--generator", choices=GENERATORS,
                    help="build the coloring from a named generator")
-    g.add_argument("--d", type=int, default=1, help="dimension (default 1)")
     g.add_argument("--n", type=int, help="box size N")
     g.add_argument("--colors", type=int, help="number of colors")
     g.add_argument("--param", default="",
@@ -97,7 +99,7 @@ def _coloring_from_args(args) -> tuple:
         if args.n is None or args.colors is None:
             raise RamseyError("--generator needs --n and --colors")
         spec = ColoringSpec(kind="generator", generator=args.generator,
-                            d=args.d, N=args.n, c=args.colors,
+                            N=args.n, c=args.colors,
                             param=_csv_ints(args.param), seed=args.seed)
         return spec.load(), spec
     raise RamseyError("no coloring given (use --coloring-file or --generator)")

@@ -28,7 +28,7 @@ class ValueOverflowError(RamseyError):
 
 
 class OutOfBoxError(RamseyError):
-    """A value left the box [1..N]^d where it was required to stay."""
+    """A value left the box [1..N] where it was required to stay."""
 
 
 class CompositionOutOfBoxError(OutOfBoxError):

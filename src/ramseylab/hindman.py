@@ -59,17 +59,6 @@ WITNESS_KINDS = ("fs", "grid", "composed", "bundle14", "bundle15")
 BUILTIN_OPS = ("multiplication-capped", "addition-capped")
 
 
-def _value_color(coloring: Coloring, v: int) -> int:
-    if not 1 <= v <= coloring.N:
-        raise OutOfBoxError(f"value {v} outside [1..{coloring.N}]")
-    return coloring.value_color(v)
-
-
-def _require_d1(coloring: Coloring):
-    if coloring.d != 1:
-        raise RamseyError("witness search needs a 1-dimensional coloring")
-
-
 # ---------------------------------------------------------------------------
 # finite-sums witnesses
 
@@ -77,12 +66,11 @@ def _require_d1(coloring: Coloring):
 def check_fs_witness(coloring: Coloring, generators) -> tuple:
     """Is FS(generators) monochromatic?  Returns (ok, color or None); raises
     OutOfBoxError when the closure escapes [1..N]."""
-    _require_d1(coloring)
     gens = tuple(int(g) for g in generators)
     closure = sorted(fs_values(gens, OP_ADD))
-    color = _value_color(coloring, closure[0])
+    color = coloring.value_color(closure[0])
     for v in closure[1:]:
-        if _value_color(coloring, v) != color:
+        if coloring.value_color(v) != color:
             return False, None
     return True, color
 
@@ -96,7 +84,6 @@ def find_fs_witness_detailed(coloring: Coloring, k: int,
     {1, 2}); the k-FS *detector* in :mod:`ramseylab.structures` stays
     strict about distinct generators — the two answer different questions.
     """
-    _require_d1(coloring)
     if k < 1:
         raise RamseyError("k must be at least 1")
     N = coloring.N
@@ -187,11 +174,10 @@ class CutGrid:
 def check_grid_witness(coloring: Coloring, grid: CutGrid) -> tuple:
     """One cut tuple: is every block closure monochromatic in one common
     color?  Returns (ok, color or None)."""
-    _require_d1(coloring)
     anchor = None
     for block in grid.blocks:
         for v in sorted(fs_values(block, OP_ADD)):
-            color = _value_color(coloring, v)
+            color = coloring.value_color(v)
             if anchor is None:
                 anchor = color
             elif color != anchor:
@@ -225,7 +211,6 @@ def find_grid_witness_detailed(coloring: Coloring, L: int, d: int,
     prefix, against the color of the first entry — sound because the cut
     tuple (0, 1, ..., d) forces that color on any full witness.
     """
-    _require_d1(coloring)
     if d < 1:
         raise RamseyError("d must be at least 1")
     if L < d:
@@ -406,7 +391,6 @@ def check_composed_witness(coloring: Coloring, op: OpTable,
     left-nested (d = 1 means the bare value), and demand one color over all
     choices.  Color mismatches return (False, None); values the operation
     or the coloring cannot take raise CompositionOutOfBoxError."""
-    _require_d1(coloring)
     closures = [sorted(fs_values(b, OP_ADD)) for b in grid.blocks]
     anchor = None
     for choice in product(*closures):
@@ -416,7 +400,7 @@ def check_composed_witness(coloring: Coloring, op: OpTable,
         if v > coloring.N:
             raise CompositionOutOfBoxError(
                 f"composed value {v} outside [1..{coloring.N}]")
-        color = _value_color(coloring, v)
+        color = coloring.value_color(v)
         if anchor is None:
             anchor = color
         elif color != anchor:
@@ -532,9 +516,8 @@ def check_bundle(coloring: Coloring, bundle: Bundle) -> tuple:
     """Recompute everything from the raw sets: the derived values in box
     and all of bundle.color, then A's structures in the finder's order.
     Returns (ok, detail)."""
-    _require_d1(coloring)
     for v in bundle.derived():
-        if _value_color(coloring, v) != bundle.color:
+        if coloring.value_color(v) != bundle.color:
             return False, f"derived value {v} is not color {bundle.color}"
     missing = _missing_structure(frozenset(bundle.a_set), bundle.k,
                                  bundle.shifted)
@@ -550,7 +533,6 @@ def _find_bundle(coloring: Coloring, k: int, cap_a: int,
     are independent, the first feasible B is always a singleton, checked in
     ascending b.  Structure is checked once per A, after the first b that
     keeps the derived set monochromatic."""
-    _require_d1(coloring)
     if k < 1:
         raise RamseyError("k must be at least 1")
     if cap_a < 1:
@@ -697,7 +679,7 @@ def find_scaled_quad(coloring: Coloring, max_nodes: Optional[int] = None):
 
 def check_scaled_quad(coloring: Coloring, a: int, x: int, y: int) -> tuple:
     values = (a * x, a * y, x * y, a * (x + y))
-    colors = {_value_color(coloring, v) for v in values}
+    colors = {coloring.value_color(v) for v in values}
     return (True, colors.pop()) if len(colors) == 1 else (False, None)
 
 
@@ -716,7 +698,7 @@ def find_shifted_quad(coloring: Coloring, max_nodes: Optional[int] = None):
 
 def check_shifted_quad(coloring: Coloring, b: int, u: int, v: int) -> tuple:
     values = (u + b, v + b, u * v + b, u + v)
-    colors = {_value_color(coloring, w) for w in values}
+    colors = {coloring.value_color(w) for w in values}
     return (True, colors.pop()) if len(colors) == 1 else (False, None)
 
 

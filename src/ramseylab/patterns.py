@@ -317,10 +317,9 @@ def validate_assignment(schema: PatternSchema, assignment: Mapping[str, int]) ->
             raise AssignmentError("distinct_vars requires pairwise distinct values")
 
 
-def instantiate(schema: PatternSchema, assignment: Mapping[str, int], check: bool = True) -> frozenset:
+def instantiate(schema: PatternSchema, assignment: Mapping[str, int]) -> frozenset:
     """Value set of all terms at the assignment.  Collapses coincident values."""
-    if check:
-        validate_assignment(schema, assignment)
+    validate_assignment(schema, assignment)
     return frozenset(eval_term(t, assignment) for t in schema.terms)
 
 
@@ -411,14 +410,6 @@ def compile_kernel(schema: PatternSchema) -> Callable[[int], Iterator[tuple]]:
     return namespace["_k0"]
 
 
-def _box_leaves(schema: PatternSchema, N: int, max_assignments: Optional[int]):
-    """Kernel leaves for [1..N], capped at ``max_assignments``."""
-    for count, leaf in enumerate(compile_kernel(schema)(N), 1):
-        if max_assignments is not None and count > max_assignments:
-            raise BudgetExceededError("assignment enumeration budget exceeded")
-        yield leaf
-
-
 def iter_box_assignments(schema: PatternSchema, N: int,
                          max_assignments: Optional[int] = None) -> Iterator[dict]:
     """Yield, as dicts, the assignments (lexicographic in schema variable
@@ -428,12 +419,13 @@ def iter_box_assignments(schema: PatternSchema, N: int,
     constants fit, whatever ``min_value`` is.
     ``max_assignments`` bounds the number of leaves, raising once exceeded."""
     variables = schema.variables
-    for asg, _ in _box_leaves(schema, N, max_assignments):
+    for count, (asg, _) in enumerate(compile_kernel(schema)(N), 1):
+        if max_assignments is not None and count > max_assignments:
+            raise BudgetExceededError("assignment enumeration budget exceeded")
         yield dict(zip(variables, asg))
 
 
-def instance_value_sets(schema: PatternSchema, N: int,
-                        max_assignments: Optional[int] = None) -> list:
+def instance_value_sets(schema: PatternSchema, N: int) -> list:
     """Deduplicated in-box instance value sets, as sorted tuples, sorted."""
     return sorted({tuple(sorted(set(values))) for _, values
-                   in _box_leaves(schema, N, max_assignments)})
+                   in compile_kernel(schema)(N)})

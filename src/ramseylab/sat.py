@@ -92,8 +92,7 @@ class ColorVarMap:
 
 
 def encode_avoidance(schema: PatternSchema, N: int, c: int,
-                     symmetry_break: bool = False,
-                     max_assignments: Optional[int] = None):
+                     symmetry_break: bool = False):
     """CNF satisfiable iff some c-coloring of [1..N] has no monochromatic
     instance of the schema.  Returns (formula, var_map).
 
@@ -113,7 +112,7 @@ def encode_avoidance(schema: PatternSchema, N: int, c: int,
         for j1 in range(c):
             for j2 in range(j1 + 1, c):
                 clauses.append([-vmap.var(n, j1), -vmap.var(n, j2)])
-    for values in instance_value_sets(schema, N, max_assignments=max_assignments):
+    for values in instance_value_sets(schema, N):
         for j in range(c):
             clauses.append([-vmap.var(v, j) for v in values])
     return CnfFormula(var_count=vmap.var_count, clauses=clauses), vmap
@@ -300,11 +299,10 @@ def check_model(formula: CnfFormula, model) -> bool:
     return True
 
 
-def solve(formula: CnfFormula, max_conflicts: Optional[int] = None,
-          recheck: bool = True) -> SatVerdict:
+def solve(formula: CnfFormula, max_conflicts: Optional[int] = None) -> SatVerdict:
     """Solve a CNF formula.  SAT models are re-validated before returning."""
     verdict = _Solver(formula).solve(max_conflicts=max_conflicts)
-    if verdict.status == SAT and recheck and not check_model(formula, verdict.model):
+    if verdict.status == SAT and not check_model(formula, verdict.model):
         raise RamseyError("solver returned a model that fails re-validation")
     return verdict
 

@@ -39,16 +39,11 @@ class InstanceQuery:
     schema: PatternSchema
     coloring: Coloring
 
-    def __post_init__(self):
-        if self.coloring.d != 1:
-            raise RamseyError("instance search needs a 1-dimensional coloring")
-
 
 @dataclass
 class SearchStats:
     nodes: int = 0
     time_ms: float = 0.0
-    engine: str = ""
 
 
 @dataclass
@@ -60,8 +55,6 @@ class AvoidanceResult:
 
 @dataclass
 class ThresholdResult:
-    pattern: str
-    colors: int
     threshold: Optional[int]
     certificate: Optional[Coloring]
     rows: list = field(default_factory=list)  # (N, verdict, nodes, time_ms)
@@ -72,16 +65,6 @@ class ThresholdResult:
 # instance search
 
 
-class _LazyCells:
-    """``cells[i]`` for a coloring that is not materialized."""
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __getitem__(self, i):
-        return self.fn(i)
-
-
 def _scan_instances(schema: PatternSchema, coloring: Coloring,
                     max_nodes: Optional[int], limit: Optional[int] = 1):
     """In-order scan of the schema's in-box assignments (its kernel's
@@ -89,17 +72,16 @@ def _scan_instances(schema: PatternSchema, coloring: Coloring,
     color), leaves visited); stops once ``limit`` hits are in.  Leaf
     ``max_nodes + 1`` raises :class:`BudgetExceededError`."""
     variables = schema.variables
-    cells = coloring.cells if coloring.cells is not None \
-        else _LazyCells(coloring.fn)
+    colors = coloring.value_table()
     hits: list = []
     leaves = 0
     for asg, values in compile_kernel(schema)(coloring.N):
         leaves += 1
         if max_nodes is not None and leaves > max_nodes:
             raise BudgetExceededError.past(max_nodes)
-        color = cells[values[0] - 1]
+        color = colors[values[0]]
         for v in values:
-            if cells[v - 1] != color:
+            if colors[v] != color:
                 break
         else:
             hits.append((dict(zip(variables, asg)), color))
@@ -214,22 +196,20 @@ def _backtrack(N, c, index, max_nodes: Optional[int]):
 
 def find_avoiding_coloring(schema: PatternSchema, N: int, c: int,
                            engine: str = "backtracking",
-                           symmetry_break: bool = True,
-                           max_nodes: Optional[int] = None,
-                           validate: bool = True) -> AvoidanceResult:
+                           max_nodes: Optional[int] = None) -> AvoidanceResult:
     """Search for a c-coloring of [1..N] with no monochromatic instance."""
     if N < 1 or c < 1:
         raise MalformedInputError("avoidance search needs N >= 1 and c >= 1")
     if engine not in ENGINES:
         raise RamseyError(f"unknown engine {engine!r} (choose from {ENGINES})")
     t0 = time.perf_counter()
-    stats = SearchStats(engine=engine)
+    stats = SearchStats()
     verdict = "unsat"
     found: Optional[Coloring] = None
 
     if engine == "sat":
         formula, vmap = satmod.encode_avoidance(schema, N, c,
-                                                symmetry_break=symmetry_break)
+                                                symmetry_break=True)
         sv = satmod.solve(formula, max_conflicts=max_nodes)
         stats.nodes = sv.conflicts + sv.decisions
         if sv.status == satmod.SAT:
@@ -240,7 +220,7 @@ def find_avoiding_coloring(schema: PatternSchema, N: int, c: int,
         nodes = 0
         try:
             value_sets = instance_value_sets(schema, N)
-            for col in enumerate_colorings(1, N, c, symmetry_break=True):
+            for col in enumerate_colorings(N, c, symmetry_break=True):
                 nodes += 1
                 if max_nodes is not None and nodes > max_nodes:
                     raise BudgetExceededError("exhaustive scan budget exceeded")
@@ -265,7 +245,7 @@ def find_avoiding_coloring(schema: PatternSchema, N: int, c: int,
             stats.nodes = exc.nodes
 
     stats.time_ms = (time.perf_counter() - t0) * 1000.0
-    if found is not None and validate:
+    if found is not None:
         leftover = find_instance(InstanceQuery(schema=schema, coloring=found))
         if leftover is not None:
             raise RamseyError(f"engine {engine} returned an invalid certificate "
@@ -284,12 +264,9 @@ def threshold_number(schema: PatternSchema, c: int, n_max: int,
     monochromatic instance; scans N upward so the certificate at N*-1 comes
     for free.  Forcing is monotone in N (instances only accumulate), so the
     first unsat N is the threshold."""
-    from .patterns import format_pattern
-
     if n_max < 1:
         raise MalformedInputError("threshold scan needs n_max >= 1")
-    result = ThresholdResult(pattern=format_pattern(schema), colors=c,
-                             threshold=None, certificate=None)
+    result = ThresholdResult(threshold=None, certificate=None)
     last_cert: Optional[Coloring] = None
     for N in range(1, n_max + 1):
         res = find_avoiding_coloring(schema, N, c, engine=engine,

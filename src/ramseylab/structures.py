@@ -236,22 +236,6 @@ class StructureReport:
     fs: Optional[tuple]
     fp: Optional[tuple]
 
-    @property
-    def has_ap(self) -> bool:
-        return self.ap is not None
-
-    @property
-    def has_gp(self) -> bool:
-        return self.gp is not None
-
-    @property
-    def has_fs(self) -> bool:
-        return self.fs is not None
-
-    @property
-    def has_fp(self) -> bool:
-        return self.fp is not None
-
     def to_json(self) -> dict:
         return {
             "k": self.k,

@@ -159,22 +159,52 @@ def test_threshold_rejects_an_empty_scan(capsys, n_max):
         1, "error", "threshold scan needs n_max >= 1")
 
 
-@pytest.mark.parametrize("argv", [
+_FINDERS = pytest.mark.parametrize("argv", [
     ("find", "--pattern", "{x}"),
     ("fs-witness", "--k", "2"),
     ("grid-witness", "--length", "3", "--blocks", "2"),
     ("bundle14", "--k", "2"),
     ("bundle15", "--corollary"),
 ], ids=["find", "fs-witness", "grid-witness", "bundle14", "corollary"])
-@pytest.mark.parametrize("box", [("--colors", "0"), ("--colors", "-2"),
-                                 ("--colors", "2", "--d", "-1")],
-                         ids=["colors0", "colors-2", "d-1"])
+
+
+@_FINDERS
+@pytest.mark.parametrize("box", [("--colors", "0"), ("--colors", "-2")],
+                         ids=["colors0", "colors-2"])
 def test_random_generator_rejects_an_empty_palette(capsys, argv, box):
     # a random coloring with no colors used to crash with a traceback
     code, report = run_json(
         capsys, *argv, "--generator", "random", "--n", "10", *box)
     assert (code, report["verdict"], report["error"]) == (
         1, "error", "coloring requires d >= 1, N >= 1, c >= 1")
+
+
+D2_ERROR = "a coloring colors [1..N], so d must be 1, got d=2"
+
+
+@_FINDERS
+def test_a_grid_coloring_file_is_an_input_error(capsys, tmp_path, argv):
+    path = tmp_path / "grid.txt"
+    path.write_text("2 2 2\n0 1 1 0\n")
+    code, report = run_json(capsys, *argv, "--coloring-file", str(path))
+    assert (code, report["verdict"], report["error"]) == (1, "error",
+                                                           D2_ERROR)
+
+
+@_FINDERS
+def test_there_is_no_dimension_flag(capsys, argv):
+    code = main([*argv, "--generator", "random", "--n", "10", "--colors",
+                 "2", "--d", "2"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments" in err
+
+
+def test_no_help_lists_a_dimension_flag():
+    parser = cli.build_parser()
+    subparsers = parser._subparsers._group_actions[0].choices
+    for name, sub in subparsers.items():
+        assert "--d " not in sub.format_help(), name
 
 
 def _random(N):
@@ -408,7 +438,8 @@ PARITY_REF = {"kind": "generator", "generator": "parity", "d": 1, "N": 8,
     ({"generators": [2, 2]}, "parity", "coloring spec must be an object"),
     ({"generators": "ab"}, PARITY_REF,
      "witness field 'generators' must be a list of integers"),
-], ids=["ref-lacks-fields", "ref-not-object", "generators-string"])
+    ({"generators": [2, 2]}, dict(PARITY_REF, d=2), D2_ERROR),
+], ids=["ref-lacks-fields", "ref-not-object", "generators-string", "ref-d2"])
 def test_verify_malformed_record_is_an_input_error(capsys, tmp_path, data,
                                                   ref, error):
     path = tmp_path / "w.json"

@@ -14,18 +14,54 @@ from ramseylab.errors import (BudgetExceededError, MalformedInputError,
                               RamseyError)
 
 
-def test_row_major_indexing():
-    col = make_coloring("parity", 2, 3, 2)
-    # axis 1 is the slow axis: (x1, x2) -> (x1-1)*N + (x2-1)
-    assert col.index_of((1, 1)) == 0
-    assert col.index_of((1, 3)) == 2
-    assert col.index_of((2, 1)) == 3
-    assert col.color_of((2, 3)) == (2 + 3) % 2
+# (generator, param, seed, c, N, cells, value 1 first): cells recorded from
+# the point-based generators these replaced, which must not drift
+_RECORDED_CELLS = [
+    ("constant", (2,), 0, 3, 7, "2222222"),
+    ("parity", (), 0, 2, 9, "101010101"),
+    ("mod", (3,), 0, 3, 10, "1201201201"),
+    ("blocks", (3, 2), 0, 2, 12, "000110001100"),
+    ("blocks", (1, 2, 3), 0, 3, 13, "0112220112220"),
+    ("random", (), 42, 10, 9, "318402585"),
+    ("random", (), 2 ** 64 + 3, 7, 12, "236031105326"),
+    ("random", (), -5, 2, 10, "0011011001"),
+]
 
 
-def test_parity_cells_d2():
-    col = make_coloring("parity", 2, 3, 2)
-    assert col.cells == (0, 1, 0, 1, 0, 1, 0, 1, 0)
+@pytest.mark.parametrize("lazy", [False, True], ids=["eager", "lazy"])
+@pytest.mark.parametrize("generator, param, seed, c, N, cells",
+                         _RECORDED_CELLS)
+def test_generator_cells_are_unchanged(generator, param, seed, c, N, cells,
+                                       lazy):
+    col = make_coloring(generator, 1, N, c, param=param, seed=seed,
+                        cell_budget=0 if lazy else N)
+    assert (col.cells is None) == lazy
+    assert "".join(str(col.value_color(x)) for x in range(1, N + 1)) == cells
+
+
+_D_MESSAGE = r"^a coloring colors \[1\.\.N\], so d must be 1, got d={}$"
+
+
+@pytest.mark.parametrize("d", [2, 0, -1])
+@pytest.mark.parametrize("build", [
+    lambda d: Coloring(d=d, N=2, c=2, cells=(0, 1)),
+    lambda d: Coloring(d=d, N=2, c=2, cells=(0, 1, 1, 0)),
+    lambda d: make_coloring("parity", d, 3, 2),
+    lambda d: make_coloring("random", d, 3, 2, cell_budget=0),
+    lambda d: ColoringSpec(kind="generator", generator="constant", d=d, N=3,
+                           c=2, param=(1,)).load(),
+    lambda d: loads(f"{d} 2 2\n0 1 1 0"),
+], ids=["cells", "grid-cells", "eager", "lazy", "spec", "file"])
+def test_only_one_dimension_is_a_coloring(build, d):
+    with pytest.raises(MalformedInputError, match=_D_MESSAGE.format(d)):
+        build(d)
+
+
+@pytest.mark.parametrize("generator", colorings.GENERATORS)
+def test_an_empty_box_keeps_its_message(generator):
+    with pytest.raises(MalformedInputError,
+                       match=r"^coloring requires d >= 1, N >= 1, c >= 1$"):
+        make_coloring(generator, 2, 0, 3, param=(1,))
 
 
 def test_mod_generator():
@@ -59,43 +95,35 @@ def test_random_generator_uses_stream():
 
 BLOCK = colorings._BLOCK
 
-#: the largest side per dimension, so that N^d reaches past two blocks
-_SIDE = {1: 2 * BLOCK + 9, 2: 70, 3: 17}
-
 _seeds = st.one_of(st.sampled_from([0, 2 ** 64 - 1, 2 ** 64, -1]),
                    st.integers(0, 2 ** 64 - 1), st.integers(2 ** 64, 2 ** 80),
                    st.integers(-2 ** 70, -1))
 _colors = st.sampled_from([1, 2, 3, 7, 256, 1000])
-_boxes = st.sampled_from([1, 2, 3]).flatmap(
-    lambda d: st.tuples(st.just(d), st.integers(1, _SIDE[d])))
+#: box sizes up to past two blocks
+_sides = st.integers(1, 2 * BLOCK + 9)
 
 
 @settings(max_examples=60, deadline=None)
-@given(_boxes, _colors, _seeds)
-@example((1, BLOCK - 1), 3, 2 ** 64 - 1)
-@example((1, BLOCK), 7, -5)
-@example((1, BLOCK + 1), 2, 2 ** 64 + 3)
-@example((1, 2 * BLOCK), 1000, 0)
-@example((3, 13), 256, 12345)  # 2197 cells: one full block and a tail
-def test_random_cells_follow_the_one_cell_formula(box, c, seed):
-    d, N = box
-    col = make_coloring("random", d, N, c, seed=seed)
+@given(_sides, _colors, _seeds)
+@example(BLOCK - 1, 3, 2 ** 64 - 1)
+@example(BLOCK, 7, -5)
+@example(BLOCK + 1, 2, 2 ** 64 + 3)
+@example(2 * BLOCK, 1000, 0)
+@example(2197, 256, 12345)  # one full block and a tail
+def test_random_cells_follow_the_one_cell_formula(N, c, seed):
+    col = make_coloring("random", 1, N, c, seed=seed)
     assert col.cells == tuple(seeded_cell_color(seed, i, c)
-                              for i in range(N ** d))
+                              for i in range(N))
 
 
 @settings(max_examples=30, deadline=None)
-@given(_boxes, _colors, _seeds)
-@example((1, BLOCK + 1), 2, 2 ** 64 - 1)
-def test_lazy_and_materialized_agree(box, c, seed):
-    d, N = box
-    eager = make_coloring("random", d, N, c, seed=seed)
-    lazy = make_coloring("random", d, N, c, seed=seed, cell_budget=0)
+@given(_sides, _colors, _seeds)
+@example(BLOCK + 1, 2, 2 ** 64 - 1)
+def test_lazy_and_materialized_agree(N, c, seed):
+    eager = make_coloring("random", 1, N, c, seed=seed)
+    lazy = make_coloring("random", 1, N, c, seed=seed, cell_budget=0)
     assert lazy.cells is None
-    points = list(itertools.product(range(1, N + 1), repeat=d))
-    assert [lazy.color_of(p) for p in points] == list(eager.cells)
-    if d == 1:
-        assert [lazy.value_color(v) for (v,) in points] == list(eager.cells)
+    assert [lazy.value_color(v) for v in range(1, N + 1)] == list(eager.cells)
 
 
 def _peak_bytes(build):
@@ -126,8 +154,9 @@ def test_coloring_names_the_first_bad_cell(cells, bad):
 
 def test_value_color_out_of_range():
     col = make_coloring("parity", 1, 5, 2)
-    with pytest.raises(RamseyError):
-        col.color_of((6,))
+    for value in (0, 6):
+        with pytest.raises(RamseyError):
+            col.value_color(value)
 
 
 def test_dumps_format():
@@ -160,12 +189,12 @@ def test_loads_rejects_malformed(bad):
 
 
 def test_file_round_trip(tmp_path):
-    col = make_coloring("random", 2, 4, 3, seed=9)
-    path = tmp_path / "grid.txt"
+    col = make_coloring("random", 1, 16, 3, seed=9)
+    path = tmp_path / "coloring.txt"
     save_file(col, path)
     again = load_file(path)
     assert again.cells == col.cells
-    assert (again.d, again.N, again.c) == (2, 4, 3)
+    assert (again.d, again.N, again.c) == (1, 16, 3)
     # byte stability
     first = path.read_bytes()
     save_file(again, path)
@@ -202,7 +231,7 @@ def test_spec_from_json_rejects_malformed(obj):
 
 
 def test_enumerate_full_count():
-    cols = list(enumerate_colorings(1, 3, 2))
+    cols = list(enumerate_colorings(3, 2))
     assert len(cols) == 8
     assert cols[0].cells == (0, 0, 0)
     assert cols[-1].cells == (1, 1, 1)
@@ -210,7 +239,7 @@ def test_enumerate_full_count():
 
 def test_enumerate_budget():
     with pytest.raises(BudgetExceededError):
-        list(enumerate_colorings(1, 30, 2, budget=1000))
+        list(enumerate_colorings(30, 2, budget=1000))
 
 
 def _orbit_least(cells, c):
@@ -225,9 +254,9 @@ def _orbit_least(cells, c):
 
 @pytest.mark.parametrize("n,c", [(1, 2), (3, 2), (4, 2), (3, 3), (4, 3)])
 def test_enumerate_canonical_matches_orbit_representatives(n, c):
-    full = {col.cells for col in enumerate_colorings(1, n, c)}
+    full = {col.cells for col in enumerate_colorings(n, c)}
     canonical = {col.cells
-                 for col in enumerate_colorings(1, n, c, symmetry_break=True)}
+                 for col in enumerate_colorings(n, c, symmetry_break=True)}
     expected = {_orbit_least(cells, c) for cells in full}
     assert canonical == expected
 

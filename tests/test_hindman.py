@@ -77,9 +77,9 @@ def test_find_fs_witness_rejects_bad_k():
 
 
 def test_find_fs_witness_rejects_grid_coloring():
-    col = make_coloring("parity", 2, 3, 2)
-    with pytest.raises(RamseyError):
-        find_fs_witness(col, 2)
+    # a grid coloring is refused when it is built, before any search
+    with pytest.raises(MalformedInputError):
+        find_fs_witness(make_coloring("parity", 2, 3, 2), 2)
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,16 @@ import pytest
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(__file__)), "scripts")
 
 
-def run_script(capsys, name, *argv):
+def load_script(name):
     spec = importlib.util.spec_from_file_location(
         name, os.path.join(SCRIPTS, name + ".py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    assert module.main(list(argv)) == 0
+    return module
+
+
+def run_script(capsys, name, *argv):
+    assert load_script(name).main(list(argv)) == 0
     return capsys.readouterr().out
 
 
@@ -45,3 +49,20 @@ def test_semigroup_census(capsys):
 def test_semigroup_census_refuses_order_four_without_force():
     with pytest.raises(SystemExit):
         run_script(None, "semigroup_census", "--order", "4")
+
+
+@pytest.mark.parametrize("name, argv, error", [
+    ("threshold_sweep", ("--pattern", "{x, y, x+y}", "--n-max", "0"),
+     "threshold scan needs n_max >= 1"),
+    ("threshold_sweep", ("--pattern", "{x, y"),
+     "expected '}' (at offset 5)"),
+    ("random_instance_sweep", ("--pattern", "{x}", "--n", "5", "--colors",
+                               "0"),
+     "coloring requires d >= 1, N >= 1, c >= 1"),
+    ("semigroup_census", ("--order", "0"), "empty table"),
+], ids=["n-max-0", "bad-pattern", "colors-0", "order-0"])
+def test_a_bad_input_is_one_error_line(capsys, name, argv, error):
+    # a RamseyError used to end the script in a traceback
+    assert load_script(name).main(list(argv)) == 1
+    out, err = capsys.readouterr()
+    assert err == f"{name}: error: {error}\n"

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ramseylab.colorings import Coloring, enumerate_colorings, make_coloring
-from ramseylab.errors import BudgetExceededError, RamseyError
+from ramseylab.errors import (BudgetExceededError, MalformedInputError,
+                              RamseyError)
 from ramseylab.patterns import (instance_value_sets, iter_box_assignments,
                                 parse_pattern)
-from ramseylab.search import (ENGINES, InstanceQuery, find_all_instances,
+from ramseylab.search import (ENGINES, InstanceQuery, _scan_instances,
+                              find_all_instances,
                               find_avoiding_coloring, find_instance,
                               find_instance_detailed,
                               has_monochromatic_instance, threshold_number)
@@ -29,9 +31,54 @@ def test_find_instance_none_on_avoiding_coloring():
 
 
 def test_find_instance_rejects_grid_colorings():
-    col = make_coloring("parity", 2, 3, 2)
-    with pytest.raises(RamseyError):
-        InstanceQuery(schema=SCHUR, coloring=col)
+    # a grid coloring is refused when it is built, before any query
+    with pytest.raises(MalformedInputError):
+        InstanceQuery(schema=SCHUR, coloring=make_coloring("parity", 2, 3, 2))
+
+
+# (pattern, distinct, min_value, coloring, limit, hits as (values in
+# variable order, color), leaves): recorded from the scan when it read
+# colors by 0-based cell index, which must not drift
+_RECORDED_SCANS = [
+    ("{x, y, x+y}", False, 1, ("parity", 10, 2, (), 0), 1,
+     [((2, 2), 0)], 11),
+    ("{x, y, x+y}", False, 1, ("parity", 8, 2, (), 0), None,
+     [((2, 2), 0), ((2, 4), 0), ((2, 6), 0), ((4, 2), 0), ((4, 4), 0),
+      ((6, 2), 0)], 28),
+    ("{x, y, x*y, x+y}", False, 1, ("random", 60, 2, (), 7), 5,
+     [((1, 9), 1), ((1, 10), 1), ((1, 17), 1), ((1, 18), 1), ((1, 21), 1)],
+     21),
+    ("{x, y, x*y, x+y}", True, 2, ("random", 252, 2, (), 3), 1,
+     [((2, 12), 1)], 10),
+    ("{x, y, x+y}", True, 1, ("blocks", 30, 3, (3, 2, 1), 0), 3,
+     [((1, 2), 0), ((1, 7), 0), ((1, 8), 0)], 7),
+    ("{x, y, x+2*y}", False, 1, ("mod", 40, 3, (3,), 0), 4,
+     [((3, 3), 0), ((3, 6), 0), ((3, 9), 0), ((3, 12), 0)], 50),
+    ("{2*x, 2*y+1}", False, 1, ("parity", 40, 2, (), 0), None, [], 380),
+    ("{x, y, x+y}", False, 1, ("constant", 9, 2, (1,), 0), 2,
+     [((1, 1), 1), ((1, 2), 1)], 2),
+]
+
+
+@pytest.mark.parametrize("lazy", [False, True], ids=["materialized", "lazy"])
+@pytest.mark.parametrize("pattern, distinct, min_value, box, limit, hits, "
+                         "leaves", _RECORDED_SCANS)
+def test_scan_is_unchanged(pattern, distinct, min_value, box, limit, hits,
+                           leaves, lazy):
+    schema = parse_pattern(pattern, distinct_vars=distinct,
+                           min_value=min_value)
+    generator, N, c, param, seed = box
+    col = make_coloring(generator, 1, N, c, param=param, seed=seed,
+                        cell_budget=0 if lazy else N)
+    assert (col.cells is None) == lazy
+    want = ([(dict(zip(schema.variables, values)), color)
+             for values, color in hits], leaves)
+    # a budget of exactly the leaves the scan needs still answers
+    for budget in (None, leaves):
+        assert _scan_instances(schema, col, budget, limit) == want
+    with pytest.raises(BudgetExceededError) as err:
+        _scan_instances(schema, col, leaves - 1, limit)
+    assert err.value.nodes == leaves
 
 
 def test_find_all_prefix_matches_first():

@@ -191,13 +191,13 @@ def test_kfs_matches_brute_force(A, k):
 @given(_sets, st.integers(1, 3))
 def test_report_is_self_validating(A, k):
     rep = structure_report(A, k)
-    if rep.has_ap:
+    if rep.ap is not None:
         assert validate_kap(A, k, rep.ap)
-    if rep.has_gp:
+    if rep.gp is not None:
         assert validate_kgp(A, k, rep.gp)
-    if rep.has_fs:
+    if rep.fs is not None:
         assert validate_kfs(A, k, rep.fs)
-    if rep.has_fp:
+    if rep.fp is not None:
         assert validate_kfp(A, k, rep.fp)
     js = rep.to_json()
     assert js["k"] == k
