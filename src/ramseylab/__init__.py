@@ -10,18 +10,17 @@ from .hindman import (Bundle, CutGrid, OpTable, builtin_op, check_bundle,
                       check_composed_witness, check_depth_indexed_witness,
                       check_fs_witness, check_grid_witness,
                       check_scaled_quad, check_shifted_quad,
-                      composed_color_by_depth,
-                      find_fs_witness, find_grid_witness, find_scaled_bundle,
-                      find_scaled_quad, find_shifted_bundle,
-                      find_shifted_quad, grid_common_color, load_op_table,
-                      load_witness, make_witness, op_from_json, save_witness,
-                      verify_witness)
+                      composed_color_by_depth, find_fs_witness_detailed,
+                      find_grid_witness_detailed, find_scaled_bundle_detailed,
+                      find_scaled_quad_detailed, find_shifted_bundle_detailed,
+                      find_shifted_quad_detailed, grid_common_color,
+                      load_op_table, load_witness, make_witness, op_from_json,
+                      save_witness, verify_witness)
 from .patterns import (PatternSchema, format_pattern, instantiate,
                        parse_pattern)
 from .search import (AvoidanceResult, InstanceQuery, ThresholdResult,
-                     find_all_instances, find_avoiding_coloring,
-                     find_instance, has_monochromatic_instance,
-                     threshold_number)
+                     find_all_instances_detailed, find_avoiding_coloring,
+                     find_instance, find_instance_detailed, threshold_number)
 from .semigroups import (CayleyTable, algebra_report, is_central,
                          minimal_idempotents, minimal_left_ideals,
                          table_from_rows)
@@ -41,11 +40,12 @@ __all__ = [
     "check_shifted_quad",
     "composed_color_by_depth", "contains_kap", "contains_kfp",
     "contains_kfs", "contains_kgp", "enumerate_colorings",
-    "find_all_instances", "find_avoiding_coloring", "find_fs_witness",
-    "find_grid_witness", "find_instance", "find_scaled_bundle",
-    "find_scaled_quad", "find_shifted_bundle", "find_shifted_quad",
-    "format_pattern", "fs_set", "fs_values", "grid_common_color",
-    "has_monochromatic_instance", "instantiate", "is_central",
+    "find_all_instances_detailed", "find_avoiding_coloring",
+    "find_fs_witness_detailed", "find_grid_witness_detailed",
+    "find_instance", "find_instance_detailed", "find_scaled_bundle_detailed",
+    "find_scaled_quad_detailed", "find_shifted_bundle_detailed",
+    "find_shifted_quad_detailed", "format_pattern", "fs_set", "fs_values",
+    "grid_common_color", "instantiate", "is_central",
     "load_op_table", "load_witness", "make_coloring", "make_witness",
     "minimal_idempotents", "minimal_left_ideals", "op_from_json",
     "parse_pattern", "save_witness", "structure_report", "table_from_rows",

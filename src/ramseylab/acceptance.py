@@ -19,10 +19,11 @@ from . import sat as satmod
 from .colorings import (ColoringSpec, Coloring, enumerate_colorings,
                         load_file, make_coloring, save_file)
 from .hindman import (check_fs_witness, check_scaled_quad,
-                      check_shifted_quad, find_fs_witness,
-                      find_grid_witness, find_scaled_quad,
-                      find_shifted_quad, grid_common_color, load_witness,
-                      make_witness, save_witness, verify_witness)
+                      check_shifted_quad, find_fs_witness_detailed,
+                      find_grid_witness_detailed, find_scaled_quad_detailed,
+                      find_shifted_quad_detailed, grid_common_color,
+                      load_witness, make_witness, save_witness,
+                      verify_witness)
 from .patterns import parse_pattern
 from .search import (InstanceQuery, find_avoiding_coloring, find_instance,
                      threshold_number)
@@ -146,13 +147,13 @@ def criterion_5():
     coloring family on [1..30]."""
     count = 0
     for col in enumerate_colorings(5, 2, symmetry_break=False):
-        if find_fs_witness(col, 2) is None:
+        if find_fs_witness_detailed(col, 2)[0] is None:
             return False, f"coloring {col.cells} of [1..5] has no 2-witness"
         count += 1
     if count != 32:
         return False, f"expected 32 colorings of [1..5], saw {count}"
     blocker = Coloring(d=1, N=4, c=2, cells=(0, 1, 1, 0))
-    if find_fs_witness(blocker, 2) is not None:
+    if find_fs_witness_detailed(blocker, 2)[0] is not None:
         return False, "the avoiding coloring of [1..4] yielded a 2-witness"
 
     family = [make_coloring("parity", 1, 30, 2),
@@ -164,8 +165,8 @@ def criterion_5():
     pairs = 0
     for col in family:
         for k in (1, 2, 3):
-            gens = find_fs_witness(col, k)
-            grid = find_grid_witness(col, k, 1)
+            gens, _ = find_fs_witness_detailed(col, k)
+            grid, _ = find_grid_witness_detailed(col, k, 1)
             if (gens is None) != (grid is None):
                 return False, (f"k={k}: witness existence disagrees with "
                                f"1-block grids on {col.c}-coloring")
@@ -189,14 +190,14 @@ def criterion_6():
     t0 = time.perf_counter()
     for seed in range(1000):
         col = make_coloring("random", 1, 500, 2, seed=seed)
-        hit = find_scaled_quad(col)
+        hit, _ = find_scaled_quad_detailed(col)
         if hit is None:
             return False, f"seed {seed}: no scaled quadruple"
         asg, color = hit
         ok, chk = check_scaled_quad(col, asg["a"], asg["x"], asg["y"])
         if not ok or chk != color:
             return False, f"seed {seed}: scaled checker rejected {asg}"
-        hit = find_shifted_quad(col)
+        hit, _ = find_shifted_quad_detailed(col)
         if hit is None:
             return False, f"seed {seed}: no shifted quadruple"
         asg, color = hit
@@ -214,7 +215,7 @@ def criterion_6():
         ok, chk = check_scaled_quad(col, a, x, y)
         if not ok or chk != 0:
             return False, f"trial {trial}: planted quadruple fails its check"
-        hit = find_scaled_quad(col)
+        hit, _ = find_scaled_quad_detailed(col)
         if hit is None:
             return False, f"trial {trial}: nothing found in planted coloring"
         asg, color = hit
@@ -287,7 +288,7 @@ def criterion_8():
                 return False, "coloring file bytes are not stable"
 
         par = make_coloring("parity", 1, 40, 2)
-        gens = find_fs_witness(par, 2)
+        gens, _ = find_fs_witness_detailed(par, 2)
         ok, color = check_fs_witness(par, gens)
         spec = ColoringSpec(kind="generator", generator="parity",
                             d=1, N=40, c=2)

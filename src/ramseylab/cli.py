@@ -35,16 +35,16 @@ from .colorings import (GENERATORS, Coloring, ColoringSpec, load_file,
 from .errors import BudgetExceededError, MalformedInputError, RamseyError
 from .hindman import (BUILTIN_OPS, CutGrid, builtin_op, check_bundle,
                       check_composed_witness, check_depth_indexed_witness,
-                      check_fs_witness, check_grid_witness,
+                      check_fs_witness,
                       check_scaled_quad, check_shifted_quad,
                       composed_color_by_depth,
                       find_fs_witness_detailed, find_grid_witness_detailed,
                       find_scaled_bundle_detailed, find_scaled_quad_detailed,
                       find_shifted_bundle_detailed,
-                      find_shifted_quad_detailed, load_op_table,
-                      load_witness, make_witness, save_witness,
-                      verify_witness)
-from .patterns import format_pattern, parse_pattern
+                      find_shifted_quad_detailed, grid_common_color,
+                      load_op_table, load_witness, make_witness,
+                      save_witness, verify_witness)
+from .patterns import format_pattern, instantiate, parse_pattern
 from .search import (ENGINES, InstanceQuery, find_all_instances_detailed,
                      find_avoiding_coloring, find_instance_detailed,
                      threshold_number)
@@ -59,7 +59,12 @@ def _canonical(obj) -> str:
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; the report contract reserves 2 for
-    exhausted budgets, so remap to 1."""
+    exhausted budgets, so remap to 1.  Subparsers share this class, so no
+    parser takes an abbreviated flag (a bare ``--d`` is not ``--distinct``)."""
+
+    def __init__(self, *args, **kwargs):
+        kwargs.setdefault("allow_abbrev", False)
+        super().__init__(*args, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -153,32 +158,42 @@ def _run_finder(args, query: dict, engine: str, search, witness_of) -> int:
 # subcommands
 
 
-def cmd_find(args) -> int:
+def _pattern_query(args) -> tuple:
+    """The schema of --pattern/--distinct/--min-value and its query echo."""
     schema = parse_pattern(args.pattern, distinct_vars=args.distinct,
                            min_value=args.min_value)
+    return schema, {"command": args.command, "pattern": format_pattern(schema),
+                    "distinct": schema.distinct_vars,
+                    "min_value": schema.min_value}
+
+
+def cmd_find(args) -> int:
+    schema, query = _pattern_query(args)
     coloring, spec = _coloring_from_args(args)
-    query = {"command": "find", "pattern": format_pattern(schema),
-             "distinct": schema.distinct_vars, "min_value": schema.min_value,
-             "coloring": spec.to_json()}
+    query["coloring"] = spec.to_json()
     iq = InstanceQuery(schema=schema, coloring=coloring)
+
+    def instance_witness(hit):
+        asg, color = hit
+        assert all(coloring.value_color(v) == color
+                   for v in instantiate(schema, asg))
+        return {"assignment": asg, "color": color}
+
     if not args.all:
         return _run_finder(
             args, query, "scan",
             lambda: find_instance_detailed(iq, max_nodes=args.max_nodes),
-            lambda hit: {"assignment": hit[0], "color": hit[1]})
+            instance_witness)
     return _run_finder(
         args, query, "scan",
         lambda: find_all_instances_detailed(iq, limit=args.max_witnesses,
                                             max_nodes=args.max_nodes),
-        lambda hits: [{"assignment": a, "color": c} for a, c in hits])
+        lambda hits: [instance_witness(hit) for hit in hits])
 
 
 def cmd_avoid(args) -> int:
-    schema = parse_pattern(args.pattern, distinct_vars=args.distinct,
-                           min_value=args.min_value)
-    query = {"command": "avoid", "pattern": format_pattern(schema),
-             "distinct": schema.distinct_vars, "min_value": schema.min_value,
-             "n": args.n, "colors": args.colors, "engine": args.engine}
+    schema, query = _pattern_query(args)
+    query.update(n=args.n, colors=args.colors, engine=args.engine)
     t0 = time.perf_counter()
     res = find_avoiding_coloring(schema, args.n, args.colors,
                                  engine=args.engine,
@@ -195,12 +210,8 @@ def cmd_avoid(args) -> int:
 
 
 def cmd_threshold(args) -> int:
-    schema = parse_pattern(args.pattern, distinct_vars=args.distinct,
-                           min_value=args.min_value)
-    query = {"command": "threshold", "pattern": format_pattern(schema),
-             "distinct": schema.distinct_vars, "min_value": schema.min_value,
-             "colors": args.colors, "n_max": args.n_max,
-             "engine": args.engine}
+    schema, query = _pattern_query(args)
+    query.update(colors=args.colors, n_max=args.n_max, engine=args.engine)
     t0 = time.perf_counter()
     res = threshold_number(schema, args.colors, args.n_max,
                            engine=args.engine, max_nodes=args.max_nodes)
@@ -222,16 +233,13 @@ def cmd_threshold(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    schema = parse_pattern(args.pattern, distinct_vars=args.distinct,
-                           min_value=args.min_value)
+    schema, query = _pattern_query(args)
+    query.update(n=args.n, colors=args.colors,
+                 symmetry_break=args.symmetry_break)
     formula, _ = satmod.encode_avoidance(schema, args.n, args.colors,
                                          symmetry_break=args.symmetry_break)
     with open(args.out_cnf, "w", encoding="utf-8") as fh:
         fh.write(satmod.export_dimacs(formula))
-    query = {"command": "encode", "pattern": format_pattern(schema),
-             "distinct": schema.distinct_vars, "min_value": schema.min_value,
-             "n": args.n, "colors": args.colors,
-             "symmetry_break": args.symmetry_break}
     witness = {"path": args.out_cnf, "vars": formula.var_count,
                "clauses": len(formula.clauses)}
     _emit(_report(query, "encoded", witness,
@@ -288,6 +296,7 @@ def cmd_grid_witness(args) -> int:
 
     def witness_of(hit):
         seq, color = hit
+        assert grid_common_color(coloring, seq, args.blocks) == color
         witness = {"sequence": list(seq), "d": args.blocks, "color": color}
         _maybe_save_witness(args, "grid", dict(witness), spec)
         return witness
@@ -601,18 +610,13 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except BudgetExceededError as exc:
-        _emit({"schema_version": 1, "query": {"command": args.command},
-               "verdict": "unknown", "witness": None,
-               "stats": {"engine": "", "nodes": 0, "time_ms": 0.0},
-               "error": str(exc)})
-        return 2
     except RamseyError as exc:
-        _emit({"schema_version": 1, "query": {"command": args.command},
-               "verdict": "error", "witness": None,
-               "stats": {"engine": "", "nodes": 0, "time_ms": 0.0},
-               "error": str(exc)})
-        return 1
+        budget = isinstance(exc, BudgetExceededError)
+        _emit(dict(_report({"command": args.command},
+                           "unknown" if budget else "error", None,
+                           {"engine": "", "nodes": 0, "time_ms": 0.0}),
+                   error=str(exc)))
+        return 2 if budget else 1
     except OSError as exc:
         print(f"{PROG}: {exc}", file=sys.stderr)
         return 1

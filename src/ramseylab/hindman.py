@@ -28,22 +28,26 @@ sum/product sets (a in A, b in B), never A with itself.  Both bundle
 finders run one search, and :func:`check_bundle` checks either structure,
 asking for A's structures in the finder's order.
 
-Each finder is one in-order depth-first search over its candidates, in a
-fixed documented order, that counts its nodes in one counter, so results,
-node counts and budget verdicts depend only on the query.  A budget of B
-nodes gives the answer when the search needs at most B nodes; otherwise
-node B + 1 stops it (``BudgetExceededError.past``).  Finders read
-colors from a flat table indexed by value, without bounds checks: their
-own loop bounds keep every lookup in [1..N].  Every checker recomputes its
-verdict from the raw data through the bounds-checked accessor, so it does
-not share the finders' indexing; the finders never hand back anything a
-checker has not confirmed.
+Each finder (``find_*_detailed``) returns ``(hit or None, nodes)``; there
+is one entry point per search.  Each is one in-order depth-first search
+over its candidates, in a fixed documented order, that counts its nodes in
+one counter, so results, node counts and budget verdicts depend only on
+the query.  A budget of B nodes gives the answer when the search needs at
+most B nodes; otherwise node B + 1 stops it
+(``BudgetExceededError.past``).  Finders read colors from a flat table
+indexed by value, without bounds checks: their own loop bounds keep every
+lookup in [1..N].  Every checker recomputes its verdict from the raw data
+through the bounds-checked accessor, so it does not share the finders'
+indexing, and the CLI prints no hit before a checker has confirmed it.
+Every color check (fs, grid, composed, depth-indexed) is one fold,
+:func:`_common_color`, over the colors its walk yields.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations, product
 from typing import Optional
 
@@ -63,16 +67,24 @@ BUILTIN_OPS = ("multiplication-capped", "addition-capped")
 # finite-sums witnesses
 
 
+def _common_color(results) -> tuple:
+    """Fold ``(ok, color)`` results into one shared color: (True, color)
+    when all agree, (False, None) at the first that fails or disagrees
+    (nothing after it is evaluated), (True, None) when there are none."""
+    anchor = None
+    for ok, color in results:
+        if not ok or (anchor is not None and color != anchor):
+            return False, None
+        anchor = color
+    return True, anchor
+
+
 def check_fs_witness(coloring: Coloring, generators) -> tuple:
     """Is FS(generators) monochromatic?  Returns (ok, color or None); raises
     OutOfBoxError when the closure escapes [1..N]."""
     gens = tuple(int(g) for g in generators)
-    closure = sorted(fs_values(gens, OP_ADD))
-    color = coloring.value_color(closure[0])
-    for v in closure[1:]:
-        if coloring.value_color(v) != color:
-            return False, None
-    return True, color
+    return _common_color((True, coloring.value_color(v))
+                         for v in sorted(fs_values(gens, OP_ADD)))
 
 
 def find_fs_witness_detailed(coloring: Coloring, k: int,
@@ -129,11 +141,6 @@ def find_fs_witness_detailed(coloring: Coloring, k: int,
     return None, nodes
 
 
-def find_fs_witness(coloring: Coloring, k: int, budget: Optional[int] = None):
-    hit, _ = find_fs_witness_detailed(coloring, k, budget=budget)
-    return list(hit) if hit is not None else None
-
-
 # ---------------------------------------------------------------------------
 # grid witnesses
 
@@ -174,15 +181,9 @@ class CutGrid:
 def check_grid_witness(coloring: Coloring, grid: CutGrid) -> tuple:
     """One cut tuple: is every block closure monochromatic in one common
     color?  Returns (ok, color or None)."""
-    anchor = None
-    for block in grid.blocks:
-        for v in sorted(fs_values(block, OP_ADD)):
-            color = coloring.value_color(v)
-            if anchor is None:
-                anchor = color
-            elif color != anchor:
-                return False, None
-    return True, anchor
+    return _common_color((True, coloring.value_color(v))
+                         for block in grid.blocks
+                         for v in sorted(fs_values(block, OP_ADD)))
 
 
 def grid_common_color(coloring: Coloring, sequence, d: int):
@@ -192,13 +193,9 @@ def grid_common_color(coloring: Coloring, sequence, d: int):
     L = len(seq)
     if not 1 <= d <= L:
         raise RamseyError(f"need 1 <= d <= {L}, got d={d}")
-    anchor = None
-    for cuts in combinations(range(L + 1), d + 1):
-        ok, color = check_grid_witness(coloring, CutGrid(seq, cuts))
-        if not ok or (anchor is not None and color != anchor):
-            return None
-        anchor = color
-    return anchor
+    return _common_color(
+        check_grid_witness(coloring, CutGrid(seq, cuts))
+        for cuts in combinations(range(L + 1), d + 1))[1]
 
 
 def find_grid_witness_detailed(coloring: Coloring, L: int, d: int,
@@ -281,15 +278,6 @@ def _closure_colored(block, colors, anchor: int, N: int) -> bool:
             seen.add(v)
             closure.append(v)
     return True
-
-
-def find_grid_witness(coloring: Coloring, L: int, d: int,
-                      budget: Optional[int] = None):
-    hit, _ = find_grid_witness_detailed(coloring, L, d, budget=budget)
-    if hit is None:
-        return None
-    seq, color = hit
-    return list(seq), color
 
 
 # ---------------------------------------------------------------------------
@@ -392,20 +380,16 @@ def check_composed_witness(coloring: Coloring, op: OpTable,
     choices.  Color mismatches return (False, None); values the operation
     or the coloring cannot take raise CompositionOutOfBoxError."""
     closures = [sorted(fs_values(b, OP_ADD)) for b in grid.blocks]
-    anchor = None
-    for choice in product(*closures):
-        v = choice[0]
-        for x in choice[1:]:
-            v = op.apply(v, x)
-        if v > coloring.N:
-            raise CompositionOutOfBoxError(
-                f"composed value {v} outside [1..{coloring.N}]")
-        color = coloring.value_color(v)
-        if anchor is None:
-            anchor = color
-        elif color != anchor:
-            return False, None
-    return True, anchor
+
+    def colors():
+        for choice in product(*closures):
+            v = reduce(op.apply, choice)
+            if v > coloring.N:
+                raise CompositionOutOfBoxError(
+                    f"composed value {v} outside [1..{coloring.N}]")
+            yield True, coloring.value_color(v)
+
+    return _common_color(colors())
 
 
 def composed_color_by_depth(coloring: Coloring, op: OpTable, sequence,
@@ -417,24 +401,14 @@ def composed_color_by_depth(coloring: Coloring, op: OpTable, sequence,
     L = len(seq)
     profile = []
     for d in range(1, min(d_max, L) + 1):
-        entry = {"d": d, "ok": False, "color": None, "oob": False}
-        anchor = None
-        ok = True
         try:
-            for cuts in combinations(range(L + 1), d + 1):
-                good, color = check_composed_witness(
-                    coloring, op, CutGrid(seq, cuts))
-                if not good or (anchor is not None and color != anchor):
-                    ok = False
-                    break
-                anchor = color
+            ok, color = _common_color(
+                check_composed_witness(coloring, op, CutGrid(seq, cuts))
+                for cuts in combinations(range(L + 1), d + 1))
+            oob = False
         except (CompositionOutOfBoxError, OutOfBoxError):
-            entry["oob"] = True
-            ok = False
-        if ok:
-            entry["ok"] = True
-            entry["color"] = anchor
-        profile.append(entry)
+            ok, color, oob = False, None, True
+        profile.append({"d": d, "ok": ok, "color": color, "oob": oob})
     return profile
 
 
@@ -449,19 +423,10 @@ def check_depth_indexed_witness(coloring: Coloring, op: OpTable, sequence,
     L = len(seq)
     if not 1 <= m0 <= L:
         raise RamseyError(f"need 1 <= m0 <= {L}, got {m0}")
-    anchor = None
-    checked = False
-    for d in sorted(fs_values(seq[:m0], OP_ADD)):
-        if d > L - m0:
-            continue
-        for rest in combinations(range(m0 + 1, L + 1), d):
-            ok, color = check_composed_witness(
-                coloring, op, CutGrid(seq, (m0,) + rest))
-            if not ok or (anchor is not None and color != anchor):
-                return False, None
-            anchor = color
-            checked = True
-    return (True, anchor) if checked else (True, None)
+    return _common_color(
+        check_composed_witness(coloring, op, CutGrid(seq, (m0,) + rest))
+        for d in sorted(fs_values(seq[:m0], OP_ADD)) if d <= L - m0
+        for rest in combinations(range(m0 + 1, L + 1), d))
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +491,7 @@ def check_bundle(coloring: Coloring, bundle: Bundle) -> tuple:
     return True, None
 
 
-def _find_bundle(coloring: Coloring, k: int, cap_a: int,
+def _find_bundle(coloring: Coloring, k: int, cap_a: Optional[int],
                  budget: Optional[int], shifted: bool):
     """Shared bundle search.  Candidate order: lam ascending, |A|
     ascending, A lexicographic, then B — and since the per-b constraints
@@ -535,6 +500,8 @@ def _find_bundle(coloring: Coloring, k: int, cap_a: int,
     keeps the derived set monochromatic."""
     if k < 1:
         raise RamseyError("k must be at least 1")
+    if cap_a is None:
+        cap_a = max(k, min(9, 2 ** k) if shifted else min(7, 2 ** k - 1))
     if cap_a < 1:
         raise RamseyError("cap_a must be at least 1")
     N = coloring.N
@@ -627,33 +594,13 @@ def _find_bundle(coloring: Coloring, k: int, cap_a: int,
 def find_scaled_bundle_detailed(coloring: Coloring, k: int,
                                 cap_a: Optional[int] = None,
                                 budget: Optional[int] = None):
-    if cap_a is None:
-        cap_a = max(k, min(7, 2 ** k - 1))
     return _find_bundle(coloring, k, cap_a, budget, shifted=False)
-
-
-def find_scaled_bundle(coloring: Coloring, k: int,
-                       cap_a: Optional[int] = None,
-                       budget: Optional[int] = None):
-    hit, _ = find_scaled_bundle_detailed(coloring, k, cap_a=cap_a,
-                                         budget=budget)
-    return hit
 
 
 def find_shifted_bundle_detailed(coloring: Coloring, k: int,
                                  cap_a: Optional[int] = None,
                                  budget: Optional[int] = None):
-    if cap_a is None:
-        cap_a = max(k, min(9, 2 ** k))
     return _find_bundle(coloring, k, cap_a, budget, shifted=True)
-
-
-def find_shifted_bundle(coloring: Coloring, k: int,
-                        cap_a: Optional[int] = None,
-                        budget: Optional[int] = None):
-    hit, _ = find_shifted_bundle_detailed(coloring, k, cap_a=cap_a,
-                                          budget=budget)
-    return hit
 
 
 # ---------------------------------------------------------------------------
@@ -665,16 +612,11 @@ SHIFTED_QUAD = parse_pattern("{u+b, v+b, u*v+b, u+v}")
 
 def find_scaled_quad_detailed(coloring: Coloring,
                               max_nodes: Optional[int] = None):
+    """Least (a, x, y) with {a*x, a*y, x*y, a*(x+y)} monochromatic, as
+    (assignment dict, color) or None, plus the leaf count."""
     return find_instance_detailed(
         InstanceQuery(schema=SCALED_QUAD, coloring=coloring),
         max_nodes=max_nodes)
-
-
-def find_scaled_quad(coloring: Coloring, max_nodes: Optional[int] = None):
-    """Least (a, x, y) with {a*x, a*y, x*y, a*(x+y)} monochromatic, as
-    (assignment dict, color), or None."""
-    hit, _ = find_scaled_quad_detailed(coloring, max_nodes=max_nodes)
-    return hit
 
 
 def check_scaled_quad(coloring: Coloring, a: int, x: int, y: int) -> tuple:
@@ -685,15 +627,11 @@ def check_scaled_quad(coloring: Coloring, a: int, x: int, y: int) -> tuple:
 
 def find_shifted_quad_detailed(coloring: Coloring,
                                max_nodes: Optional[int] = None):
+    """Least (b, u, v) with {u+b, v+b, u*v+b, u+v} monochromatic, as
+    (assignment dict, color) or None, plus the leaf count."""
     return find_instance_detailed(
         InstanceQuery(schema=SHIFTED_QUAD, coloring=coloring),
         max_nodes=max_nodes)
-
-
-def find_shifted_quad(coloring: Coloring, max_nodes: Optional[int] = None):
-    """Least (b, u, v) with {u+b, v+b, u*v+b, u+v} monochromatic."""
-    hit, _ = find_shifted_quad_detailed(coloring, max_nodes=max_nodes)
-    return hit
 
 
 def check_shifted_quad(coloring: Coloring, b: int, u: int, v: int) -> tuple:

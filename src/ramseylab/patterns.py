@@ -22,9 +22,9 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Optional, Union
+from typing import Callable, Iterator, Mapping, Union
 
-from .errors import BudgetExceededError, RamseyError, ValueOverflowError
+from .errors import RamseyError, ValueOverflowError
 
 #: evaluation width — values above this raise ValueOverflowError
 VALUE_CAP = 2**63 - 1
@@ -408,21 +408,6 @@ def compile_kernel(schema: PatternSchema) -> Callable[[int], Iterator[tuple]]:
     namespace = {"_overflow": overflow}
     exec(TermPlan(schema).source(), namespace)
     return namespace["_k0"]
-
-
-def iter_box_assignments(schema: PatternSchema, N: int,
-                         max_assignments: Optional[int] = None) -> Iterator[dict]:
-    """Yield, as dicts, the assignments (lexicographic in schema variable
-    order) whose term values all land in [1..N]: the leaves of the schema's
-    kernel.  A pattern with variables yields nothing once ``min_value``
-    exceeds N; a pattern without variables yields ``{}`` once when its
-    constants fit, whatever ``min_value`` is.
-    ``max_assignments`` bounds the number of leaves, raising once exceeded."""
-    variables = schema.variables
-    for count, (asg, _) in enumerate(compile_kernel(schema)(N), 1):
-        if max_assignments is not None and count > max_assignments:
-            raise BudgetExceededError("assignment enumeration budget exceeded")
-        yield dict(zip(variables, asg))
 
 
 def instance_value_sets(schema: PatternSchema, N: int) -> list:

@@ -58,7 +58,7 @@ class ThresholdResult:
     threshold: Optional[int]
     certificate: Optional[Coloring]
     rows: list = field(default_factory=list)  # (N, verdict, nodes, time_ms)
-    status: str = "found"  # "found" | "unknown"
+    status: str = "unknown"  # "found" once some N is unsat
 
 
 # ---------------------------------------------------------------------------
@@ -114,19 +114,9 @@ def find_instance(query: InstanceQuery, max_nodes: Optional[int] = None):
 def find_all_instances_detailed(query: InstanceQuery,
                                 limit: Optional[int] = 1000,
                                 max_nodes: Optional[int] = None):
-    """As :func:`find_all_instances`, also returning the leaf count."""
+    """All monochromatic instances in order (at most ``limit``, at least one)
+    and the leaves visited, under :func:`find_instance`'s leaf budget."""
     return _scan_instances(query.schema, query.coloring, max_nodes, limit)
-
-
-def find_all_instances(query: InstanceQuery, limit: Optional[int] = 1000,
-                       max_nodes: Optional[int] = None):
-    """Every monochromatic instance in lexicographic order, capped at
-    ``limit`` (at least one), under the leaf budget of :func:`find_instance`."""
-    return find_all_instances_detailed(query, limit, max_nodes)[0]
-
-
-def has_monochromatic_instance(schema: PatternSchema, coloring: Coloring) -> bool:
-    return find_instance(InstanceQuery(schema=schema, coloring=coloring)) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -263,26 +253,18 @@ def threshold_number(schema: PatternSchema, c: int, n_max: int,
     """Least N <= n_max such that every c-coloring of [1..N] contains a
     monochromatic instance; scans N upward so the certificate at N*-1 comes
     for free.  Forcing is monotone in N (instances only accumulate), so the
-    first unsat N is the threshold."""
+    first unsat N is the threshold.  The scan stops at the first verdict
+    that is not sat; the certificate is the last sat coloring."""
     if n_max < 1:
         raise MalformedInputError("threshold scan needs n_max >= 1")
     result = ThresholdResult(threshold=None, certificate=None)
-    last_cert: Optional[Coloring] = None
     for N in range(1, n_max + 1):
         res = find_avoiding_coloring(schema, N, c, engine=engine,
                                      max_nodes=max_nodes)
         result.rows.append((N, res.verdict, res.stats.nodes, res.stats.time_ms))
-        if res.verdict == "sat":
-            last_cert = res.coloring
-        elif res.verdict == "unsat":
-            result.threshold = N
-            result.certificate = last_cert
-            result.status = "found"
+        if res.verdict != "sat":
+            if res.verdict == "unsat":
+                result.threshold, result.status = N, "found"
             return result
-        else:
-            result.status = "unknown"
-            result.certificate = last_cert
-            return result
-    result.status = "unknown"
-    result.certificate = last_cert
+        result.certificate = res.coloring
     return result

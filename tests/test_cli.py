@@ -193,11 +193,33 @@ def test_a_grid_coloring_file_is_an_input_error(capsys, tmp_path, argv):
 
 @_FINDERS
 def test_there_is_no_dimension_flag(capsys, argv):
-    code = main([*argv, "--generator", "random", "--n", "10", "--colors",
-                 "2", "--d", "2"])
-    out, err = capsys.readouterr()
-    assert (code, out) == (1, "")
-    assert "unrecognized arguments" in err
+    coloring = ["--generator", "random", "--n", "10", "--colors", "2"]
+    # a bare --d is no abbreviation of --distinct either
+    for flag in (["--d", "2"], ["--d"]):
+        code = main([*argv, *coloring, *flag])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, ""), flag
+        assert "unrecognized arguments: --d" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("find", "--pattern", SCHUR, "--generator", "parity", "--n", "8",
+     "--colors", "2"),
+    ("avoid", "--pattern", SCHUR, "--n", "4", "--colors", "2"),
+    ("threshold", "--pattern", SCHUR, "--colors", "2", "--n-max", "6"),
+    ("encode", "--pattern", SCHUR, "--n", "4", "--colors", "2",
+     "--out-cnf", os.devnull),
+], ids=["find", "avoid", "threshold", "encode"])
+def test_pattern_commands_refuse_abbreviated_flags(capsys, argv):
+    for flag in (["--d"], ["--dist"], ["--min", "2"]):
+        code = main([*argv, *flag])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, ""), flag
+        assert f"unrecognized arguments: {flag[0]}" in err
+    # spelled out in full, the same flags are accepted
+    main([*argv, "--distinct", "--min-value", "2"])
+    query = json.loads(capsys.readouterr().out)["query"]
+    assert (query["distinct"], query["min_value"]) == (True, 2)
 
 
 def test_no_help_lists_a_dimension_flag():
@@ -507,6 +529,24 @@ def test_grid_witness(capsys):
         "--generator", "parity", "--n", "8", "--colors", "2")
     assert code == 0
     assert report["witness"] == {"sequence": [2, 2, 2], "d": 2, "color": 0}
+
+
+def test_grid_and_find_hits_are_rechecked(capsys, monkeypatch):
+    """A finder hit that its checker refuses is never printed."""
+    monkeypatch.setattr(cli, "find_grid_witness_detailed",
+                        lambda *a, **k: (((2, 3, 2), 0), 1))
+    with pytest.raises(AssertionError):
+        main(["grid-witness", "--length", "3", "--blocks", "2",
+              "--generator", "parity", "--n", "8", "--colors", "2"])
+    bad = ({"x": 1, "y": 2}, 1)  # x + y = 3 is odd, x = 1 too, y = 2 is not
+    monkeypatch.setattr(cli, "find_instance_detailed", lambda *a, **k: (bad, 1))
+    monkeypatch.setattr(cli, "find_all_instances_detailed",
+                        lambda *a, **k: ([bad], 1))
+    for extra in ([], ["--all"]):
+        with pytest.raises(AssertionError):
+            main(["find", "--pattern", SCHUR, "--generator", "parity",
+                  "--n", "8", "--colors", "2", *extra])
+    assert capsys.readouterr().out == ""
 
 
 def test_composed_witness_check(capsys):

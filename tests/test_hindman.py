@@ -2,31 +2,32 @@
 record round trip."""
 
 import json
+import random
 import tracemalloc
+from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ramseylab.colorings import Coloring, ColoringSpec, loads, make_coloring
 from ramseylab.errors import (BudgetExceededError, CompositionOutOfBoxError,
                               MalformedInputError, OutOfBoxError, RamseyError)
-from ramseylab.hindman import (Bundle, CutGrid, OpTable, builtin_op,
-                               check_bundle, check_composed_witness,
+from ramseylab.hindman import (BUILTIN_OPS, Bundle, CutGrid, OpTable,
+                               builtin_op, check_bundle, check_composed_witness,
                                check_depth_indexed_witness, check_fs_witness,
                                check_grid_witness, check_scaled_quad,
                                check_shifted_quad, composed_color_by_depth,
-                               find_fs_witness, find_fs_witness_detailed,
-                               find_grid_witness, find_grid_witness_detailed,
-                               find_scaled_bundle,
-                               find_scaled_bundle_detailed, find_scaled_quad,
-                               find_shifted_bundle,
+                               find_fs_witness_detailed,
+                               find_grid_witness_detailed,
+                               find_scaled_bundle_detailed,
+                               find_scaled_quad_detailed,
                                find_shifted_bundle_detailed,
-                               find_shifted_quad, find_shifted_quad_detailed,
+                               find_shifted_quad_detailed,
                                grid_common_color,
                                load_op_table, load_witness, make_witness,
                                op_from_json, save_witness, verify_witness)
-from ramseylab.structures import contains_kfs
+from ramseylab.structures import OP_ADD, contains_kfs, fs_values
 
 
 def parity(N):
@@ -52,8 +53,8 @@ def test_check_fs_witness_escape_raises():
 
 
 def test_find_fs_witness_least_tuple():
-    assert find_fs_witness(parity(8), 2) == [2, 2]
-    assert find_fs_witness(parity(8), 3) == [2, 2, 2]
+    assert find_fs_witness_detailed(parity(8), 2)[0] == (2, 2)
+    assert find_fs_witness_detailed(parity(8), 3)[0] == (2, 2, 2)
 
 
 def test_find_fs_witness_allows_repeats_detector_does_not():
@@ -61,25 +62,25 @@ def test_find_fs_witness_allows_repeats_detector_does_not():
     the k-FS detector keeps its generators strictly increasing and sees
     nothing in the class {1, 2}."""
     col = loads("1 5 2\n0 0 1 1 1\n")
-    assert find_fs_witness(col, 2) == [1, 1]
+    assert find_fs_witness_detailed(col, 2)[0] == (1, 1)
     assert contains_kfs(frozenset({1, 2}), 2) is None
 
 
 def test_find_fs_witness_none_when_box_too_small():
     # any 2-generator closure needs a sum of at least 1+1 = 2 values up to 2N
     col = loads("1 3 2\n0 1 1\n")
-    assert find_fs_witness(col, 2) is None
+    assert find_fs_witness_detailed(col, 2)[0] is None
 
 
 def test_find_fs_witness_rejects_bad_k():
     with pytest.raises(RamseyError):
-        find_fs_witness(parity(8), 0)
+        find_fs_witness_detailed(parity(8), 0)
 
 
 def test_find_fs_witness_rejects_grid_coloring():
     # a grid coloring is refused when it is built, before any search
     with pytest.raises(MalformedInputError):
-        find_fs_witness(make_coloring("parity", 2, 3, 2), 2)
+        find_fs_witness_detailed(make_coloring("parity", 2, 3, 2), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -117,20 +118,20 @@ def test_grid_common_color_quantifies_over_all_cut_tuples():
 
 
 def test_find_grid_witness_least_sequence():
-    assert find_grid_witness(parity(8), 3, 1) == ([2, 2, 2], 0)
-    assert find_grid_witness(parity(8), 3, 2) == ([2, 2, 2], 0)
+    assert find_grid_witness_detailed(parity(8), 3, 1)[0] == ((2, 2, 2), 0)
+    assert find_grid_witness_detailed(parity(8), 3, 2)[0] == ((2, 2, 2), 0)
 
 
 def test_find_grid_witness_validates_shape():
     with pytest.raises(RamseyError):
-        find_grid_witness(parity(8), 2, 0)
+        find_grid_witness_detailed(parity(8), 2, 0)
     with pytest.raises(RamseyError):
-        find_grid_witness(parity(8), 1, 2)
+        find_grid_witness_detailed(parity(8), 1, 2)
 
 
 def test_found_grid_witness_passes_full_check():
     col = make_coloring("random", 1, 30, 2, seed=3)
-    hit = find_grid_witness(col, 2, 1)
+    hit, _ = find_grid_witness_detailed(col, 2, 1)
     assert hit is not None
     seq, color = hit
     assert grid_common_color(col, seq, 1) == color
@@ -145,8 +146,8 @@ def test_grid_depth_one_matches_fs_existence(cells):
     gives a non-decreasing one."""
     col = loads("1 10 2\n" + " ".join(map(str, cells)) + "\n")
     for k in (1, 2):
-        has_fs = find_fs_witness(col, k) is not None
-        has_grid = find_grid_witness(col, k, 1) is not None
+        has_fs = find_fs_witness_detailed(col, k)[0] is not None
+        has_grid = find_grid_witness_detailed(col, k, 1)[0] is not None
         assert has_fs == has_grid
 
 
@@ -263,19 +264,161 @@ def test_depth_indexed_witness_validates_m0():
         check_depth_indexed_witness(parity(8), mul, (1, 2), 3)
 
 
+# The color checks and cut-tuple walks as they were written before they
+# shared one fold.  The differential test below holds the folded ones to
+# them: same results, and the same first exception, since both evaluate in
+# the same order.
+
+
+def _ref_check_fs(coloring, generators):
+    closure = sorted(fs_values(generators, OP_ADD))
+    color = coloring.value_color(closure[0])
+    for v in closure[1:]:
+        if coloring.value_color(v) != color:
+            return False, None
+    return True, color
+
+
+def _ref_check_composed(coloring, op, grid):
+    closures = [sorted(fs_values(b, OP_ADD)) for b in grid.blocks]
+    anchor = None
+    for choice in product(*closures):
+        v = choice[0]
+        for x in choice[1:]:
+            v = op.apply(v, x)
+        if v > coloring.N:
+            raise CompositionOutOfBoxError(
+                f"composed value {v} outside [1..{coloring.N}]")
+        color = coloring.value_color(v)
+        if anchor is None:
+            anchor = color
+        elif color != anchor:
+            return False, None
+    return True, anchor
+
+
+def _ref_check_grid(coloring, grid):
+    anchor = None
+    for block in grid.blocks:
+        for v in sorted(fs_values(block, OP_ADD)):
+            color = coloring.value_color(v)
+            if anchor is None:
+                anchor = color
+            elif color != anchor:
+                return False, None
+    return True, anchor
+
+
+def _ref_grid_common_color(coloring, seq, d):
+    anchor = None
+    for cuts in combinations(range(len(seq) + 1), d + 1):
+        ok, color = _ref_check_grid(coloring, CutGrid(seq, cuts))
+        if not ok or (anchor is not None and color != anchor):
+            return None
+        anchor = color
+    return anchor
+
+
+def _ref_composed_by_depth(coloring, op, seq, d_max):
+    L = len(seq)
+    profile = []
+    for d in range(1, min(d_max, L) + 1):
+        entry = {"d": d, "ok": False, "color": None, "oob": False}
+        anchor = None
+        ok = True
+        try:
+            for cuts in combinations(range(L + 1), d + 1):
+                good, color = _ref_check_composed(
+                    coloring, op, CutGrid(seq, cuts))
+                if not good or (anchor is not None and color != anchor):
+                    ok = False
+                    break
+                anchor = color
+        except (CompositionOutOfBoxError, OutOfBoxError):
+            entry["oob"] = True
+            ok = False
+        if ok:
+            entry["ok"] = True
+            entry["color"] = anchor
+        profile.append(entry)
+    return profile
+
+
+def _ref_depth_indexed(coloring, op, seq, m0):
+    L = len(seq)
+    anchor = None
+    checked = False
+    for d in sorted(fs_values(seq[:m0], OP_ADD)):
+        if d > L - m0:
+            continue
+        for rest in combinations(range(m0 + 1, L + 1), d):
+            ok, color = _ref_check_composed(
+                coloring, op, CutGrid(seq, (m0,) + rest))
+            if not ok or (anchor is not None and color != anchor):
+                return False, None
+            anchor = color
+            checked = True
+    return (True, anchor) if checked else (True, None)
+
+
+def _outcome(fn, *args):
+    """The result of ``fn(*args)``, or the type and text of what it
+    raised."""
+    try:
+        return fn(*args)
+    except RamseyError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cells=st.lists(st.integers(0, 2), min_size=2, max_size=12),
+       constant=st.booleans(),
+       seq=st.lists(st.integers(1, 12), min_size=1, max_size=5),
+       op_kind=st.sampled_from(BUILTIN_OPS + ("table",)),
+       table_seed=st.integers(0, 999), d=st.integers(1, 7),
+       m0=st.integers(1, 5))
+@example(cells=[0] * 8, constant=True, seq=[2, 2, 2], op_kind="table",
+         table_seed=0, d=6, m0=1)   # d_max > L
+@example(cells=[0] * 8, constant=True, seq=[3, 1], op_kind="table",
+         table_seed=0, d=1, m0=1)   # no admissible depth: FS((3,)) > L - m0
+@example(cells=[0, 1] * 4, constant=False, seq=[3, 3], op_kind=BUILTIN_OPS[0],
+         table_seed=0, d=2, m0=1)   # 3*3 escapes the box
+def test_folded_walks_match_the_loops_they_replace(cells, constant, seq,
+                                                  op_kind, table_seed, d, m0):
+    N = len(cells)
+    col = Coloring(d=1, N=N, c=3, cells=(0,) * N if constant else tuple(cells))
+    if op_kind == "table":
+        rng = random.Random(table_seed)
+        op = OpTable("table", N, rows=[[rng.randint(1, N) for _ in range(N)]
+                                       for _ in range(N)])
+    else:
+        op = builtin_op(op_kind, N)
+    seq = tuple(seq)
+    grid_d = min(d, len(seq))
+    m0 = min(m0, len(seq))
+    assert _outcome(check_fs_witness, col, seq) == \
+        _outcome(_ref_check_fs, col, seq)
+    assert _outcome(grid_common_color, col, seq, grid_d) == \
+        _outcome(_ref_grid_common_color, col, seq, grid_d)
+    assert _outcome(composed_color_by_depth, col, op, seq, d) == \
+        _outcome(_ref_composed_by_depth, col, op, seq, d)
+    assert _outcome(check_depth_indexed_witness, col, op, seq, m0) == \
+        _outcome(_ref_depth_indexed, col, op, seq, m0)
+
+
 # ---------------------------------------------------------------------------
 # bundles
 
 
 def test_find_scaled_bundle_parity():
-    bundle = find_scaled_bundle(parity(20), 2)
+    bundle, _ = find_scaled_bundle_detailed(parity(20), 2)
     assert bundle == Bundle(shifted=False, lam=1, a_set=(2, 4, 6),
                             b_set=(2,), k=2, color=0)
     assert check_bundle(parity(20), bundle) == (True, None)
 
 
 def test_find_shifted_bundle_parity():
-    bundle = find_shifted_bundle(parity(20), 2)
+    bundle, _ = find_shifted_bundle_detailed(parity(20), 2)
     assert bundle == Bundle(shifted=True, lam=2, a_set=(2, 4, 6, 8),
                             b_set=(2,), k=2, color=0)
     assert check_bundle(parity(20), bundle) == (True, None)
@@ -325,7 +468,7 @@ def test_bundle_checkers_raise_on_escape():
 
 def test_find_bundle_rejects_bad_k():
     with pytest.raises(RamseyError):
-        find_scaled_bundle(parity(20), 0)
+        find_scaled_bundle_detailed(parity(20), 0)
 
 
 @pytest.mark.parametrize("find, N, seed", [
@@ -442,12 +585,13 @@ def test_grid_finder_keeps_distinct_block_sums_only():
 
 def test_scaled_quad_degenerate_least_instance():
     col = make_coloring("constant", 1, 6, 2, param=(0,))
-    assert find_scaled_quad(col) == ({"a": 1, "x": 1, "y": 1}, 0)
+    assert find_scaled_quad_detailed(col) == (({"a": 1, "x": 1, "y": 1}, 0), 1)
     assert check_scaled_quad(col, 1, 1, 1) == (True, 0)
 
 
 def test_shifted_quad_parity():
-    assert find_shifted_quad(parity(8)) == ({"b": 1, "u": 1, "v": 1}, 0)
+    assert find_shifted_quad_detailed(parity(8)) == (
+        ({"b": 1, "u": 1, "v": 1}, 0), 1)
     assert check_shifted_quad(parity(8), 2, 2, 2) == (True, 0)
     assert check_shifted_quad(parity(8), 1, 2, 2) == (False, None)
 
@@ -458,7 +602,7 @@ def test_planted_quad_is_found():
     planted = {a * x, a * y, x * y, a * (x + y)}
     cells = [0 if v in planted else 1 for v in range(1, 31)]
     col = loads("1 30 2\n" + " ".join(map(str, cells)) + "\n")
-    hit = find_scaled_quad(col)
+    hit, _ = find_scaled_quad_detailed(col)
     assert hit is not None
     asg, color = hit
     assert check_scaled_quad(col, asg["a"], asg["x"], asg["y"]) == (True, color)
@@ -567,7 +711,7 @@ def test_verify_composed_and_bundle_records():
        st.integers(1, 2))
 def test_found_fs_witness_always_passes_checker(cells, k):
     col = Coloring(d=1, N=12, c=3, cells=tuple(cells))
-    gens = find_fs_witness(col, k)
+    gens, _ = find_fs_witness_detailed(col, k)
     if gens is not None:
         ok, color = check_fs_witness(col, gens)
         assert ok and color == col.value_color(gens[0])

@@ -14,10 +14,11 @@ from hypothesis import given, settings, strategies as st
 
 from ramseylab.colorings import Coloring, make_coloring
 from ramseylab.errors import BudgetExceededError
-from ramseylab.patterns import (Add, Const, Mul, TermPlan, Var, eval_term,
-                                instance_value_sets, iter_box_assignments,
-                                parse_pattern, schema_from_terms)
-from ramseylab.search import (InstanceQuery, find_all_instances,
+from ramseylab.patterns import (Add, Const, Mul, TermPlan, Var,
+                                compile_kernel, eval_term,
+                                instance_value_sets, parse_pattern,
+                                schema_from_terms)
+from ramseylab.search import (InstanceQuery, find_all_instances_detailed,
                               find_instance_detailed)
 
 
@@ -33,6 +34,12 @@ def brute_leaves(schema, N):
         if max(values) <= N:
             out.append((vals, values))
     return out
+
+
+def box_assignments(schema, N):
+    """The kernel's leaves as assignment dicts."""
+    return [dict(zip(schema.variables, asg))
+            for asg, _ in compile_kernel(schema)(N)]
 
 
 def monochromatic(cells, values):
@@ -55,19 +62,9 @@ schemas = st.builds(
 @settings(max_examples=150, deadline=None)
 def test_enumeration_matches_brute_force(schema, N):
     want = brute_leaves(schema, N)
-    got = list(iter_box_assignments(schema, N))
-    assert got == [dict(zip(schema.variables, a)) for a, _ in want]
+    assert list(compile_kernel(schema)(N)) == want
     assert instance_value_sets(schema, N) == sorted(
         {tuple(sorted(set(values))) for _, values in want})
-    for cap in {0, len(want) - 1, len(want)}:
-        if cap < 0:
-            continue
-        if len(want) > cap:
-            with pytest.raises(BudgetExceededError):
-                list(iter_box_assignments(schema, N, max_assignments=cap))
-        else:
-            assert len(list(iter_box_assignments(
-                schema, N, max_assignments=cap))) == len(want)
 
 
 @given(schemas, st.integers(1, 30), st.integers(1, 3), st.integers(0, 99))
@@ -84,7 +81,8 @@ def test_scan_matches_brute_force(schema, N, c, seed):
     assert find_instance_detailed(query) == (hits[0] if hits else None, stop)
     for limit in (None, 0, 1, 2, 5):
         keep = len(hits) if limit is None else max(limit, 1)
-        assert find_all_instances(query, limit=limit) == hits[:keep]
+        assert find_all_instances_detailed(query, limit=limit)[0] == \
+            hits[:keep]
 
     for budget in range(stop + 1):
         if budget >= stop:
@@ -114,10 +112,11 @@ def test_budget_stops_at_the_leaf_past_it():
 def test_find_all_spends_its_budget():
     col = Coloring(d=1, N=6, c=1, cells=(0,) * 6)
     query = InstanceQuery(schema=parse_pattern("{x, y, x+y}"), coloring=col)
-    assert len(find_all_instances(query, limit=None)) == 15
-    assert len(find_all_instances(query, limit=None, max_nodes=15)) == 15
+    assert len(find_all_instances_detailed(query, limit=None)[0]) == 15
+    assert len(find_all_instances_detailed(query, limit=None,
+                                           max_nodes=15)[0]) == 15
     with pytest.raises(BudgetExceededError) as exc:
-        find_all_instances(query, limit=None, max_nodes=14)
+        find_all_instances_detailed(query, limit=None, max_nodes=14)
     assert exc.value.nodes == 15
 
 
@@ -127,7 +126,7 @@ def test_kernel_source_has_no_pattern_text():
     assert not any(name in source for name in schema.variables)
     # pattern names that match the kernel's own names change nothing
     schema = parse_pattern("{range, N, hi, v1 + v0, t0*2}")
-    assert list(iter_box_assignments(schema, 6)) == [
+    assert box_assignments(schema, 6) == [
         dict(zip(schema.variables, a)) for a, _ in brute_leaves(schema, 6)]
 
 
@@ -138,7 +137,7 @@ def test_many_variables_chain_generated_functions():
     schema = schema_from_terms(
         [Add(Var(a), Var(b)) for a, b in zip(names, names[1:])])
     got = [tuple(a[n] for n in names)
-           for a in iter_box_assignments(schema, 3)]
+           for a in box_assignments(schema, 3)]
     assert len(got) == 46368
     assert got == sorted(got)
     assert all(a + b <= 3 for seq in got for a, b in zip(seq, seq[1:]))

@@ -7,11 +7,11 @@ from ramseylab.patterns import (Add, AssignmentError, Const, Mul,
                                 PatternSyntaxError, UnboundVariableError,
                                 VALUE_CAP, Var, canonicalize, eval_term,
                                 format_pattern, format_term,
-                                instance_value_sets, instantiate,
-                                iter_box_assignments, parse_pattern,
+                                compile_kernel, instance_value_sets,
+                                instantiate, parse_pattern,
                                 schema_from_terms, term_variables,
                                 validate_assignment)
-from ramseylab.errors import BudgetExceededError, ValueOverflowError
+from ramseylab.errors import ValueOverflowError
 
 
 def test_parse_simple_sum():
@@ -87,16 +87,10 @@ def test_min_value_and_distinct():
     validate_assignment(schema, {"x": 2, "y": 3})
 
 
-def test_iter_box_assignments_lexicographic():
+def test_kernel_leaves_lexicographic():
     schema = parse_pattern("{x, y, x+y}")
-    got = list(iter_box_assignments(schema, 3))
-    assert got == [{"x": 1, "y": 1}, {"x": 1, "y": 2}, {"x": 2, "y": 1}]
-
-
-def test_iter_box_assignments_budget():
-    schema = parse_pattern("{x, y}")
-    with pytest.raises(BudgetExceededError):
-        list(iter_box_assignments(schema, 100, max_assignments=10))
+    assert list(compile_kernel(schema)(3)) == [
+        ((1, 1), (1, 1, 2)), ((1, 2), (1, 2, 3)), ((2, 1), (2, 1, 3))]
 
 
 def test_instance_value_sets_dedupes():

@@ -1,20 +1,17 @@
 """Instance scans, avoidance engines, and threshold numbers."""
 
-import itertools
-
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
-from ramseylab.colorings import Coloring, enumerate_colorings, make_coloring
+from ramseylab.colorings import Coloring, make_coloring
 from ramseylab.errors import (BudgetExceededError, MalformedInputError,
                               RamseyError)
-from ramseylab.patterns import (instance_value_sets, iter_box_assignments,
+from ramseylab.patterns import (compile_kernel, instance_value_sets,
                                 parse_pattern)
 from ramseylab.search import (ENGINES, InstanceQuery, _scan_instances,
-                              find_all_instances,
+                              find_all_instances_detailed,
                               find_avoiding_coloring, find_instance,
-                              find_instance_detailed,
-                              has_monochromatic_instance, threshold_number)
+                              find_instance_detailed, threshold_number)
 
 SCHUR = parse_pattern("{x, y, x+y}")
 
@@ -84,7 +81,7 @@ def test_scan_is_unchanged(pattern, distinct, min_value, box, limit, hits,
 def test_find_all_prefix_matches_first():
     col = make_coloring("parity", 1, 12, 2)
     q = InstanceQuery(schema=SCHUR, coloring=col)
-    hits = find_all_instances(q, limit=5)
+    hits, _ = find_all_instances_detailed(q, limit=5)
     assert len(hits) == 5
     assert hits[0] == find_instance(q)
     # lexicographic over (x, y)
@@ -145,9 +142,9 @@ def test_variable_free_pattern_is_forced_past_min_value(engine):
     # no variable is bounded by min_value, so {3} has its one instance
     # whatever min_value is, as the find scan has always said
     schema = parse_pattern("{3}", min_value=5)
-    assert list(iter_box_assignments(schema, 4)) == [{}]
+    assert list(compile_kernel(schema)(4)) == [((), (3,))]
     assert instance_value_sets(schema, 4) == [(3,)]
-    assert list(iter_box_assignments(schema, 2)) == []
+    assert list(compile_kernel(schema)(2)) == []
     assert find_avoiding_coloring(schema, 4, 2, engine=engine).verdict == "unsat"
     res = threshold_number(schema, 2, 6, engine=engine)
     assert (res.status, res.threshold) == ("found", 3)
@@ -174,6 +171,36 @@ def test_threshold_gives_up_honestly():
     assert res.status == "unknown"
     assert res.threshold is None
     assert res.certificate is not None  # best coloring seen on the way
+
+
+# Each exit of the scan: the first unsat N ("found"), a budget that runs out
+# ("unknown", also at N = 1 with no certificate yet) and n_max reached with
+# every N sat ("unknown").  The certificate is always the last sat coloring,
+# so the rows are len(cert) sat rows and then the exit's own verdict.
+@pytest.mark.parametrize("engine, c, n_max, budget, threshold, status, cert, "
+                         "last", [
+    ("backtracking", 2, 8, None, 5, "found", "0110", "unsat"),
+    ("backtracking", 3, 20, 40, None, "unknown", "010202010", "unknown"),
+    ("backtracking", 2, 8, 0, None, "unknown", "", "unknown"),
+    ("backtracking", 2, 3, None, None, "unknown", "010", "sat"),
+    ("sat", 2, 8, None, 5, "found", "0110", "unsat"),
+    ("sat", 3, 20, 40, None, "unknown", "0110220220110", "unknown"),
+    ("sat", 2, 3, None, None, "unknown", "010", "sat"),
+    ("exhaustive", 2, 8, None, 5, "found", "0110", "unsat"),
+    ("exhaustive", 3, 20, 40, None, "unknown", "01020", "unknown"),
+    ("exhaustive", 2, 8, 0, None, "unknown", "", "unknown"),
+    ("exhaustive", 2, 3, None, None, "unknown", "010", "sat"),
+])
+def test_threshold_exits_are_pinned(engine, c, n_max, budget, threshold,
+                                    status, cert, last):
+    res = threshold_number(SCHUR, c, n_max, engine=engine, max_nodes=budget)
+    assert (res.threshold, res.status) == (threshold, status)
+    if cert:
+        assert "".join(map(str, res.certificate.cells)) == cert
+    else:
+        assert res.certificate is None
+    verdicts = ["sat"] * len(cert) + ([last] if last != "sat" else [])
+    assert [r[:2] for r in res.rows] == list(enumerate(verdicts, 1))
 
 
 AP3 = "{a, a+d, a+2*d}"
@@ -208,6 +235,10 @@ def test_threshold_search_is_pinned(engine, nodes):
     assert "".join(map(str, res.certificate.cells)) == "0110220220110"
 
 
+def _forced(schema, col):
+    return find_instance(InstanceQuery(schema=schema, coloring=col)) is not None
+
+
 def _forced_brute(schema, cells):
     """Reference implementation straight off the value sets."""
     sets = instance_value_sets(schema, len(cells))
@@ -217,8 +248,7 @@ def _forced_brute(schema, cells):
 @given(st.lists(st.integers(0, 1), min_size=1, max_size=14))
 def test_scan_matches_value_set_oracle(cells):
     col = Coloring(d=1, N=len(cells), c=2, cells=tuple(cells))
-    assert has_monochromatic_instance(SCHUR, col) == \
-        _forced_brute(SCHUR, cells)
+    assert _forced(SCHUR, col) == _forced_brute(SCHUR, cells)
 
 
 @given(st.lists(st.integers(0, 2), min_size=1, max_size=10),
@@ -227,8 +257,7 @@ def test_instance_existence_is_color_blind(cells, perm):
     col = Coloring(d=1, N=len(cells), c=3, cells=tuple(cells))
     relabeled = Coloring(d=1, N=len(cells), c=3,
                          cells=tuple(perm[v] for v in cells))
-    assert has_monochromatic_instance(SCHUR, col) == \
-        has_monochromatic_instance(SCHUR, relabeled)
+    assert _forced(SCHUR, col) == _forced(SCHUR, relabeled)
 
 
 @pytest.mark.parametrize("engine", ["backtracking", "sat", "exhaustive"])
