@@ -24,15 +24,15 @@ from .search import (AvoidanceResult, InstanceQuery, ThresholdResult,
 from .semigroups import (CayleyTable, algebra_report, is_central,
                          minimal_idempotents, minimal_left_ideals,
                          table_from_rows)
-from .structures import (FSFamily, contains_kap, contains_kfp, contains_kfs,
-                         contains_kgp, fs_set, fs_values, structure_report)
+from .structures import (contains_kap, contains_kfp, contains_kfs,
+                         contains_kgp, fs_values)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AvoidanceResult", "BudgetExceededError", "Bundle", "CayleyTable",
     "Coloring", "ColoringSpec", "CompositionOutOfBoxError", "CutGrid",
-    "FSFamily", "InstanceQuery", "MalformedInputError", "OpTable",
+    "InstanceQuery", "MalformedInputError", "OpTable",
     "OutOfBoxError", "PatternSchema", "RamseyError", "ThresholdResult",
     "ValueOverflowError", "algebra_report", "builtin_op", "check_bundle",
     "check_composed_witness", "check_depth_indexed_witness",
@@ -44,10 +44,10 @@ __all__ = [
     "find_fs_witness_detailed", "find_grid_witness_detailed",
     "find_instance", "find_instance_detailed", "find_scaled_bundle_detailed",
     "find_scaled_quad_detailed", "find_shifted_bundle_detailed",
-    "find_shifted_quad_detailed", "format_pattern", "fs_set", "fs_values",
+    "find_shifted_quad_detailed", "format_pattern", "fs_values",
     "grid_common_color", "instantiate", "is_central",
     "load_op_table", "load_witness", "make_coloring", "make_witness",
     "minimal_idempotents", "minimal_left_ideals", "op_from_json",
-    "parse_pattern", "save_witness", "structure_report", "table_from_rows",
+    "parse_pattern", "save_witness", "table_from_rows",
     "threshold_number", "verify_witness",
 ]

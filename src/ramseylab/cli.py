@@ -71,6 +71,14 @@ class _Parser(argparse.ArgumentParser):
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
 
+    def parse_known_args(self, args=None, namespace=None):
+        # a subcommand refuses what it does not know itself, so the error
+        # shows its usage rather than the top-level one
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
 
 def _csv_ints(text: str) -> tuple:
     try:
@@ -136,6 +144,13 @@ def _maybe_save_witness(args, kind: str, data: dict, spec: ColoringSpec):
                                         validated=True))
 
 
+def _recheck(ok: bool, detail: str) -> None:
+    """The independent re-check of a finder's hit before it is printed: a
+    refused hit is an error (verdict ``error``, exit 1), never a witness."""
+    if not ok:
+        raise RamseyError(f"finder hit failed its re-check: {detail}")
+
+
 def _run_finder(args, query: dict, engine: str, search, witness_of) -> int:
     """Emit the report of ``search()``, which returns (hit or None, nodes):
     verdict found if the hit is non-empty, else none, with witness
@@ -175,8 +190,9 @@ def cmd_find(args) -> int:
 
     def instance_witness(hit):
         asg, color = hit
-        assert all(coloring.value_color(v) == color
-                   for v in instantiate(schema, asg))
+        _recheck(all(coloring.value_color(v) == color
+                     for v in instantiate(schema, asg)),
+                 "instance values differ in color")
         return {"assignment": asg, "color": color}
 
     if not args.all:
@@ -278,7 +294,7 @@ def cmd_fs_witness(args) -> int:
 
     def witness_of(hit):
         ok, color = check_fs_witness(coloring, hit)
-        assert ok
+        _recheck(ok, "subset sums differ in color")
         witness = {"generators": list(hit), "color": color}
         _maybe_save_witness(args, "fs", dict(witness, k=args.k), spec)
         return witness
@@ -296,7 +312,8 @@ def cmd_grid_witness(args) -> int:
 
     def witness_of(hit):
         seq, color = hit
-        assert grid_common_color(coloring, seq, args.blocks) == color
+        _recheck(grid_common_color(coloring, seq, args.blocks) == color,
+                 "grid values differ in color")
         witness = {"sequence": list(seq), "d": args.blocks, "color": color}
         _maybe_save_witness(args, "grid", dict(witness), spec)
         return witness
@@ -364,7 +381,7 @@ def cmd_bundle(args) -> int:
         def quad_witness(hit):
             asg, color = hit
             ok, chk = check(coloring, *(asg[v] for v in names))
-            assert ok and chk == color
+            _recheck(ok and chk == color, "quadruple values differ in color")
             return {"assignment": asg, "color": color}
 
         return _run_finder(args, query, "quad-scan",
@@ -376,7 +393,7 @@ def cmd_bundle(args) -> int:
 
     def bundle_witness(hit):
         ok, detail = check_bundle(coloring, hit)
-        assert ok, detail
+        _recheck(ok, detail)
         witness = {"lam": hit.lam, "a_set": list(hit.a_set),
                    "b_set": list(hit.b_set), "k": hit.k, "color": hit.color}
         _maybe_save_witness(args, name, dict(witness), spec)
@@ -400,7 +417,8 @@ def cmd_verify(args) -> int:
         ok, detail = verify_witness(record, coloring=coloring)
     except BudgetExceededError as exc:
         # a structure probe of a hand-made record ran past its budget
-        _emit(dict(_report(query, "unknown", None, stats), error=str(exc)),
+        _emit(dict(_report(query, "unknown", None,
+                           dict(stats, nodes=exc.nodes)), error=str(exc)),
               args.out)
         return 2
     _emit(_report(query, "valid" if ok else "invalid", {"detail": detail},

@@ -250,7 +250,8 @@ class ColoringSpec:
     @classmethod
     def from_json(cls, obj) -> "ColoringSpec":
         """Inverse of :meth:`to_json`.  Anything but an object with every
-        field of its kind, each of the right type, is malformed input."""
+        field of its kind, each of the right type, is malformed input; a
+        generator spec may leave out ``d``, which is then 1."""
         if not isinstance(obj, dict):
             raise MalformedInputError("coloring spec must be an object")
         kind = obj.get("kind")
@@ -263,7 +264,8 @@ class ColoringSpec:
                     "coloring spec field 'param' must be a list of integers")
             return cls(kind="generator",
                        generator=_spec_field(obj, "generator", str),
-                       d=_spec_field(obj, "d", int), N=_spec_field(obj, "N", int),
+                       d=_spec_field(obj, "d", int, 1),
+                       N=_spec_field(obj, "N", int),
                        c=_spec_field(obj, "c", int), param=tuple(param),
                        seed=_spec_field(obj, "seed", int, 0))
         raise MalformedInputError(f"unknown coloring spec kind {kind!r}")

@@ -1,9 +1,22 @@
 """Finite-sum/product machinery and desk-scale structure detectors.
 
-``fs_set`` expands a finite generator family into all sums (or products)
-over nonempty subsets.  The detectors ask whether a finite set contains a
-k-term arithmetic progression, geometric progression, finite-sums set, or
-finite-products set, and return the lexicographically least witness.
+``fs_values`` expands a finite generator family into all sums (or
+products) over nonempty subsets.  The detectors ask whether a finite set
+contains a k-term arithmetic progression, geometric progression,
+finite-sums set, or finite-products set, and return the lexicographically
+least witness.
+
+The finite-sums and finite-products detectors walk generator prefixes
+depth first, in ascending order, and extend a prefix only while its
+closure stays inside the set: a prefix's closure lies inside the closure
+of every extension, so the first full tuple reached is the least one in
+``itertools.combinations`` order.  Each distinct closure value is kept
+once, and every kept value is an element of the set.  A level ends once
+its candidate would take the full sum (product) past the set's largest
+element.  The walk counts one unit per candidate tried and one per closure
+value formed; a probe that would spend more than :data:`PROBE_BUDGET`
+units raises :class:`BudgetExceededError` at unit ``PROBE_BUDGET + 1``, in
+well under a second.
 
 Degeneracy policy: geometric ratios must be >= 2, geometric progressions
 must start at a positive element, and product generators must be >= 2 —
@@ -15,9 +28,6 @@ so k = 1 always succeeds on nonempty sets (witness: the least element).
 
 from __future__ import annotations
 
-import itertools
-import math
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import BudgetExceededError, RamseyError, ValueOverflowError
@@ -28,32 +38,27 @@ OP_MUL = "multiplicative"
 
 MAX_FAMILY = 30
 
-
-@dataclass(frozen=True)
-class FSFamily:
-    """A finite generator family with an operation tag."""
-
-    generators: tuple
-    op: str = OP_ADD
-
-    def __post_init__(self):
-        k = len(self.generators)
-        if not 1 <= k <= MAX_FAMILY:
-            raise RamseyError(f"family size {k} outside [1, {MAX_FAMILY}]")
-        if self.op not in (OP_ADD, OP_MUL):
-            raise RamseyError(f"unknown op {self.op!r}")
-        floor = 2 if self.op == OP_MUL else 1
-        for g in self.generators:
-            if g < floor:
-                raise RamseyError(
-                    f"generator {g} < {floor} for {self.op} family")
+# units of work (candidates tried plus closure values formed) one k-FS or
+# k-FP probe may spend
+PROBE_BUDGET = 1_000_000
 
 
-def fs_set(fam: FSFamily) -> frozenset:
-    """All sums (or products) over nonempty sub-multisets of the generators."""
+def fs_values(generators, op: str = OP_ADD) -> frozenset:
+    """All sums (or products) over nonempty sub-multisets of 1 to
+    :data:`MAX_FAMILY` generators, each at least 1 (2 for products); a
+    value above :data:`VALUE_CAP` raises :class:`ValueOverflowError`."""
+    gens = tuple(generators)
+    if not 1 <= len(gens) <= MAX_FAMILY:
+        raise RamseyError(f"family size {len(gens)} outside [1, {MAX_FAMILY}]")
+    if op not in (OP_ADD, OP_MUL):
+        raise RamseyError(f"unknown op {op!r}")
+    floor = 2 if op == OP_MUL else 1
+    for g in gens:
+        if g < floor:
+            raise RamseyError(f"generator {g} < {floor} for {op} family")
     acc: set = set()
-    for g in fam.generators:
-        if fam.op == OP_ADD:
+    for g in gens:
+        if op == OP_ADD:
             new = {s + g for s in acc}
         else:
             new = {s * g for s in acc}
@@ -63,10 +68,6 @@ def fs_set(fam: FSFamily) -> frozenset:
                 raise ValueOverflowError(f"combined value {v} exceeds 64-bit cap")
         acc |= new
     return frozenset(acc)
-
-
-def fs_values(generators, op: str = OP_ADD) -> frozenset:
-    return fs_set(FSFamily(generators=tuple(generators), op=op))
 
 
 # ---------------------------------------------------------------------------
@@ -123,27 +124,22 @@ def contains_kgp(A, k: int) -> Optional[tuple]:
     return None
 
 
-def contains_kfs(A, k: int, max_tuples: int = 1_000_000) -> Optional[tuple]:
+def contains_kfs(A, k: int) -> Optional[tuple]:
     """Least strictly increasing (a_1 < ... < a_k) from A whose full
     subset-sum closure stays inside A."""
-    return _contains_closure(A, k, OP_ADD, max_tuples)
+    return _contains_closure(A, k, OP_ADD)
 
 
-def contains_kfp(A, k: int, max_tuples: int = 1_000_000) -> Optional[tuple]:
+def contains_kfp(A, k: int) -> Optional[tuple]:
     """Least strictly increasing (a_1 < ... < a_k), all >= 2, from A whose
     full subset-product closure stays inside A."""
-    return _contains_closure(A, k, OP_MUL, max_tuples)
+    return _contains_closure(A, k, OP_MUL)
 
 
-def _contains_closure(A, k: int, op: str, max_tuples: int) -> Optional[tuple]:
+def _contains_closure(A, k: int, op: str) -> Optional[tuple]:
     """Least k-tuple of candidates (in ``itertools.combinations`` order)
-    whose closure lies in A; past ``max_tuples`` tuples tried, the budget
-    error.  Each tuple's closure is built in one plain list and abandoned
-    at its first value outside A.  Where some tuple could be one that
-    :func:`fs_values` refuses (a closure value above :data:`VALUE_CAP`, or
-    more than :data:`MAX_FAMILY` generators), each tuple's largest value,
-    the sum (product) of the whole tuple, is checked first, and a refused
-    tuple goes through :func:`fs_values` to raise its error."""
+    whose closure lies in A, found by :func:`_closure_walk`; past
+    :data:`PROBE_BUDGET` units of work, the budget error."""
     if k < 1:
         raise RamseyError("k must be >= 1")
     if not A:
@@ -152,42 +148,61 @@ def _contains_closure(A, k: int, op: str, max_tuples: int) -> Optional[tuple]:
         return (min(A),)
     Aset = A if isinstance(A, (set, frozenset)) else set(A)
     mul = op == OP_MUL
-    top = math.prod if mul else sum
     candidates = sorted(A)
     if candidates[0] < (2 if mul else 1):
         candidates = [a for a in candidates if a >= (2 if mul else 1)]
-    guarded = k > MAX_FAMILY or top(candidates[-k:]) > VALUE_CAP
-    tuples = itertools.combinations(candidates, k)
-    for gens in itertools.islice(tuples, max(max_tuples, 0)):
-        if guarded and (k > MAX_FAMILY or top(gens) > VALUE_CAP):
-            fs_values(gens, op)
-        if _closure_inside(gens, Aset, mul):
-            return gens
-    if next(tuples, None) is not None:
-        raise BudgetExceededError(f"closure search budget {max_tuples} exceeded")
-    return None
+    if len(candidates) < k:
+        return None
+    if k > MAX_FAMILY:
+        raise RamseyError(f"family size {k} outside [1, {MAX_FAMILY}]")
+    unit = 1 if mul else 0
+    # every closure value is a candidate, so none passes the largest one
+    return _closure_walk(candidates, Aset, candidates[-1], mul, [unit], {unit},
+                         unit, 0, k, [0])
 
 
-def _closure_inside(gens, Aset, mul: bool) -> bool:
-    """Do all subset sums (products) of ``gens`` lie in Aset?  The
-    generators themselves are taken to lie in it.  Each distinct value is
-    kept once, so the work is bounded by the size of the closure as a set,
-    not by the 2^k subsets."""
-    closure = [gens[0]]
-    seen = {gens[0]}
-    for g in gens[1:]:
-        for i in range(len(closure)):
-            v = closure[i] * g if mul else closure[i] + g
+def _closure_walk(candidates, Aset, top, mul, closure, seen, total, start,
+                  remaining, spent) -> Optional[tuple]:
+    """The least ``remaining`` more generators from ``candidates[start:]``,
+    in ascending index order, that keep the closure inside Aset; None if
+    there are none.  ``closure`` lists the prefix's closure and the unit
+    (0, or 1 for products) once each, ``seen`` holds the same values and
+    ``total`` is the prefix's sum (product).  A candidate g is tried by
+    forming g op c for each c in the closure, abandoning it at the first
+    value outside Aset; it ends the level once even ``remaining`` copies of
+    g would take the full sum (product) past ``top``.  ``spent[0]`` counts
+    one unit per candidate tried and one per value formed, and the walk
+    raises the budget error once it passes :data:`PROBE_BUDGET`."""
+    for i in range(start, len(candidates) - remaining + 1):
+        g = candidates[i]
+        if (total * g ** remaining if mul else total + g * remaining) > top:
+            break
+        n = len(closure)
+        inside = True
+        for j in range(n):
+            v = closure[j] * g if mul else closure[j] + g
             if v in seen:
                 continue
             if v not in Aset:
-                return False
+                inside = False
+                break
             seen.add(v)
             closure.append(v)
-        if g not in seen:
-            seen.add(g)
-            closure.append(g)
-    return True
+        spent[0] += 1 + (n if inside else j + 1)
+        if spent[0] > PROBE_BUDGET:
+            raise BudgetExceededError.past(PROBE_BUDGET)
+        if inside:
+            if remaining == 1:
+                return (g,)
+            hit = _closure_walk(candidates, Aset, top, mul, closure, seen,
+                                total * g if mul else total + g, i + 1,
+                                remaining - 1, spent)
+            if hit is not None:
+                return (g, *hit)
+        for v in closure[n:]:
+            seen.discard(v)
+        del closure[n:]
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -222,43 +237,3 @@ def validate_kfp(A, k: int, witness) -> bool:
     if k >= 2 and any(g < 2 for g in witness):
         return False
     return fs_values(witness, OP_MUL) <= set(A) if k >= 2 else witness[0] in set(A)
-
-
-# ---------------------------------------------------------------------------
-# combined report
-
-
-@dataclass(frozen=True)
-class StructureReport:
-    k: int
-    ap: Optional[tuple]
-    gp: Optional[tuple]
-    fs: Optional[tuple]
-    fp: Optional[tuple]
-
-    def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "ap": list(self.ap) if self.ap else None,
-            "gp": list(self.gp) if self.gp else None,
-            "fs": list(self.fs) if self.fs else None,
-            "fp": list(self.fp) if self.fp else None,
-        }
-
-
-def structure_report(A, k: int) -> StructureReport:
-    """Run all four detectors; every returned witness is re-validated."""
-    A = frozenset(A)
-    ap = contains_kap(A, k)
-    gp = contains_kgp(A, k)
-    fs = contains_kfs(A, k)
-    fp = contains_kfp(A, k)
-    if ap is not None:
-        assert validate_kap(A, k, ap)
-    if gp is not None:
-        assert validate_kgp(A, k, gp)
-    if fs is not None:
-        assert validate_kfs(A, k, fs)
-    if fp is not None:
-        assert validate_kfp(A, k, fp)
-    return StructureReport(k=k, ap=ap, gp=gp, fs=fs, fp=fp)

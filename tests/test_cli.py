@@ -11,6 +11,7 @@ import ramseylab
 from ramseylab import cli
 from ramseylab.cli import main
 from ramseylab.colorings import load_file
+from ramseylab.hindman import Bundle
 from ramseylab.sat import parse_dimacs
 from ramseylab.semigroups import format_table, table_from_rows
 
@@ -220,6 +221,21 @@ def test_pattern_commands_refuse_abbreviated_flags(capsys, argv):
     main([*argv, "--distinct", "--min-value", "2"])
     query = json.loads(capsys.readouterr().out)["query"]
     assert (query["distinct"], query["min_value"]) == (True, 2)
+
+
+@pytest.mark.parametrize("argv", [
+    ("find", "--pattern", SCHUR, "--generator", "parity", "--n", "8", "--colors", "2", "--distinc"),
+    ("avoid", "--pattern", SCHUR, "--n", "4", "--colors", "2", "--bogus", "3"),
+    ("verify", "w.json", "--bogus"),
+], ids=["find", "avoid", "verify"])
+def test_a_bad_flag_shows_its_subcommand_usage(capsys, argv):
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err.startswith(f"usage: ramseylab {argv[0]} [-h]")
+    bad = argv[argv.index("--distinc" if argv[0] == "find" else "--bogus"):]
+    assert err.endswith(f"ramseylab {argv[0]}: error: unrecognized "
+                        f"arguments: {' '.join(bad)}\n")
 
 
 def test_no_help_lists_a_dimension_flag():
@@ -456,7 +472,7 @@ PARITY_REF = {"kind": "generator", "generator": "parity", "d": 1, "N": 8,
 @pytest.mark.parametrize("data, ref, error", [
     ({"generators": [2, 2]}, {"kind": "generator", "generator": "parity",
                               "N": 8},
-     "coloring spec needs field 'd' of type int"),
+     "coloring spec needs field 'c' of type int"),
     ({"generators": [2, 2]}, "parity", "coloring spec must be an object"),
     ({"generators": "ab"}, PARITY_REF,
      "witness field 'generators' must be a list of integers"),
@@ -505,13 +521,37 @@ def test_verify_reads_the_operation_strictly(capsys, tmp_path, op, error):
         0, "valid", {"detail": "composed values monochromatic in color 0"})
 
 
-def test_verify_out_of_budget_keeps_its_query(capsys, tmp_path):
-    # the 45 odd numbers below 90 have 1,221,759 5-subsets, past the
-    # million-tuple budget of the FS probe, and no two sum into the set
+def test_verify_decides_a_set_without_sums(capsys, tmp_path):
+    # no two of the 45 odd numbers below 90 sum into the set, which the
+    # FS probe now sees at once
     data = {"lam": 1, "a_set": list(range(1, 90, 2)), "b_set": [1],
             "k": 5, "color": 0}
     ref = {"kind": "generator", "generator": "constant", "d": 1, "N": 100,
            "c": 1, "param": [0]}
+    code, report = _verify_record(capsys, tmp_path, "bundle14", data, ref)
+    assert (code, report["verdict"], report["witness"]) == (
+        0, "invalid", {"detail": "A has no 5-generator finite-sums set"})
+
+
+def test_verify_reads_a_missing_d_as_one(capsys, tmp_path):
+    ref = {key: v for key, v in PARITY_REF.items() if key != "d"}
+    code, report = _verify_record(capsys, tmp_path, "fs",
+                                  {"generators": [2, 2]}, ref)
+    assert (code, report["verdict"]) == (0, "valid")
+    code, report = _verify_record(capsys, tmp_path, "fs",
+                                  {"generators": [2, 2]},
+                                  dict(ref, d="1"))
+    assert (code, report["error"]) == (
+        1, "coloring spec needs field 'd' of type int")
+
+
+def test_verify_out_of_budget_keeps_its_query(capsys, tmp_path):
+    # every prefix of [1..100] summing to at most 100 keeps its closure
+    # inside A, so the FS probe runs past its budget
+    data = {"lam": 1, "a_set": [*range(1, 101), 10 ** 6], "b_set": [1],
+            "k": 14, "color": 0}
+    ref = {"kind": "generator", "generator": "constant", "d": 1,
+           "N": 10 ** 6 + 1, "c": 1, "param": [0]}
     code, report = _verify_record(capsys, tmp_path, "bundle14", data, ref)
     assert code == 2
     assert report == {
@@ -519,8 +559,8 @@ def test_verify_out_of_budget_keeps_its_query(capsys, tmp_path):
         "query": {"command": "verify", "witness": str(tmp_path / "w.json"),
                   "kind": "bundle14"},
         "verdict": "unknown", "witness": None,
-        "stats": {"engine": "verify", "nodes": 0, "time_ms": 0.0},
-        "error": "closure search budget 1000000 exceeded"}
+        "stats": {"engine": "verify", "nodes": 1_000_001, "time_ms": 0.0},
+        "error": "node budget 1000000 exceeded"}
 
 
 def test_grid_witness(capsys):
@@ -531,22 +571,69 @@ def test_grid_witness(capsys):
     assert report["witness"] == {"sequence": [2, 2, 2], "d": 2, "color": 0}
 
 
+PARITY8 = ("--generator", "parity", "--n", "8", "--colors", "2")
+
+
+def _refused(capsys, *argv):
+    """The error of a report whose finder hit its re-check refused."""
+    code, report = run_json(capsys, *argv)
+    assert (code, report["verdict"], report["witness"]) == (1, "error", None)
+    return report["error"]
+
+
 def test_grid_and_find_hits_are_rechecked(capsys, monkeypatch):
-    """A finder hit that its checker refuses is never printed."""
+    """A finder hit that its checker refuses is never printed: the report
+    has verdict error and the exit code is 1."""
     monkeypatch.setattr(cli, "find_grid_witness_detailed",
                         lambda *a, **k: (((2, 3, 2), 0), 1))
-    with pytest.raises(AssertionError):
-        main(["grid-witness", "--length", "3", "--blocks", "2",
-              "--generator", "parity", "--n", "8", "--colors", "2"])
+    assert _refused(capsys, "grid-witness", "--length", "3", "--blocks", "2",
+                    *PARITY8) == ("finder hit failed its re-check: grid "
+                                  "values differ in color")
     bad = ({"x": 1, "y": 2}, 1)  # x + y = 3 is odd, x = 1 too, y = 2 is not
     monkeypatch.setattr(cli, "find_instance_detailed", lambda *a, **k: (bad, 1))
     monkeypatch.setattr(cli, "find_all_instances_detailed",
                         lambda *a, **k: ([bad], 1))
     for extra in ([], ["--all"]):
-        with pytest.raises(AssertionError):
-            main(["find", "--pattern", SCHUR, "--generator", "parity",
-                  "--n", "8", "--colors", "2", *extra])
-    assert capsys.readouterr().out == ""
+        assert _refused(capsys, "find", "--pattern", SCHUR, *PARITY8,
+                        *extra) == ("finder hit failed its re-check: "
+                                    "instance values differ in color")
+
+
+def test_fs_and_bundle_hits_are_rechecked(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "find_fs_witness_detailed",
+                        lambda *a, **k: ((1, 2), 1))
+    assert _refused(capsys, "fs-witness", "--k", "2", *PARITY8) == (
+        "finder hit failed its re-check: subset sums differ in color")
+    bundle = Bundle(shifted=False, lam=2, a_set=(1, 2), b_set=(1,), k=2,
+                    color=0)
+    monkeypatch.setattr(cli, "find_scaled_bundle_detailed",
+                        lambda *a, **k: (bundle, 1))
+    # lam * A and lam * B are even, but A * B holds 1
+    assert _refused(capsys, "bundle14", *PARITY8) == (
+        "finder hit failed its re-check: derived value 1 is not color 0")
+    monkeypatch.setattr(cli, "find_scaled_quad_detailed",
+                        lambda *a, **k: (({"a": 2, "x": 1, "y": 1}, 0), 1))
+    assert _refused(capsys, "bundle14", "--corollary", *PARITY8) == (
+        "finder hit failed its re-check: quadruple values differ in color")
+
+
+def test_rechecks_run_under_optimize():
+    """The re-checks are not asserts, so ``python -O`` keeps them."""
+    script = (
+        "import sys\n"
+        "from ramseylab import cli\n"
+        "assert False, 'asserts are on'\n"
+        "cli.find_grid_witness_detailed = lambda *a, **k: (((2, 3, 2), 0), 1)\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(os.path.abspath(ramseylab.__file__))))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script, "grid-witness", "--length", "3",
+         "--blocks", "2", *PARITY8],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 1, proc.stderr
+    report = json.loads(proc.stdout)
+    assert (report["verdict"], report["witness"]) == ("error", None)
 
 
 def test_composed_witness_check(capsys):

@@ -220,7 +220,7 @@ _GEN = {"kind": "generator", "generator": "blocks", "d": 1, "N": 8, "c": 2,
 @pytest.mark.parametrize("obj", [
     "parity", None, ["kind"], {"kind": "file"}, {"kind": "file", "path": 3},
     {"kind": "mystery"},
-    {k: v for k, v in _GEN.items() if k != "d"},
+    {k: v for k, v in _GEN.items() if k != "N"},
     {k: v for k, v in _GEN.items() if k != "generator"},
     dict(_GEN, N="8"), dict(_GEN, c=2.0), dict(_GEN, d=True),
     dict(_GEN, param="12"), dict(_GEN, param=[1, "2"]), dict(_GEN, seed=None),
@@ -228,6 +228,15 @@ _GEN = {"kind": "generator", "generator": "blocks", "d": 1, "N": 8, "c": 2,
 def test_spec_from_json_rejects_malformed(obj):
     with pytest.raises(MalformedInputError):
         ColoringSpec.from_json(obj)
+
+
+def test_spec_from_json_reads_a_missing_d_as_one():
+    spec = ColoringSpec.from_json({k: v for k, v in _GEN.items() if k != "d"})
+    assert spec == ColoringSpec.from_json(_GEN)
+    assert spec.to_json()["d"] == 1
+    with pytest.raises(MalformedInputError,
+                       match="so d must be 1, got d=2"):
+        ColoringSpec.from_json(dict(_GEN, d=2)).load()
 
 
 def test_enumerate_full_count():

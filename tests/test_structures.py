@@ -1,7 +1,9 @@
 """Subset-sum/product closures and the four structure detectors."""
 
+import math
+import time
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,12 +11,12 @@ from hypothesis import given, settings, strategies as st
 from ramseylab.errors import (BudgetExceededError, RamseyError,
                               ValueOverflowError)
 from ramseylab.patterns import VALUE_CAP
-from ramseylab.structures import (FSFamily, OP_ADD, OP_MUL, _contains_closure,
-                                  contains_kap,
+from ramseylab import structures
+from ramseylab.structures import (MAX_FAMILY, OP_ADD, OP_MUL, PROBE_BUDGET,
+                                  _contains_closure, contains_kap,
                                   contains_kfp, contains_kfs, contains_kgp,
-                                  fs_set, fs_values, structure_report,
-                                  validate_kap, validate_kfp, validate_kfs,
-                                  validate_kgp)
+                                  fs_values, validate_kap, validate_kfp,
+                                  validate_kfs, validate_kgp)
 
 
 def _brute_fs(gens):
@@ -37,13 +39,18 @@ def test_fp_small():
 
 
 def test_fp_rejects_generator_one():
-    with pytest.raises(RamseyError):
+    with pytest.raises(RamseyError,
+                       match="generator 1 < 2 for multiplicative family"):
         fs_values((1, 2), op=OP_MUL)
 
 
 def test_family_size_limit():
-    with pytest.raises(RamseyError):
-        FSFamily(generators=tuple(range(1, 32)), op=OP_ADD)
+    with pytest.raises(RamseyError, match=r"family size 31 outside \[1, 30\]"):
+        fs_values(range(1, 32))
+    with pytest.raises(RamseyError, match=r"family size 0 outside \[1, 30\]"):
+        fs_values(())
+    with pytest.raises(RamseyError, match="unknown op 'xor'"):
+        fs_values((1, 2), op="xor")
 
 
 def test_fs_overflow_guard():
@@ -54,11 +61,6 @@ def test_fs_overflow_guard():
 @given(st.lists(st.integers(1, 40), min_size=1, max_size=8))
 def test_fs_matches_brute_force(gens):
     assert fs_values(tuple(gens)) == frozenset(_brute_fs(tuple(gens)))
-
-
-def test_fs_set_entry_point():
-    fam = FSFamily(generators=(3, 5), op=OP_ADD)
-    assert fs_set(fam) == frozenset({3, 5, 8})
 
 
 # --- detectors ---------------------------------------------------------------
@@ -189,18 +191,14 @@ def test_kfs_matches_brute_force(A, k):
 
 
 @given(_sets, st.integers(1, 3))
-def test_report_is_self_validating(A, k):
-    rep = structure_report(A, k)
-    if rep.ap is not None:
-        assert validate_kap(A, k, rep.ap)
-    if rep.gp is not None:
-        assert validate_kgp(A, k, rep.gp)
-    if rep.fs is not None:
-        assert validate_kfs(A, k, rep.fs)
-    if rep.fp is not None:
-        assert validate_kfp(A, k, rep.fp)
-    js = rep.to_json()
-    assert js["k"] == k
+def test_detector_witnesses_validate(A, k):
+    for detect, validate in ((contains_kap, validate_kap),
+                             (contains_kgp, validate_kgp),
+                             (contains_kfs, validate_kfs),
+                             (contains_kfp, validate_kfp)):
+        hit = detect(A, k)
+        if hit is not None:
+            assert validate(A, k, hit)
 
 
 def test_validators_reject_junk():
@@ -213,27 +211,70 @@ def test_validators_reject_junk():
 
 
 # ---------------------------------------------------------------------------
-# the closure search against the FSFamily/frozenset form it replaced
+# the closure walk against the k-subset scan it replaced
 
 
-def _reference_closure(A, k, op, max_tuples):
-    """The closure search as it was: one ``fs_values`` frozenset per tuple."""
+def _tuple_scan(A, k, op, max_tuples):
+    """The closure search as it was: every k-subset in ``combinations``
+    order, a value-cap pre-check where some tuple could pass the cap, and
+    the budget error past ``max_tuples`` tuples."""
     if k < 1:
         raise RamseyError("k must be >= 1")
     if not A:
         return None
     if k == 1:
         return (min(A),)
-    Aset = set(A)
+    Aset = A if isinstance(A, (set, frozenset)) else set(A)
+    mul = op == OP_MUL
+    top = math.prod if mul else sum
+    candidates = sorted(A)
+    if candidates[0] < (2 if mul else 1):
+        candidates = [a for a in candidates if a >= (2 if mul else 1)]
+    guarded = k > MAX_FAMILY or top(candidates[-k:]) > VALUE_CAP
+    tuples = combinations(candidates, k)
+    for gens in islice(tuples, max(max_tuples, 0)):
+        if guarded and (k > MAX_FAMILY or top(gens) > VALUE_CAP):
+            fs_values(gens, op)
+        if _closure_inside(gens, Aset, mul):
+            return gens
+    if next(tuples, None) is not None:
+        raise BudgetExceededError(f"closure search budget {max_tuples} exceeded")
+    return None
+
+
+def _closure_inside(gens, Aset, mul):
+    closure = [gens[0]]
+    seen = {gens[0]}
+    for g in gens[1:]:
+        for i in range(len(closure)):
+            v = closure[i] * g if mul else closure[i] + g
+            if v in seen:
+                continue
+            if v not in Aset:
+                return False
+            seen.add(v)
+            closure.append(v)
+        if g not in seen:
+            seen.add(g)
+            closure.append(g)
+    return True
+
+
+def _least_closed_tuple(A, k, op):
+    """Brute force with no value cap and no budget: the least k-subset of
+    the admissible elements of A whose subset sums (products) all lie in A."""
+    if not A:
+        return None
+    if k == 1:
+        return (min(A),)
     floor = 2 if op == OP_MUL else 1
     candidates = sorted(a for a in A if a >= floor)
-    tried = 0
+    if len(candidates) >= k > MAX_FAMILY:
+        raise RamseyError(f"family size {k} outside [1, {MAX_FAMILY}]")
+    fold = math.prod if op == OP_MUL else sum
     for gens in combinations(candidates, k):
-        tried += 1
-        if tried > max_tuples:
-            raise BudgetExceededError(
-                f"closure search budget {max_tuples} exceeded")
-        if fs_values(gens, op) <= Aset:
+        if all(fold(sub) in A for r in range(2, k + 1)
+               for sub in combinations(gens, r)):
             return gens
     return None
 
@@ -243,6 +284,22 @@ def _outcome(fn, *args):
         return "value", fn(*args)
     except RamseyError as exc:
         return type(exc).__name__, str(exc)
+
+
+# the outcomes of the k-subset scan that the walk may change: it checks no
+# value cap, since every value it keeps is an element of A, and it decides
+# where the scan ran out of tuples
+_DECLARED = ("ValueOverflowError", "BudgetExceededError")
+
+
+def _check_against_scan(A, k, op, max_tuples):
+    scan = _outcome(_tuple_scan, A, k, op, max_tuples)
+    walk = _outcome(_contains_closure, A, k, op)
+    if scan[0] in _DECLARED:
+        assert walk == _outcome(_least_closed_tuple, set(A), k, op)
+    else:
+        assert walk == scan
+    return scan, walk
 
 
 # values whose sums or products land just under or over the 64-bit cap
@@ -260,18 +317,19 @@ _closure_sets = st.one_of(
               st.booleans()))
 
 
-@given(_closure_sets, st.integers(1, 3), st.sampled_from([OP_ADD, OP_MUL]),
-       st.one_of(st.integers(0, 12), st.just(1_000_000)))
+@given(_closure_sets, st.integers(1, 4), st.sampled_from([OP_ADD, OP_MUL]))
 @settings(max_examples=400, deadline=None)
-def test_closure_search_matches_reference(A, k, op, max_tuples):
+def test_closure_search_matches_reference(A, k, op):
+    """Where the scan with a million-tuple budget returns, the walk gives
+    the same tuple or None; where it raised, the walk gives the least
+    closed tuple found by brute force."""
     for given_as in (A, sorted(A)):
-        assert (_outcome(_contains_closure, given_as, k, op, max_tuples) ==
-                _outcome(_reference_closure, given_as, k, op, max_tuples))
+        _check_against_scan(given_as, k, op, 1_000_000)
 
 
 @pytest.mark.parametrize("A, k, op, max_tuples", [
     (range(1, 40), 31, OP_ADD, 10),            # family larger than 30
-    (range(1, 40), 31, OP_ADD, 0),             # budget before the family
+    (range(1, 40), 31, OP_ADD, 0),             # the scan's budget first
     ({1, 2, VALUE_CAP - 1}, 2, OP_ADD, 10),    # 2 + (cap - 1) overflows
     ({1, 2, 3, VALUE_CAP - 1}, 2, OP_ADD, 10),  # (1, 2) wins first
     ({2, 3, 4, VALUE_CAP // 2 + 1}, 2, OP_MUL, 10),
@@ -281,8 +339,70 @@ def test_closure_search_matches_reference(A, k, op, max_tuples):
     ({2 ** i for i in range(1, 63)}, 10, OP_MUL, 10),  # repeated products
 ])
 def test_closure_search_edge_cases_match_reference(A, k, op, max_tuples):
-    assert (_outcome(_contains_closure, A, k, op, max_tuples) ==
-            _outcome(_reference_closure, A, k, op, max_tuples))
+    """``max_tuples`` is the scan's budget; the walk has none to pass."""
+    _check_against_scan(A, k, op, max_tuples)
+
+
+@pytest.mark.parametrize("A, k, op, scan, walk", [
+    ({1, 2, VALUE_CAP - 1}, 2, OP_ADD, "ValueOverflowError", None),
+    ({2, 3, 4, VALUE_CAP // 2 + 1}, 2, OP_MUL, "ValueOverflowError", None),
+    # values above the cap are elements like any other to the walk
+    ({1, VALUE_CAP, VALUE_CAP + 1}, 2, OP_ADD, "ValueOverflowError",
+     (1, VALUE_CAP)),
+    ({2, VALUE_CAP + 1, 2 * VALUE_CAP + 2}, 2, OP_MUL, "ValueOverflowError",
+     (2, VALUE_CAP + 1)),
+    ({1, 2, 3, 4, 5}, 3, OP_ADD, "BudgetExceededError", None),
+], ids=["sum-past-cap", "product-past-cap", "sum-above-cap",
+        "product-above-cap", "scan-budget"])
+def test_closure_walk_declared_changes(A, k, op, scan, walk):
+    """The classes of input where the scan raised and the walk answers."""
+    scan_outcome, walk_outcome = _check_against_scan(A, k, op, 3)
+    assert (scan_outcome[0], walk_outcome) == (scan, ("value", walk))
+
+
+def test_closure_walk_decides_where_the_scan_gave_up():
+    # no two of the 45 odd numbers below 90 sum into the set; the scan
+    # tried its million 5-subsets for about a second and gave up
+    odd = frozenset(range(1, 90, 2))
+    t0 = time.perf_counter()
+    assert contains_kfs(odd, 5) is None
+    assert contains_kfs(sorted(odd), 5) is None
+    assert time.perf_counter() - t0 < 0.5
+
+
+def test_closure_walk_stops_fast_at_its_budget():
+    # every prefix of [1..100] summing to at most 100 stays inside A, so
+    # the walk cannot finish; the scan ran 37 s before giving up
+    A = frozenset(range(1, 101)) | {10 ** 6}
+    spent = []
+    for _ in range(2):
+        t0 = time.perf_counter()
+        with pytest.raises(BudgetExceededError,
+                           match=f"node budget {PROBE_BUDGET} exceeded") as exc:
+            contains_kfs(A, 14)
+        assert time.perf_counter() - t0 < 1.0
+        spent.append(exc.value.nodes)
+    assert spent == [PROBE_BUDGET + 1] * 2
+
+
+def test_closure_walk_spends_its_budget_exactly(monkeypatch):
+    """A budget of B answers when B units are enough, else unit B + 1
+    stops it: the outcomes over B = 0, 1, ... are the budget error with
+    nodes B + 1 up to some B*, then the answer."""
+    for A, k, op, answer in ((range(1, 30, 2), 3, OP_ADD, None),
+                             ({1, 2, 3, 4, 5, 6}, 3, OP_ADD, (1, 2, 3)),
+                             ({2, 3, 4, 6, 8, 12, 24}, 3, OP_MUL, (2, 3, 4))):
+        outcomes = []
+        for budget in range(400):
+            monkeypatch.setattr(structures, "PROBE_BUDGET", budget)
+            try:
+                outcomes.append(_contains_closure(A, k, op))
+            except BudgetExceededError as exc:
+                assert exc.nodes == budget + 1
+                outcomes.append("budget")
+        first = outcomes.index(answer)
+        assert first > 0
+        assert outcomes == ["budget"] * first + [answer] * (400 - first)
 
 
 def test_closure_search_keeps_distinct_values_only():
