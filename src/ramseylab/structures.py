@@ -14,9 +14,12 @@ of every extension, so the first full tuple reached is the least one in
 once, and every kept value is an element of the set.  A level ends once
 its candidate would take the full sum (product) past the set's largest
 element.  The walk counts one unit per candidate tried and one per closure
-value formed; a probe that would spend more than :data:`PROBE_BUDGET`
-units raises :class:`BudgetExceededError` at unit ``PROBE_BUDGET + 1``, in
-well under a second.
+value formed.  It gives up, with :class:`BudgetExceededError`, only once it
+has spent more than :data:`PROBE_BUDGET` units and every k-tuple still
+ahead of it comes after the first :data:`PROBE_BUDGET` k-tuples in
+``combinations`` order: a scan trying those tuples one by one could not
+have answered either.  Where that point comes first, the probe stops at
+unit ``PROBE_BUDGET + 1``, in well under a second.
 
 Degeneracy policy: geometric ratios must be >= 2, geometric progressions
 must start at a positive element, and product generators must be >= 2 —
@@ -28,6 +31,7 @@ so k = 1 always succeeds on nonempty sets (witness: the least element).
 
 from __future__ import annotations
 
+from math import comb
 from typing import Optional
 
 from .errors import BudgetExceededError, RamseyError, ValueOverflowError
@@ -39,7 +43,8 @@ OP_MUL = "multiplicative"
 MAX_FAMILY = 30
 
 # units of work (candidates tried plus closure values formed) one k-FS or
-# k-FP probe may spend
+# k-FP probe may spend before it gives up, and the number of k-tuples, in
+# combinations order, it must be past to give up
 PROBE_BUDGET = 1_000_000
 
 
@@ -138,8 +143,8 @@ def contains_kfp(A, k: int) -> Optional[tuple]:
 
 def _contains_closure(A, k: int, op: str) -> Optional[tuple]:
     """Least k-tuple of candidates (in ``itertools.combinations`` order)
-    whose closure lies in A, found by :func:`_closure_walk`; past
-    :data:`PROBE_BUDGET` units of work, the budget error."""
+    whose closure lies in A, found by :func:`_closure_walk`, or the
+    budget error where the walk gives up."""
     if k < 1:
         raise RamseyError("k must be >= 1")
     if not A:
@@ -158,11 +163,11 @@ def _contains_closure(A, k: int, op: str) -> Optional[tuple]:
     unit = 1 if mul else 0
     # every closure value is a candidate, so none passes the largest one
     return _closure_walk(candidates, Aset, candidates[-1], mul, [unit], {unit},
-                         unit, 0, k, [0])
+                         unit, 0, k, [0], [])
 
 
 def _closure_walk(candidates, Aset, top, mul, closure, seen, total, start,
-                  remaining, spent) -> Optional[tuple]:
+                  remaining, spent, path) -> Optional[tuple]:
     """The least ``remaining`` more generators from ``candidates[start:]``,
     in ascending index order, that keep the closure inside Aset; None if
     there are none.  ``closure`` lists the prefix's closure and the unit
@@ -170,9 +175,11 @@ def _closure_walk(candidates, Aset, top, mul, closure, seen, total, start,
     ``total`` is the prefix's sum (product).  A candidate g is tried by
     forming g op c for each c in the closure, abandoning it at the first
     value outside Aset; it ends the level once even ``remaining`` copies of
-    g would take the full sum (product) past ``top``.  ``spent[0]`` counts
-    one unit per candidate tried and one per value formed, and the walk
-    raises the budget error once it passes :data:`PROBE_BUDGET`."""
+    g would take the full sum (product) past ``top``.  ``path`` lists the
+    prefix's candidate indices.  ``spent[0]`` counts one unit per candidate
+    tried and one per value formed; past :data:`PROBE_BUDGET` of them, the
+    walk raises the budget error at the first candidate whose tuples all
+    come after the first :data:`PROBE_BUDGET` k-tuples."""
     for i in range(start, len(candidates) - remaining + 1):
         g = candidates[i]
         if (total * g ** remaining if mul else total + g * remaining) > top:
@@ -189,20 +196,36 @@ def _closure_walk(candidates, Aset, top, mul, closure, seen, total, start,
             seen.add(v)
             closure.append(v)
         spent[0] += 1 + (n if inside else j + 1)
-        if spent[0] > PROBE_BUDGET:
-            raise BudgetExceededError.past(PROBE_BUDGET)
+        if spent[0] > PROBE_BUDGET and _tuples_before(
+                path, i, len(candidates), remaining) >= PROBE_BUDGET:
+            raise BudgetExceededError(f"node budget {PROBE_BUDGET} exceeded",
+                                      nodes=spent[0])
         if inside:
             if remaining == 1:
                 return (g,)
+            path.append(i)
             hit = _closure_walk(candidates, Aset, top, mul, closure, seen,
                                 total * g if mul else total + g, i + 1,
-                                remaining - 1, spent)
+                                remaining - 1, spent, path)
+            path.pop()
             if hit is not None:
                 return (g, *hit)
         for v in closure[n:]:
             seen.discard(v)
         del closure[n:]
     return None
+
+
+def _tuples_before(path, i, n, remaining) -> int:
+    """How many k-subsets of ``range(n)`` come, in ``combinations`` order,
+    before the least one that starts with the indices ``path + [i]``, where
+    k is ``len(path) + remaining``."""
+    k = len(path) + remaining
+    count, prev = 0, -1
+    for depth, index in enumerate((*path, i)):
+        count += comb(n - prev - 1, k - depth) - comb(n - index, k - depth)
+        prev = index
+    return count
 
 
 # ---------------------------------------------------------------------------

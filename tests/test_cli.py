@@ -521,16 +521,18 @@ def test_verify_reads_the_operation_strictly(capsys, tmp_path, op, error):
         0, "valid", {"detail": "composed values monochromatic in color 0"})
 
 
-def test_verify_decides_a_set_without_sums(capsys, tmp_path):
-    # no two of the 45 odd numbers below 90 sum into the set, which the
-    # FS probe now sees at once
-    data = {"lam": 1, "a_set": list(range(1, 90, 2)), "b_set": [1],
-            "k": 5, "color": 0}
-    ref = {"kind": "generator", "generator": "constant", "d": 1, "N": 100,
-           "c": 1, "param": [0]}
+@pytest.mark.parametrize("top, k", [(90, 5), (2400, 2)])
+def test_verify_decides_a_set_without_sums(capsys, tmp_path, top, k):
+    # no two odd numbers sum into a set of odd numbers, which the FS probe
+    # sees at once below 90; below 2400 it tries all 719,400 pairs, as the
+    # scan did within its million, and answers as the scan did
+    data = {"lam": 1, "a_set": list(range(1, top, 2)), "b_set": [1],
+            "k": k, "color": 0}
+    ref = {"kind": "generator", "generator": "constant", "d": 1,
+           "N": top + 10, "c": 1, "param": [0]}
     code, report = _verify_record(capsys, tmp_path, "bundle14", data, ref)
     assert (code, report["verdict"], report["witness"]) == (
-        0, "invalid", {"detail": "A has no 5-generator finite-sums set"})
+        0, "invalid", {"detail": f"A has no {k}-generator finite-sums set"})
 
 
 def test_verify_reads_a_missing_d_as_one(capsys, tmp_path):
@@ -559,7 +561,7 @@ def test_verify_out_of_budget_keeps_its_query(capsys, tmp_path):
         "query": {"command": "verify", "witness": str(tmp_path / "w.json"),
                   "kind": "bundle14"},
         "verdict": "unknown", "witness": None,
-        "stats": {"engine": "verify", "nodes": 1_000_001, "time_ms": 0.0},
+        "stats": {"engine": "verify", "nodes": 1_000_010, "time_ms": 0.0},
         "error": "node budget 1000000 exceeded"}
 
 

@@ -1,7 +1,6 @@
 """Subset-sum/product closures and the four structure detectors."""
 
 import math
-import time
 import tracemalloc
 from itertools import combinations, islice
 
@@ -360,35 +359,49 @@ def test_closure_walk_declared_changes(A, k, op, scan, walk):
     assert (scan_outcome[0], walk_outcome) == (scan, ("value", walk))
 
 
-def test_closure_walk_decides_where_the_scan_gave_up():
+def test_closure_walk_decides_where_the_scan_gave_up(monkeypatch):
     # no two of the 45 odd numbers below 90 sum into the set; the scan
-    # tried its million 5-subsets for about a second and gave up
+    # tried its million 5-subsets for about a second and gave up, and the
+    # walk needs 156 units: a budget of 155 stops it, one of 156 does not
     odd = frozenset(range(1, 90, 2))
-    t0 = time.perf_counter()
     assert contains_kfs(odd, 5) is None
     assert contains_kfs(sorted(odd), 5) is None
-    assert time.perf_counter() - t0 < 0.5
+    monkeypatch.setattr(structures, "PROBE_BUDGET", 156)
+    assert contains_kfs(odd, 5) is None
+    monkeypatch.setattr(structures, "PROBE_BUDGET", 155)
+    with pytest.raises(BudgetExceededError) as exc:
+        contains_kfs(odd, 5)
+    assert exc.value.nodes == 156
+
+
+def test_closure_walk_answers_where_the_scan_answered():
+    # the scan tries all C(1200, 2) = 719,400 pairs of the odd numbers
+    # below 2400 within its million and answers None; the walk spends more
+    # than a million units on them but is never past the first million
+    # pairs, so it answers too
+    assert math.comb(1200, 2) < PROBE_BUDGET
+    assert contains_kfs(frozenset(range(1, 2400, 2)), 2) is None
 
 
 def test_closure_walk_stops_fast_at_its_budget():
     # every prefix of [1..100] summing to at most 100 stays inside A, so
-    # the walk cannot finish; the scan ran 37 s before giving up
+    # the walk cannot finish; the scan ran 37 s before giving up, and the
+    # walk is past the first million 14-tuples long before its millionth
+    # unit, so it stops at the first candidate after it
     A = frozenset(range(1, 101)) | {10 ** 6}
     spent = []
     for _ in range(2):
-        t0 = time.perf_counter()
         with pytest.raises(BudgetExceededError,
                            match=f"node budget {PROBE_BUDGET} exceeded") as exc:
             contains_kfs(A, 14)
-        assert time.perf_counter() - t0 < 1.0
         spent.append(exc.value.nodes)
-    assert spent == [PROBE_BUDGET + 1] * 2
+    assert spent == [1_000_010] * 2
 
 
 def test_closure_walk_spends_its_budget_exactly(monkeypatch):
-    """A budget of B answers when B units are enough, else unit B + 1
-    stops it: the outcomes over B = 0, 1, ... are the budget error with
-    nodes B + 1 up to some B*, then the answer."""
+    """A budget of B answers when B units are enough, else the walk stops
+    after more than B units: the outcomes over B = 0, 1, ... are the
+    budget error up to some B*, then the answer."""
     for A, k, op, answer in ((range(1, 30, 2), 3, OP_ADD, None),
                              ({1, 2, 3, 4, 5, 6}, 3, OP_ADD, (1, 2, 3)),
                              ({2, 3, 4, 6, 8, 12, 24}, 3, OP_MUL, (2, 3, 4))):
@@ -398,11 +411,29 @@ def test_closure_walk_spends_its_budget_exactly(monkeypatch):
             try:
                 outcomes.append(_contains_closure(A, k, op))
             except BudgetExceededError as exc:
-                assert exc.nodes == budget + 1
+                assert exc.nodes > budget
                 outcomes.append("budget")
         first = outcomes.index(answer)
         assert first > 0
         assert outcomes == ["budget"] * first + [answer] * (400 - first)
+
+
+@given(_closure_sets, st.integers(1, 4), st.sampled_from([OP_ADD, OP_MUL]),
+       st.integers(0, 40))
+@settings(max_examples=400, deadline=None)
+def test_closure_walk_gives_up_only_where_the_scan_did(A, k, op, budget):
+    """With both budgets set to B, the walk answers wherever a scan of B
+    tuples answers, and gives the same answer; where the scan raised, the
+    walk gives the least closed tuple or its own budget error."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(structures, "PROBE_BUDGET", budget)
+        for given_as in (A, sorted(A)):
+            scan = _outcome(_tuple_scan, given_as, k, op, budget)
+            walk = _outcome(_contains_closure, given_as, k, op)
+            if scan[0] not in _DECLARED:
+                assert walk == scan
+            elif walk[0] != "BudgetExceededError":
+                assert walk == _outcome(_least_closed_tuple, set(A), k, op)
 
 
 def test_closure_search_keeps_distinct_values_only():
