@@ -620,9 +620,8 @@ def find_scaled_quad_detailed(coloring: Coloring,
 
 
 def check_scaled_quad(coloring: Coloring, a: int, x: int, y: int) -> tuple:
-    values = (a * x, a * y, x * y, a * (x + y))
-    colors = {coloring.value_color(v) for v in values}
-    return (True, colors.pop()) if len(colors) == 1 else (False, None)
+    return _common_color((True, coloring.value_color(v))
+                         for v in (a * x, a * y, x * y, a * (x + y)))
 
 
 def find_shifted_quad_detailed(coloring: Coloring,
@@ -635,9 +634,8 @@ def find_shifted_quad_detailed(coloring: Coloring,
 
 
 def check_shifted_quad(coloring: Coloring, b: int, u: int, v: int) -> tuple:
-    values = (u + b, v + b, u * v + b, u + v)
-    colors = {coloring.value_color(w) for w in values}
-    return (True, colors.pop()) if len(colors) == 1 else (False, None)
+    return _common_color((True, coloring.value_color(w))
+                         for w in (u + b, v + b, u * v + b, u + v))
 
 
 # ---------------------------------------------------------------------------

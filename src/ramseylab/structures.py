@@ -14,12 +14,9 @@ of every extension, so the first full tuple reached is the least one in
 once, and every kept value is an element of the set.  A level ends once
 its candidate would take the full sum (product) past the set's largest
 element.  The walk counts one unit per candidate tried and one per closure
-value formed.  It gives up, with :class:`BudgetExceededError`, only once it
-has spent more than :data:`PROBE_BUDGET` units and every k-tuple still
-ahead of it comes after the first :data:`PROBE_BUDGET` k-tuples in
-``combinations`` order: a scan trying those tuples one by one could not
-have answered either.  Where that point comes first, the probe stops at
-unit ``PROBE_BUDGET + 1``, in well under a second.
+value formed, and gives up (:class:`BudgetExceededError`) only once it is
+past :data:`PROBE_BUDGET` units and past the first :data:`PROBE_BUDGET`
+k-tuples in ``combinations`` order, where a scan of them had given up too.
 
 Degeneracy policy: geometric ratios must be >= 2, geometric progressions
 must start at a positive element, and product generators must be >= 2 —
@@ -42,9 +39,7 @@ OP_MUL = "multiplicative"
 
 MAX_FAMILY = 30
 
-# units of work (candidates tried plus closure values formed) one k-FS or
-# k-FP probe may spend before it gives up, and the number of k-tuples, in
-# combinations order, it must be past to give up
+# units, and k-tuples in combinations order, a probe passes before giving up
 PROBE_BUDGET = 1_000_000
 
 
@@ -153,9 +148,7 @@ def _contains_closure(A, k: int, op: str) -> Optional[tuple]:
         return (min(A),)
     Aset = A if isinstance(A, (set, frozenset)) else set(A)
     mul = op == OP_MUL
-    candidates = sorted(A)
-    if candidates[0] < (2 if mul else 1):
-        candidates = [a for a in candidates if a >= (2 if mul else 1)]
+    candidates = [a for a in sorted(A) if a >= (2 if mul else 1)]
     if len(candidates) < k:
         return None
     if k > MAX_FAMILY:
@@ -163,11 +156,11 @@ def _contains_closure(A, k: int, op: str) -> Optional[tuple]:
     unit = 1 if mul else 0
     # every closure value is a candidate, so none passes the largest one
     return _closure_walk(candidates, Aset, candidates[-1], mul, [unit], {unit},
-                         unit, 0, k, [0], [])
+                         unit, 0, k, [0], 0)
 
 
 def _closure_walk(candidates, Aset, top, mul, closure, seen, total, start,
-                  remaining, spent, path) -> Optional[tuple]:
+                  remaining, spent, before) -> Optional[tuple]:
     """The least ``remaining`` more generators from ``candidates[start:]``,
     in ascending index order, that keep the closure inside Aset; None if
     there are none.  ``closure`` lists the prefix's closure and the unit
@@ -175,12 +168,15 @@ def _closure_walk(candidates, Aset, top, mul, closure, seen, total, start,
     ``total`` is the prefix's sum (product).  A candidate g is tried by
     forming g op c for each c in the closure, abandoning it at the first
     value outside Aset; it ends the level once even ``remaining`` copies of
-    g would take the full sum (product) past ``top``.  ``path`` lists the
-    prefix's candidate indices.  ``spent[0]`` counts one unit per candidate
-    tried and one per value formed; past :data:`PROBE_BUDGET` of them, the
-    walk raises the budget error at the first candidate whose tuples all
-    come after the first :data:`PROBE_BUDGET` k-tuples."""
-    for i in range(start, len(candidates) - remaining + 1):
+    g would take the full sum (product) past ``top``.  ``spent[0]`` counts
+    one unit per candidate tried and one per value formed.  In
+    ``combinations`` order, ``before`` k-tuples come ahead of the prefix's
+    first and ``after - comb(m - i, remaining)`` ahead of candidate i's
+    first; the walk gives up at the first candidate where both counts pass
+    :data:`PROBE_BUDGET`."""
+    m = len(candidates)
+    after = before + comb(m - start, remaining)
+    for i in range(start, m - remaining + 1):
         g = candidates[i]
         if (total * g ** remaining if mul else total + g * remaining) > top:
             break
@@ -196,36 +192,23 @@ def _closure_walk(candidates, Aset, top, mul, closure, seen, total, start,
             seen.add(v)
             closure.append(v)
         spent[0] += 1 + (n if inside else j + 1)
-        if spent[0] > PROBE_BUDGET and _tuples_before(
-                path, i, len(candidates), remaining) >= PROBE_BUDGET:
+        if spent[0] > PROBE_BUDGET and \
+                after - comb(m - i, remaining) >= PROBE_BUDGET:
             raise BudgetExceededError(f"node budget {PROBE_BUDGET} exceeded",
                                       nodes=spent[0])
         if inside:
             if remaining == 1:
                 return (g,)
-            path.append(i)
             hit = _closure_walk(candidates, Aset, top, mul, closure, seen,
                                 total * g if mul else total + g, i + 1,
-                                remaining - 1, spent, path)
-            path.pop()
+                                remaining - 1, spent,
+                                after - comb(m - i, remaining))
             if hit is not None:
                 return (g, *hit)
         for v in closure[n:]:
             seen.discard(v)
         del closure[n:]
     return None
-
-
-def _tuples_before(path, i, n, remaining) -> int:
-    """How many k-subsets of ``range(n)`` come, in ``combinations`` order,
-    before the least one that starts with the indices ``path + [i]``, where
-    k is ``len(path) + remaining``."""
-    k = len(path) + remaining
-    count, prev = 0, -1
-    for depth, index in enumerate((*path, i)):
-        count += comb(n - prev - 1, k - depth) - comb(n - index, k - depth)
-        prev = index
-    return count
 
 
 # ---------------------------------------------------------------------------
