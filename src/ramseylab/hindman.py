@@ -620,8 +620,9 @@ def find_scaled_quad_detailed(coloring: Coloring,
 
 
 def check_scaled_quad(coloring: Coloring, a: int, x: int, y: int) -> tuple:
-    return _common_color((True, coloring.value_color(v))
-                         for v in (a * x, a * y, x * y, a * (x + y)))
+    values = (a * x, a * y, x * y, a * (x + y))
+    colors = {coloring.value_color(v) for v in values}
+    return (True, colors.pop()) if len(colors) == 1 else (False, None)
 
 
 def find_shifted_quad_detailed(coloring: Coloring,
@@ -634,8 +635,9 @@ def find_shifted_quad_detailed(coloring: Coloring,
 
 
 def check_shifted_quad(coloring: Coloring, b: int, u: int, v: int) -> tuple:
-    return _common_color((True, coloring.value_color(w))
-                         for w in (u + b, v + b, u * v + b, u + v))
+    values = (u + b, v + b, u * v + b, u + v)
+    colors = {coloring.value_color(w) for w in values}
+    return (True, colors.pop()) if len(colors) == 1 else (False, None)
 
 
 # ---------------------------------------------------------------------------
@@ -716,14 +718,18 @@ def verify_witness(record: dict, coloring: Optional[Coloring] = None) -> tuple:
         coloring = ColoringSpec.from_json(ref).load()
 
     try:
+        if kind in ("bundle14", "bundle15"):
+            shifted = kind == "bundle15"
+            ok, detail = check_bundle(coloring, Bundle(
+                shifted=shifted, lam=_int(data, "lam"),
+                a_set=_ints(data, "a_set"), b_set=_ints(data, "b_set"),
+                k=_int(data, "k"), color=_int(data, "color")))
+            return ok, detail or \
+                f"{'shifted' if shifted else 'scaled'} bundle verified"
         if kind == "fs":
             ok, color = check_fs_witness(coloring, _ints(data, "generators"))
-            want = data.get("color")
-            if ok and (want is None or want == color):
-                return True, f"FS closure monochromatic in color {color}"
-            return False, ("closure is not monochromatic" if not ok else
-                           f"closure color {color} != recorded {want}")
-        if kind == "grid":
+            values, subject, part = "FS closure", "closure is", "closure"
+        elif kind == "grid":
             seq = _ints(data, "sequence")
             if "cuts" in data:
                 ok, color = check_grid_witness(
@@ -731,28 +737,18 @@ def verify_witness(record: dict, coloring: Optional[Coloring] = None) -> tuple:
             else:
                 color = grid_common_color(coloring, seq, _int(data, "d"))
                 ok = color is not None
-            want = data.get("color")
-            if ok and (want is None or want == color):
-                return True, f"grid blocks monochromatic in color {color}"
-            return False, ("blocks are not monochromatic" if not ok else
-                           f"block color {color} != recorded {want}")
-        if kind == "composed":
-            op = op_from_json(data["op"])
+            values, subject, part = "grid blocks", "blocks are", "block"
+        else:
             ok, color = check_composed_witness(
-                coloring, op,
+                coloring, op_from_json(data["op"]),
                 CutGrid(_ints(data, "sequence"), _ints(data, "cuts")))
-            want = data.get("color")
-            if ok and (want is None or want == color):
-                return True, f"composed values monochromatic in color {color}"
-            return False, ("composed values are not monochromatic" if not ok
-                           else f"composed color {color} != recorded {want}")
-        shifted = kind == "bundle15"
-        ok, detail = check_bundle(coloring, Bundle(
-            shifted=shifted, lam=_int(data, "lam"),
-            a_set=_ints(data, "a_set"), b_set=_ints(data, "b_set"),
-            k=_int(data, "k"), color=_int(data, "color")))
-        return ok, detail or \
-            f"{'shifted' if shifted else 'scaled'} bundle verified"
+            values, subject, part = ("composed values", "composed values are",
+                                     "composed")
+        want = data.get("color")
+        if ok and (want is None or want == color):
+            return True, f"{values} monochromatic in color {color}"
+        return False, (f"{subject} not monochromatic" if not ok else
+                       f"{part} color {color} != recorded {want}")
     except (OutOfBoxError, CompositionOutOfBoxError) as exc:
         return False, f"out of box: {exc}"
     except KeyError as exc:

@@ -148,7 +148,9 @@ def _contains_closure(A, k: int, op: str) -> Optional[tuple]:
         return (min(A),)
     Aset = A if isinstance(A, (set, frozenset)) else set(A)
     mul = op == OP_MUL
-    candidates = [a for a in sorted(A) if a >= (2 if mul else 1)]
+    candidates = sorted(A)
+    if candidates[0] < (2 if mul else 1):
+        candidates = [a for a in candidates if a >= (2 if mul else 1)]
     if len(candidates) < k:
         return None
     if k > MAX_FAMILY:
@@ -156,27 +158,23 @@ def _contains_closure(A, k: int, op: str) -> Optional[tuple]:
     unit = 1 if mul else 0
     # every closure value is a candidate, so none passes the largest one
     return _closure_walk(candidates, Aset, candidates[-1], mul, [unit], {unit},
-                         unit, 0, k, [0], 0)
+                         unit, 0, k, [0], ())
 
 
 def _closure_walk(candidates, Aset, top, mul, closure, seen, total, start,
-                  remaining, spent, before) -> Optional[tuple]:
+                  remaining, spent, path) -> Optional[tuple]:
     """The least ``remaining`` more generators from ``candidates[start:]``,
     in ascending index order, that keep the closure inside Aset; None if
     there are none.  ``closure`` lists the prefix's closure and the unit
-    (0, or 1 for products) once each, ``seen`` holds the same values and
-    ``total`` is the prefix's sum (product).  A candidate g is tried by
-    forming g op c for each c in the closure, abandoning it at the first
-    value outside Aset; it ends the level once even ``remaining`` copies of
-    g would take the full sum (product) past ``top``.  ``spent[0]`` counts
-    one unit per candidate tried and one per value formed.  In
-    ``combinations`` order, ``before`` k-tuples come ahead of the prefix's
-    first and ``after - comb(m - i, remaining)`` ahead of candidate i's
-    first; the walk gives up at the first candidate where both counts pass
-    :data:`PROBE_BUDGET`."""
-    m = len(candidates)
-    after = before + comb(m - start, remaining)
-    for i in range(start, m - remaining + 1):
+    (0, or 1 for products) once each, ``seen`` holds the same values,
+    ``total`` is the prefix's sum (product) and ``path`` its candidate
+    indices.  A candidate g is tried by forming g op c for each c in the
+    closure, abandoning it at the first value outside Aset; it ends the
+    level once even ``remaining`` copies of g would take the full sum
+    (product) past ``top``.  ``spent[0]`` counts one unit per candidate
+    tried and one per value formed; the walk gives up at the first candidate
+    where both it and the k-tuples ahead of its subtree pass the budget."""
+    for i in range(start, len(candidates) - remaining + 1):
         g = candidates[i]
         if (total * g ** remaining if mul else total + g * remaining) > top:
             break
@@ -192,8 +190,8 @@ def _closure_walk(candidates, Aset, top, mul, closure, seen, total, start,
             seen.add(v)
             closure.append(v)
         spent[0] += 1 + (n if inside else j + 1)
-        if spent[0] > PROBE_BUDGET and \
-                after - comb(m - i, remaining) >= PROBE_BUDGET:
+        if spent[0] > PROBE_BUDGET and PROBE_BUDGET <= _tuples_before(
+                (*path, i), len(candidates), len(path) + remaining):
             raise BudgetExceededError(f"node budget {PROBE_BUDGET} exceeded",
                                       nodes=spent[0])
         if inside:
@@ -201,14 +199,20 @@ def _closure_walk(candidates, Aset, top, mul, closure, seen, total, start,
                 return (g,)
             hit = _closure_walk(candidates, Aset, top, mul, closure, seen,
                                 total * g if mul else total + g, i + 1,
-                                remaining - 1, spent,
-                                after - comb(m - i, remaining))
+                                remaining - 1, spent, (*path, i))
             if hit is not None:
                 return (g, *hit)
         for v in closure[n:]:
             seen.discard(v)
         del closure[n:]
     return None
+
+
+def _tuples_before(indices, n, k) -> int:
+    """How many k-subsets of ``range(n)`` come before the least one that
+    starts with ``indices``, in ``combinations`` order."""
+    return sum(comb(n - prev - 1, k - d) - comb(n - index, k - d)
+               for d, (prev, index) in enumerate(zip((-1, *indices), indices)))
 
 
 # ---------------------------------------------------------------------------
