@@ -386,8 +386,8 @@ def test_closure_walk_answers_where_the_scan_answered():
 def test_closure_walk_stops_fast_at_its_budget():
     # every prefix of [1..100] summing to at most 100 stays inside A, so
     # the walk cannot finish; the scan ran 37 s before giving up, and the
-    # walk is past the first million 14-tuples long before its millionth
-    # unit, so it stops at the first candidate after it
+    # walk is past the first million 14-tuples by its millionth unit, so it
+    # stops at the first candidate after that unit
     A = frozenset(range(1, 101)) | {10 ** 6}
     spent = []
     for _ in range(2):
