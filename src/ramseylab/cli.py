@@ -585,7 +585,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--k", type=int, default=2,
                        help="structure order (default 2)")
         p.add_argument("--cap-a", type=int, default=None,
-                       help="largest |A| to try")
+                       help="largest |A| to try (default min(7, 2^k - 1) for "
+                       "bundle14, min(9, 2^k) for bundle15); sizes below "
+                       "k(k+1)/2 hold no k-generator FS set and are "
+                       "skipped, so a smaller cap, as the default is for "
+                       "k >= 4, answers none after 0 nodes")
         p.add_argument("--corollary", action="store_true",
                        help="search the 4-term quadruple pattern instead")
         _search_args(p, "--budget")

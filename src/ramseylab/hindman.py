@@ -57,7 +57,8 @@ from .errors import (BudgetExceededError, CompositionOutOfBoxError,
 from .patterns import VALUE_CAP, parse_pattern
 from .search import InstanceQuery, find_instance_detailed
 from .structures import (MAX_FAMILY, OP_ADD, contains_kap, contains_kfp,
-                         contains_kfs, contains_kgp, fs_values)
+                         contains_kfs, contains_kgp, fs_values,
+                         min_closure_size)
 
 WITNESS_KINDS = ("fs", "grid", "composed", "bundle14", "bundle15")
 BUILTIN_OPS = ("multiplication-capped", "addition-capped")
@@ -494,16 +495,21 @@ def check_bundle(coloring: Coloring, bundle: Bundle) -> tuple:
 def _find_bundle(coloring: Coloring, k: int, cap_a: Optional[int],
                  budget: Optional[int], shifted: bool):
     """Shared bundle search.  Candidate order: lam ascending, |A|
-    ascending, A lexicographic, then B — and since the per-b constraints
-    are independent, the first feasible B is always a singleton, checked in
-    ascending b.  Structure is checked once per A, after the first b that
-    keeps the derived set monochromatic."""
+    ascending from ``min_closure_size(k)`` (no smaller A holds a
+    k-generator finite-sums set), A lexicographic, then B — and since the
+    per-b constraints are independent, the first feasible B is always a
+    singleton, checked in ascending b.  Structure is checked once per A,
+    after the first b that keeps the derived set monochromatic.  A cap
+    below that least size answers None after 0 nodes."""
     if k < 1:
         raise RamseyError("k must be at least 1")
     if cap_a is None:
-        cap_a = max(k, min(9, 2 ** k) if shifted else min(7, 2 ** k - 1))
+        cap_a = min(9, 2 ** k) if shifted else min(7, 2 ** k - 1)
     if cap_a < 1:
         raise RamseyError("cap_a must be at least 1")
+    least = min_closure_size(k)
+    if cap_a < least:
+        return None, 0
     N = coloring.N
     colors = coloring.value_table()
     nodes = 0
@@ -582,7 +588,7 @@ def _find_bundle(coloring: Coloring, k: int, cap_a: Optional[int],
         b_by_color: dict = {}
         for b in range(1, vmax + 1):
             b_by_color.setdefault(image[b], []).append(b)
-        for size in range(k, cap_a + 1):
+        for size in range(least, cap_a + 1):
             found = extend(None, size)
             if found is not None:
                 a_key, b_key = found

@@ -17,6 +17,9 @@ element.  The walk counts one unit per candidate tried and one per closure
 value formed, and gives up (:class:`BudgetExceededError`) only once it is
 past :data:`PROBE_BUDGET` units and past the first :data:`PROBE_BUDGET`
 k-tuples in ``combinations`` order, where a scan of them had given up too.
+A k-generator finite-sums (finite-products) set has at least
+:func:`min_closure_size` distinct values, so a set with fewer distinct
+candidates holds none and the detectors answer None at once.
 
 Degeneracy policy: geometric ratios must be >= 2, geometric progressions
 must start at a positive element, and product generators must be >= 2 —
@@ -68,6 +71,23 @@ def fs_values(generators, op: str = OP_ADD) -> frozenset:
                 raise ValueOverflowError(f"combined value {v} exceeds 64-bit cap")
         acc |= new
     return frozenset(acc)
+
+
+def min_closure_size(k: int) -> int:
+    """The fewest distinct values the closure of k distinct generators can
+    have, k(k+1)/2, for sums of generators >= 1 and for products of
+    generators >= 2.  For a_1 < ... < a_k let s_j be the sum of the j
+    largest; the chain
+
+        a_1 < ... < a_k < s_1+a_1 < ... < s_1+a_(k-1)
+            < s_2+a_1 < ... < s_2+a_(k-2) < ... < s_(k-1)+a_1
+
+    has k + (k-1) + ... + 1 subset sums, strictly increasing because each
+    run s_j+a_1 < ... < s_j+a_(k-j) starts above s_j, the last value of
+    the run before it.  The chain of products p_j*a_i increases strictly
+    too once every generator is >= 2, and {1, 2, ..., k} (products:
+    {2, 4, ..., 2^k}) attains the bound."""
+    return k * (k + 1) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -148,15 +168,16 @@ def _contains_closure(A, k: int, op: str) -> Optional[tuple]:
         return (min(A),)
     Aset = A if isinstance(A, (set, frozenset)) else set(A)
     mul = op == OP_MUL
-    candidates = sorted(A)
+    candidates = sorted(Aset)
     if candidates[0] < (2 if mul else 1):
         candidates = [a for a in candidates if a >= (2 if mul else 1)]
-    if len(candidates) < k:
-        return None
-    if k > MAX_FAMILY:
+    if len(candidates) >= k > MAX_FAMILY:
         raise RamseyError(f"family size {k} outside [1, {MAX_FAMILY}]")
+    # every closure value is a candidate, so there are enough of them and
+    # none passes the largest one
+    if len(candidates) < min_closure_size(k):
+        return None
     unit = 1 if mul else 0
-    # every closure value is a candidate, so none passes the largest one
     return _closure_walk(candidates, Aset, candidates[-1], mul, [unit], {unit},
                          unit, 0, k, [0], ())
 

@@ -270,13 +270,25 @@ def test_finder_budget_exhaustion_reports_query_and_nodes(capsys, argv, flag):
                           stats=dict(base["stats"], nodes=nodes))
 
 
+@pytest.mark.parametrize("command", ["bundle14", "bundle15"])
+@pytest.mark.parametrize("flags", [("--k", "4"), ("--k", "3", "--cap-a", "5")],
+                         ids=["k4-default-cap", "k3-cap5"])
+def test_bundle_cap_below_the_floor_answers_none(capsys, command, flags):
+    # a k-generator FS set has at least k(k+1)/2 values, more than |A| may
+    code, report = run_json(capsys, command, *flags, "--generator",
+                            "constant", "--n", "60", "--colors", "1",
+                            "--param", "0")
+    assert (code, report["verdict"], report["stats"]["nodes"]) == \
+        (0, "none", 0)
+
+
 BUNDLE15_N40 = ("bundle15", "--k", "2") + _random(40)
 GRID_N60 = ("grid-witness", "--length", "4", "--blocks", "2") + _random(60)
 
 
 @pytest.mark.parametrize("argv, verdict", [
-    (BUNDLE15_N40 + ("--budget", "17512"), "found"),
-    (BUNDLE15_N40 + ("--budget", "17000"), "unknown"),
+    (BUNDLE15_N40 + ("--budget", "16184"), "found"),
+    (BUNDLE15_N40 + ("--budget", "16000"), "unknown"),
     (GRID_N60 + ("--budget", "635"), "found"),
 ], ids=["bundle15-found", "bundle15-unknown", "grid-found"])
 def test_reports_do_not_depend_on_workers(capsys, argv, verdict):
@@ -369,7 +381,7 @@ PARSER_SEQUENCE = [
     ("find", "--pattern", SCHUR, "--generator", "parity", "--n", "8",
      "--colors", "2"),
     ("--help",),
-    BUNDLE15_N40 + ("--budget", "17000"),  # budget runs out
+    BUNDLE15_N40 + ("--budget", "16000"),  # budget runs out
     ("avoid", "--pattern", SCHUR, "--n", "4"),  # usage error: no --colors
 ]
 
@@ -548,9 +560,9 @@ def test_verify_reads_a_missing_d_as_one(capsys, tmp_path):
 
 
 def test_verify_out_of_budget_keeps_its_query(capsys, tmp_path):
-    # every prefix of [1..100] summing to at most 100 keeps its closure
+    # every prefix of [1..104] summing to at most 104 keeps its closure
     # inside A, so the FS probe runs past its budget
-    data = {"lam": 1, "a_set": [*range(1, 101), 10 ** 6], "b_set": [1],
+    data = {"lam": 1, "a_set": [*range(1, 105), 10 ** 6], "b_set": [1],
             "k": 14, "color": 0}
     ref = {"kind": "generator", "generator": "constant", "d": 1,
            "N": 10 ** 6 + 1, "c": 1, "param": [0]}
@@ -561,7 +573,7 @@ def test_verify_out_of_budget_keeps_its_query(capsys, tmp_path):
         "query": {"command": "verify", "witness": str(tmp_path / "w.json"),
                   "kind": "bundle14"},
         "verdict": "unknown", "witness": None,
-        "stats": {"engine": "verify", "nodes": 1_000_010, "time_ms": 0.0},
+        "stats": {"engine": "verify", "nodes": 1_074_214, "time_ms": 0.0},
         "error": "node budget 1000000 exceeded"}
 
 

@@ -26,8 +26,10 @@ from ramseylab.hindman import (BUILTIN_OPS, Bundle, CutGrid, OpTable,
                                find_shifted_quad_detailed,
                                grid_common_color,
                                load_op_table, load_witness, make_witness,
-                               op_from_json, save_witness, verify_witness)
-from ramseylab.structures import OP_ADD, contains_kfs, fs_values
+                               op_from_json, save_witness, verify_witness,
+                               _missing_structure)
+from ramseylab.structures import (OP_ADD, contains_kfs, fs_values,
+                                  min_closure_size)
 
 
 def parity(N):
@@ -491,8 +493,10 @@ def test_finder_budget_spends_every_node(find, N, seed):
 
 
 # Witness, node count and budget verdicts of each finder, captured before
-# the finders read a flat color table: (kind, N, colors, seed, lazy,
-# finder arguments, witness, nodes).  Lazy colorings go through ``fn``.
+# the finders read a flat color table; the bundle rows' node counts are
+# those of the search that starts at |A| = k(k+1)/2: (kind, N, colors,
+# seed, lazy, finder arguments, witness, nodes).  Lazy colorings go
+# through ``fn``.
 PINNED_FINDS = [
     ("fs", 500, 2, 0, False, (3,), [1, 13, 21], 22),
     ("fs", 500, 2, 1, False, (3,), [1, 1, 16], 17),
@@ -511,18 +515,18 @@ PINNED_FINDS = [
     ("grid", 12, 3, 8, False, (4, 2), None, 1188),
     ("grid", 60, 2, 5, True, (4, 2), [[1, 1, 58, 1], 0], 240),
     ("grid", 40, 3, 6, True, (4, 2), [[4, 4, 4, 4], 0], 3012),
-    ("bundle14", 60, 2, 0, False, (2,), [1, [2, 4, 6], [2], 2, 0], 5646),
-    ("bundle14", 120, 2, 1, False, (2,), [1, [1, 16, 17], [1], 2, 1], 14983),
-    ("bundle14", 200, 2, 2, False, (2,), [1, [1, 17, 18], [1], 2, 0], 39207),
-    ("bundle14", 30, 3, 3, False, (2,), [1, [1, 10, 11], [1], 2, 0], 905),
-    ("bundle14", 16, 3, 8, False, (2,), None, 862),
-    ("bundle14", 100, 2, 4, True, (2,), [1, [1, 18, 19], [1], 2, 0], 10845),
-    ("bundle14", 40, 3, 6, True, (2,), None, 8649),
-    ("bundle15", 40, 2, 0, False, (2,), [1, [3, 9, 18, 27], [1], 2, 0], 17512),
-    ("bundle15", 60, 2, 1, False, (2,), [1, [1, 6, 7, 42], [1], 2, 1], 34627),
-    ("bundle15", 30, 2, 9, False, (2,), [1, [1, 2, 3, 6], [1], 2, 0], 4043),
-    ("bundle15", 20, 3, 3, False, (2,), None, 11493),
-    ("bundle15", 36, 2, 4, True, (2,), [1, [3, 6, 12, 18], [1], 2, 0], 12128),
+    ("bundle14", 60, 2, 0, False, (2,), [1, [2, 4, 6], [2], 2, 0], 2165),
+    ("bundle14", 120, 2, 1, False, (2,), [1, [1, 16, 17], [1], 2, 1], 1649),
+    ("bundle14", 200, 2, 2, False, (2,), [1, [1, 17, 18], [1], 2, 0], 2325),
+    ("bundle14", 30, 3, 3, False, (2,), [1, [1, 10, 11], [1], 2, 0], 206),
+    ("bundle14", 16, 3, 8, False, (2,), None, 542),
+    ("bundle14", 100, 2, 4, True, (2,), [1, [1, 18, 19], [1], 2, 0], 1525),
+    ("bundle14", 40, 3, 6, True, (2,), None, 6614),
+    ("bundle15", 40, 2, 0, False, (2,), [1, [3, 9, 18, 27], [1], 2, 0], 16184),
+    ("bundle15", 60, 2, 1, False, (2,), [1, [1, 6, 7, 42], [1], 2, 1], 31555),
+    ("bundle15", 30, 2, 9, False, (2,), [1, [1, 2, 3, 6], [1], 2, 0], 3331),
+    ("bundle15", 20, 3, 3, False, (2,), None, 9530),
+    ("bundle15", 36, 2, 4, True, (2,), [1, [3, 6, 12, 18], [1], 2, 0], 11042),
 ]
 
 _PINNED_FINDERS = {
@@ -559,6 +563,144 @@ def test_finders_are_pinned(kind, N, c, seed, lazy, args, witness, nodes):
     with pytest.raises(BudgetExceededError) as exc:
         find(col, args, nodes - 1)
     assert exc.value.nodes == nodes
+
+
+def _reference_find_bundle(coloring, k, cap_a, budget, shifted):
+    """The bundle search as it was before it skipped the sizes of A below
+    ``min_closure_size(k)``: every |A| from k up to the cap."""
+    if k < 1:
+        raise RamseyError("k must be at least 1")
+    if cap_a is None:
+        cap_a = max(k, min(9, 2 ** k) if shifted else min(7, 2 ** k - 1))
+    if cap_a < 1:
+        raise RamseyError("cap_a must be at least 1")
+    N = coloring.N
+    colors = coloring.value_table()
+    nodes = 0
+    a_set: list = []
+
+    def first_good_b(anchor):
+        nonlocal nodes
+        amax = a_set[-1]
+        for b in b_by_color.get(anchor, ()):
+            nodes += 1
+            if budget is not None and nodes > budget:
+                raise BudgetExceededError.past(budget)
+            if shifted:
+                if amax + b > N or lam + amax * b > N:
+                    break
+                for a in a_set:
+                    if colors[a + b] != anchor or \
+                            colors[lam + a * b] != anchor:
+                        break
+                else:
+                    return b
+            else:
+                if lam * (amax + b) > N or amax * b > N:
+                    break
+                for a in a_set:
+                    if colors[a * b] != anchor or \
+                            colors[lam * (a + b)] != anchor:
+                        break
+                else:
+                    return b
+        return None
+
+    def extend(anchor, size):
+        nonlocal nodes
+        if len(a_set) == size:
+            b = first_good_b(anchor)
+            if b is None:
+                return None
+            nodes += 1
+            if budget is not None and nodes > budget:
+                raise BudgetExceededError.past(budget)
+            key = tuple(a_set)
+            if _missing_structure(frozenset(key), k, shifted) is not None:
+                return None
+            return key, (b,)
+        start = a_set[-1] + 1 if a_set else 1
+        need = size - len(a_set)
+        for a in range(start, vmax + 1):
+            nodes += 1
+            if budget is not None and nodes > budget:
+                raise BudgetExceededError.past(budget)
+            if vmax - a + 1 < need:
+                break
+            color = image[a]
+            if anchor is not None and color != anchor:
+                continue
+            a_set.append(a)
+            hit = extend(color, size)
+            a_set.pop()
+            if hit is not None:
+                return hit
+        return None
+
+    for lam in range(1, (N - 1 if shifted else N) + 1):
+        vmax = N - lam if shifted else N // lam
+        if shifted:
+            image = [None] + [colors[lam + v] for v in range(1, vmax + 1)]
+        else:
+            image = [None] + [colors[lam * v] for v in range(1, vmax + 1)]
+        b_by_color: dict = {}
+        for b in range(1, vmax + 1):
+            b_by_color.setdefault(image[b], []).append(b)
+        for size in range(k, cap_a + 1):
+            found = extend(None, size)
+            if found is not None:
+                a_key, b_key = found
+                return Bundle(shifted=shifted, lam=lam, a_set=a_key,
+                              b_set=b_key, k=k, color=image[a_key[0]]), nodes
+    return None, nodes
+
+
+_BUNDLE_COLORINGS = [("random", 24, 2, 0), ("random", 20, 3, 2),
+                     ("parity", 24, 2, 0), ("constant", 12, 1, 0)]
+
+
+@pytest.mark.parametrize("lazy", [False, True], ids=["table", "fn"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("shifted", [False, True],
+                         ids=["bundle14", "bundle15"])
+def test_bundle_finder_skips_only_sizes_that_cannot_hold(shifted, k, lazy):
+    """Against the search that tried every |A| from k: the same witness or
+    error, no more nodes, and the budget rule at the new count."""
+    find = find_shifted_bundle_detailed if shifted else \
+        find_scaled_bundle_detailed
+    floor = min_closure_size(k)
+    for generator, N, c, seed in _BUNDLE_COLORINGS:
+        col = make_coloring(generator, 1, N, c, seed=seed,
+                            param=(0,) if generator == "constant" else (),
+                            cell_budget=0 if lazy else N)
+        assert (col.cells is None) == lazy
+        for cap_a in (None, floor - 1, floor, floor + 1):
+            got = _outcome(find, col, k, cap_a)
+            want = _outcome(_reference_find_bundle, col, k, cap_a, None,
+                            shifted)
+            if isinstance(want[0], type):  # both refuse a cap_a of 0
+                assert got == want
+                continue
+            (hit, nodes), (ref_hit, ref_nodes) = got, want
+            assert hit == ref_hit
+            assert nodes <= ref_nodes
+            if cap_a == floor - 1:
+                assert (hit, nodes) == (None, 0)
+                continue
+            assert find(col, k, cap_a, nodes) == (hit, nodes)
+            with pytest.raises(BudgetExceededError) as exc:
+                find(col, k, cap_a, nodes - 1)
+            assert exc.value.nodes == nodes
+
+
+def test_bundle_finder_answers_below_the_floor_at_once():
+    # k = 4 needs |A| >= 10, past the default caps of 7 and 9; the search
+    # through every A of 4 to 7 elements ran for minutes on this coloring
+    col = make_coloring("constant", 1, 60, 1, param=(0,))
+    for find in (find_scaled_bundle_detailed, find_shifted_bundle_detailed):
+        assert find(col, 4) == (None, 0)
+        assert find(col, 4, budget=0) == (None, 0)
+        assert find(col, 3, cap_a=5) == (None, 0)
 
 
 def test_grid_finder_keeps_distinct_block_sums_only():

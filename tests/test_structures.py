@@ -14,8 +14,8 @@ from ramseylab import structures
 from ramseylab.structures import (MAX_FAMILY, OP_ADD, OP_MUL, PROBE_BUDGET,
                                   _contains_closure, contains_kap,
                                   contains_kfp, contains_kfs, contains_kgp,
-                                  fs_values, validate_kap, validate_kfp,
-                                  validate_kfs, validate_kgp)
+                                  fs_values, min_closure_size, validate_kap,
+                                  validate_kfp, validate_kfs, validate_kgp)
 
 
 def _brute_fs(gens):
@@ -89,6 +89,64 @@ def test_kfp_generators_at_least_two():
     assert contains_kfp(frozenset({1, 2, 3}), 2) is None
     # k = 1 is membership, so a lone 1 still passes
     assert contains_kfp(frozenset({1}), 1) == (1,)
+
+
+def test_closure_detectors_take_a_repeated_element_once():
+    # FS((1, 1)) = {1, 2} and FP((2, 2)) = {2, 4} lie inside, but a
+    # generator tuple is strictly increasing
+    assert contains_kfs([1, 1, 2], 2) is None
+    assert contains_kfp([2, 2, 4], 2) is None
+    assert contains_kfs([3, 1, 2, 1], 2) == (1, 2)
+
+
+# lists holding some of their elements twice, among them sums (products)
+# closed up to a bound, so that witnesses are common
+_lists_with_repeats = st.one_of(
+    st.lists(st.integers(1, 24), min_size=1, max_size=10),
+    st.builds(lambda gens, mul: sorted(fs_values(gens, OP_MUL if mul
+                                                 else OP_ADD)),
+              st.lists(st.integers(2, 6), min_size=1, max_size=4),
+              st.booleans()),
+).flatmap(lambda xs: st.lists(st.sampled_from(xs), min_size=1,
+                              max_size=6).map(lambda again: xs + again))
+
+
+@given(_lists_with_repeats, st.integers(1, 4))
+@settings(max_examples=300, deadline=None)
+def test_closure_witnesses_from_lists_with_repeats_validate(A, k):
+    for detect, validate in ((contains_kfs, validate_kfs),
+                             (contains_kfp, validate_kfp)):
+        hit = detect(A, k)
+        if hit is not None:
+            assert validate(A, k, hit)
+
+
+@given(st.frozensets(st.integers(1, 60), min_size=1, max_size=8),
+       st.sampled_from([OP_ADD, OP_MUL]))
+def test_closures_hold_at_least_the_floor(G, op):
+    gens = sorted(G) if op == OP_ADD else sorted(g + 1 for g in G)
+    assert len(fs_values(gens, op)) >= min_closure_size(len(gens))
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_closure_floor_is_attained(k):
+    assert len(fs_values(range(1, k + 1))) == min_closure_size(k)
+    assert len(fs_values([2 ** i for i in range(1, k + 1)], OP_MUL)) == \
+        min_closure_size(k)
+
+
+def test_closure_detectors_answer_below_the_floor_at_once(monkeypatch):
+    # with no budget at all, a set with fewer values than k(k+1)/2 still
+    # answers None, while one at the floor needs the walk
+    monkeypatch.setattr(structures, "PROBE_BUDGET", 0)
+    assert contains_kfs(range(1, 15), 5) is None
+    assert contains_kfp({2 ** i for i in range(1, 15)}, 5) is None
+    # [1..100] ∪ {10^6} ran the walk past its budget with k = 14
+    assert contains_kfs(frozenset(range(1, 101)) | {10 ** 6}, 14) is None
+    with pytest.raises(BudgetExceededError):
+        contains_kfs(range(1, 16), 5)
+    with pytest.raises(BudgetExceededError):
+        contains_kfp({2 ** i for i in range(1, 16)}, 5)
 
 
 def test_k1_degeneracy_is_uniform():
@@ -384,18 +442,17 @@ def test_closure_walk_answers_where_the_scan_answered():
 
 
 def test_closure_walk_stops_fast_at_its_budget():
-    # every prefix of [1..100] summing to at most 100 stays inside A, so
-    # the walk cannot finish; the scan ran 37 s before giving up, and the
-    # walk is past the first million 14-tuples by its millionth unit, so it
-    # stops at the first candidate after that unit
-    A = frozenset(range(1, 101)) | {10 ** 6}
+    # every prefix of [1..104] summing to at most 104 stays inside A, so
+    # the walk cannot finish; it stops at the first candidate past its
+    # millionth unit where the 14-tuples ahead are past the first million
+    A = frozenset(range(1, 105)) | {10 ** 6}
     spent = []
     for _ in range(2):
         with pytest.raises(BudgetExceededError,
                            match=f"node budget {PROBE_BUDGET} exceeded") as exc:
             contains_kfs(A, 14)
         spent.append(exc.value.nodes)
-    assert spent == [1_000_010] * 2
+    assert spent == [1_074_214] * 2
 
 
 def test_closure_walk_spends_its_budget_exactly(monkeypatch):
