@@ -271,10 +271,13 @@ def test_finder_budget_exhaustion_reports_query_and_nodes(capsys, argv, flag):
 
 
 @pytest.mark.parametrize("command", ["bundle14", "bundle15"])
-@pytest.mark.parametrize("flags", [("--k", "4"), ("--k", "3", "--cap-a", "5")],
-                         ids=["k4-default-cap", "k3-cap5"])
+@pytest.mark.parametrize("flags", [("--k", "4"), ("--k", "4", "--budget", "0"),
+                                   ("--k", "3", "--cap-a", "5")],
+                         ids=["k4-default-cap", "k4-budget0", "k3-cap5"])
 def test_bundle_cap_below_the_floor_answers_none(capsys, command, flags):
-    # a k-generator FS set has at least k(k+1)/2 values, more than |A| may
+    # a k-generator FS set has at least k(k+1)/2 values, more than |A| may;
+    # the search through every A of 4 to 7 elements for k = 4 ran for
+    # minutes on this coloring
     code, report = run_json(capsys, command, *flags, "--generator",
                             "constant", "--n", "60", "--colors", "1",
                             "--param", "0")

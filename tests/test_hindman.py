@@ -693,16 +693,6 @@ def test_bundle_finder_skips_only_sizes_that_cannot_hold(shifted, k, lazy):
             assert exc.value.nodes == nodes
 
 
-def test_bundle_finder_answers_below_the_floor_at_once():
-    # k = 4 needs |A| >= 10, past the default caps of 7 and 9; the search
-    # through every A of 4 to 7 elements ran for minutes on this coloring
-    col = make_coloring("constant", 1, 60, 1, param=(0,))
-    for find in (find_scaled_bundle_detailed, find_shifted_bundle_detailed):
-        assert find(col, 4) == (None, 0)
-        assert find(col, 4, budget=0) == (None, 0)
-        assert find(col, 3, cap_a=5) == (None, 0)
-
-
 def test_grid_finder_keeps_distinct_block_sums_only():
     # on one color every prefix of ones passes; a block of length m has 2^m
     # subsets but only m distinct sums
