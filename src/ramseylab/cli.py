@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Every subcommand prints one canonical JSON report to stdout::
+Every subcommand but ``suite`` prints one canonical JSON report to stdout::
 
     {"schema_version": 1, "query": {...}, "verdict": "...",
      "witness": ..., "stats": {"engine": ..., "nodes": ..., "time_ms": ...}}
@@ -8,17 +8,23 @@ Every subcommand prints one canonical JSON report to stdout::
 Colorings are of [1..N]: --coloring-file reads one from a "1 N c" file,
 and --generator builds one from --n, --colors, --param and --seed.
 
-Exit codes: 0 when the question was answered (in either direction), 1 on
-usage or input errors, 2 when a node/conflict budget ran out first.
+Every report goes through one path, in main(): a subcommand only echoes
+its query and hands back its search, and main() times the search, writes
+the report to stdout and to --out (the same bytes, error reports too) and
+picks the exit code: 0 when the question was answered (in either
+direction), 1 on usage or input errors (verdict "error", with the message
+under "error"), 2 when a node/conflict budget ran out first (verdict
+"unknown", in one shape for every subcommand, with no "error" key).
 
 Every search is one in-order depth-first walk on one thread; --workers is
 accepted and ignored.  Reports are deterministic by default — time_ms is
 zeroed, so the same query produces byte-identical output whatever the
-machine; pass --timing for wall-clock numbers.  A node budget of B
-(--max-nodes, --budget) gives the answer when the search needs at most B
-nodes; otherwise node B + 1 stops it, and the report has verdict
-"unknown", the usual query echo and nodes B + 1.  The sat engine reads
---max-nodes as a conflict budget and reports conflicts plus decisions.
+machine; pass --timing for the wall-clock time of the search, on every
+subcommand.  A node budget of B (--max-nodes, --budget) gives the answer
+when the search needs at most B nodes; otherwise node B + 1 stops it, and
+the report has verdict "unknown", the usual query echo and nodes B + 1.
+The sat engine reads --max-nodes as a conflict budget and reports
+conflicts plus decisions.
 """
 
 from __future__ import annotations
@@ -33,10 +39,9 @@ from . import sat as satmod
 from .colorings import (GENERATORS, Coloring, ColoringSpec, load_file,
                         save_file)
 from .errors import BudgetExceededError, MalformedInputError, RamseyError
-from .hindman import (BUILTIN_OPS, CutGrid, builtin_op, check_bundle,
-                      check_composed_witness, check_depth_indexed_witness,
-                      check_fs_witness,
-                      check_scaled_quad, check_shifted_quad,
+from .hindman import (BUILTIN_OPS, SCALED_QUAD, SHIFTED_QUAD, CutGrid,
+                      builtin_op, check_bundle, check_composed_witness,
+                      check_depth_indexed_witness, check_fs_witness,
                       composed_color_by_depth,
                       find_fs_witness_detailed, find_grid_witness_detailed,
                       find_scaled_bundle_detailed, find_scaled_quad_detailed,
@@ -118,25 +123,6 @@ def _coloring_from_args(args) -> tuple:
     raise RamseyError("no coloring given (use --coloring-file or --generator)")
 
 
-def _stats(engine: str, nodes: int, t0: float, timing: bool) -> dict:
-    dt = (time.perf_counter() - t0) * 1000.0
-    return {"engine": engine, "nodes": nodes,
-            "time_ms": round(dt, 3) if timing else 0.0}
-
-
-def _report(query: dict, verdict: str, witness, stats: dict) -> dict:
-    return {"schema_version": 1, "query": query, "verdict": verdict,
-            "witness": witness, "stats": stats}
-
-
-def _emit(report: dict, out_path=None) -> None:
-    text = _canonical(report)
-    sys.stdout.write(text)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
 def _maybe_save_witness(args, kind: str, data: dict, spec: ColoringSpec):
     path = getattr(args, "witness_out", None)
     if path:
@@ -151,26 +137,32 @@ def _recheck(ok: bool, detail: str) -> None:
         raise RamseyError(f"finder hit failed its re-check: {detail}")
 
 
-def _run_finder(args, query: dict, engine: str, search, witness_of) -> int:
-    """Emit the report of ``search()``, which returns (hit or None, nodes):
-    verdict found if the hit is non-empty, else none, with witness
-    ``witness_of(hit)`` unless it is None; exit 0.  When the budget runs
-    out first: verdict unknown with the nodes spent, exit 2."""
-    t0 = time.perf_counter()
-    try:
+def _finder(search, witness_of):
+    """The run of a finder: ``search()`` returns (hit or None, nodes), and
+    the verdict is found if the hit is non-empty, else none, with witness
+    ``witness_of(hit)`` unless it is None."""
+    def run():
         hit, nodes = search()
-    except BudgetExceededError as exc:
-        _emit(_report(query, "unknown", None,
-                      _stats(engine, exc.nodes, t0, args.timing)), args.out)
-        return 2
-    witness = witness_of(hit) if hit is not None else None
-    _emit(_report(query, "found" if hit else "none", witness,
-                  _stats(engine, nodes, t0, args.timing)), args.out)
-    return 0
+        return ("found" if hit else "none",
+                None if hit is None else witness_of(hit), nodes)
+    return run
+
+
+def _instance_witness(coloring: Coloring, schema):
+    """The witness of a hit (assignment, color) of ``schema``, after its
+    terms are re-evaluated at the assignment and their colors re-read."""
+    def witness_of(hit):
+        asg, color = hit
+        _recheck(all(coloring.value_color(v) == color
+                      for v in instantiate(schema, asg)),
+                 "instance values differ in color")
+        return {"assignment": asg, "color": color}
+    return witness_of
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (query echo, engine, run), where run() does the
+# search and returns (verdict, witness, nodes); main() reports it
 
 
 def _pattern_query(args) -> tuple:
@@ -182,112 +174,102 @@ def _pattern_query(args) -> tuple:
                     "min_value": schema.min_value}
 
 
-def cmd_find(args) -> int:
+def cmd_find(args) -> tuple:
     schema, query = _pattern_query(args)
     coloring, spec = _coloring_from_args(args)
     query["coloring"] = spec.to_json()
     iq = InstanceQuery(schema=schema, coloring=coloring)
-
-    def instance_witness(hit):
-        asg, color = hit
-        _recheck(all(coloring.value_color(v) == color
-                     for v in instantiate(schema, asg)),
-                 "instance values differ in color")
-        return {"assignment": asg, "color": color}
-
+    witness_of = _instance_witness(coloring, schema)
     if not args.all:
-        return _run_finder(
-            args, query, "scan",
+        return query, "scan", _finder(
             lambda: find_instance_detailed(iq, max_nodes=args.max_nodes),
-            instance_witness)
-    return _run_finder(
-        args, query, "scan",
+            witness_of)
+    return query, "scan", _finder(
         lambda: find_all_instances_detailed(iq, limit=args.max_witnesses,
                                             max_nodes=args.max_nodes),
-        lambda hits: [instance_witness(hit) for hit in hits])
+        lambda hits: [witness_of(hit) for hit in hits])
 
 
-def cmd_avoid(args) -> int:
+def cmd_avoid(args) -> tuple:
     schema, query = _pattern_query(args)
     query.update(n=args.n, colors=args.colors, engine=args.engine)
-    t0 = time.perf_counter()
-    res = find_avoiding_coloring(schema, args.n, args.colors,
-                                 engine=args.engine,
-                                 max_nodes=args.max_nodes)
-    witness = None
-    if res.coloring is not None:
-        witness = {"cells": list(res.coloring.cells)}
-        if args.coloring_out:
-            save_file(res.coloring, args.coloring_out)
-    _emit(_report(query, res.verdict, witness,
-                  _stats(args.engine, res.stats.nodes, t0, args.timing)),
-          args.out)
-    return 2 if res.verdict == "unknown" else 0
+
+    def run():
+        res = find_avoiding_coloring(schema, args.n, args.colors,
+                                     engine=args.engine,
+                                     max_nodes=args.max_nodes)
+        witness = None
+        if res.coloring is not None:
+            witness = {"cells": list(res.coloring.cells)}
+            if args.coloring_out:
+                save_file(res.coloring, args.coloring_out)
+        return res.verdict, witness, res.stats.nodes
+    return query, args.engine, run
 
 
-def cmd_threshold(args) -> int:
+def cmd_threshold(args) -> tuple:
     schema, query = _pattern_query(args)
     query.update(colors=args.colors, n_max=args.n_max, engine=args.engine)
-    t0 = time.perf_counter()
-    res = threshold_number(schema, args.colors, args.n_max,
-                           engine=args.engine, max_nodes=args.max_nodes)
-    nodes = sum(r[2] for r in res.rows)
-    witness = None
-    if res.threshold is not None:
-        witness = {"threshold": res.threshold,
-                   "certificate": (list(res.certificate.cells)
-                                   if res.certificate else None)}
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write("N,verdict,nodes,time_ms\n")
-            for N, verdict, n_nodes, t_ms in res.rows:
-                ms = round(t_ms, 3) if args.timing else 0.0
-                fh.write(f"{N},{verdict},{n_nodes},{ms}\n")
-    _emit(_report(query, res.status, witness,
-                  _stats(args.engine, nodes, t0, args.timing)), args.out)
-    return 2 if res.status == "unknown" else 0
+
+    def run():
+        res = threshold_number(schema, args.colors, args.n_max,
+                               engine=args.engine, max_nodes=args.max_nodes)
+        witness = None
+        if res.threshold is not None:
+            witness = {"threshold": res.threshold,
+                       "certificate": (list(res.certificate.cells)
+                                       if res.certificate else None)}
+        if args.csv:
+            with open(args.csv, "w", encoding="utf-8") as fh:
+                fh.write("N,verdict,nodes,time_ms\n")
+                for N, verdict, n_nodes, t_ms in res.rows:
+                    ms = round(t_ms, 3) if args.timing else 0.0
+                    fh.write(f"{N},{verdict},{n_nodes},{ms}\n")
+        return res.status, witness, sum(r[2] for r in res.rows)
+    return query, args.engine, run
 
 
-def cmd_encode(args) -> int:
+def cmd_encode(args) -> tuple:
     schema, query = _pattern_query(args)
     query.update(n=args.n, colors=args.colors,
                  symmetry_break=args.symmetry_break)
-    formula, _ = satmod.encode_avoidance(schema, args.n, args.colors,
-                                         symmetry_break=args.symmetry_break)
-    with open(args.out_cnf, "w", encoding="utf-8") as fh:
-        fh.write(satmod.export_dimacs(formula))
-    witness = {"path": args.out_cnf, "vars": formula.var_count,
-               "clauses": len(formula.clauses)}
-    _emit(_report(query, "encoded", witness,
-                  {"engine": "encode", "nodes": 0, "time_ms": 0.0}), args.out)
-    return 0
+
+    def run():
+        formula, _ = satmod.encode_avoidance(
+            schema, args.n, args.colors, symmetry_break=args.symmetry_break)
+        with open(args.out_cnf, "w", encoding="utf-8") as fh:
+            fh.write(satmod.export_dimacs(formula))
+        return "encoded", {"path": args.out_cnf, "vars": formula.var_count,
+                           "clauses": len(formula.clauses)}, 0
+    return query, "encode", run
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args) -> tuple:
+    if (args.n is None) != (args.colors is None):
+        raise RamseyError("decoding the model needs both --n and --colors")
     with open(args.cnf, "r", encoding="utf-8") as fh:
         formula = satmod.parse_dimacs(fh.read())
-    t0 = time.perf_counter()
-    sv = satmod.solve(formula, max_conflicts=args.max_conflicts)
     query = {"command": "solve", "cnf": args.cnf,
              "vars": formula.var_count, "clauses": len(formula.clauses)}
-    witness = None
-    if sv.status == satmod.SAT:
-        witness = {"model": list(sv.model)}
-        if args.n is not None and args.colors is not None:
-            vmap = satmod.ColorVarMap(N=args.n, c=args.colors)
-            witness["cells"] = list(vmap.decode(sv.model).cells)
-    if args.model_out and sv.status != satmod.UNKNOWN:
-        with open(args.model_out, "w", encoding="utf-8") as fh:
-            fh.write(satmod.format_solver_output(sv))
-    verdict = {satmod.SAT: "sat", satmod.UNSAT: "unsat",
-               satmod.UNKNOWN: "unknown"}[sv.status]
-    _emit(_report(query, verdict, witness,
-                  _stats("sat", sv.conflicts + sv.decisions, t0,
-                         args.timing)), args.out)
-    return 2 if verdict == "unknown" else 0
+
+    def run():
+        sv = satmod.solve(formula, max_conflicts=args.max_conflicts)
+        witness = None
+        if sv.status == satmod.SAT:
+            witness = {"model": list(sv.model)}
+            if args.n is not None:
+                vmap = satmod.ColorVarMap(N=args.n, c=args.colors)
+                witness["cells"] = list(vmap.decode(sv.model).cells)
+        if args.model_out and sv.status != satmod.UNKNOWN:
+            with open(args.model_out, "w", encoding="utf-8") as fh:
+                fh.write(satmod.format_solver_output(sv))
+        verdict = {satmod.SAT: "sat", satmod.UNSAT: "unsat",
+                   satmod.UNKNOWN: "unknown"}[sv.status]
+        return verdict, witness, sv.conflicts + sv.decisions
+    return query, "sat", run
 
 
-def cmd_fs_witness(args) -> int:
+def cmd_fs_witness(args) -> tuple:
     coloring, spec = _coloring_from_args(args)
     query = {"command": "fs-witness", "k": args.k,
              "coloring": spec.to_json()}
@@ -299,13 +281,12 @@ def cmd_fs_witness(args) -> int:
         _maybe_save_witness(args, "fs", dict(witness, k=args.k), spec)
         return witness
 
-    return _run_finder(
-        args, query, "fs-scan",
+    return query, "fs-scan", _finder(
         lambda: find_fs_witness_detailed(coloring, args.k, budget=args.budget),
         witness_of)
 
 
-def cmd_grid_witness(args) -> int:
+def cmd_grid_witness(args) -> tuple:
     coloring, spec = _coloring_from_args(args)
     query = {"command": "grid-witness", "length": args.length,
              "blocks": args.blocks, "coloring": spec.to_json()}
@@ -318,8 +299,7 @@ def cmd_grid_witness(args) -> int:
         _maybe_save_witness(args, "grid", dict(witness), spec)
         return witness
 
-    return _run_finder(
-        args, query, "grid-scan",
+    return query, "grid-scan", _finder(
         lambda: find_grid_witness_detailed(coloring, args.length, args.blocks,
                                            budget=args.budget),
         witness_of)
@@ -332,66 +312,50 @@ def _op_from_args(args, coloring: Coloring):
     return builtin_op(args.op, n)
 
 
-def cmd_composed_witness(args) -> int:
+def cmd_composed_witness(args) -> tuple:
     coloring, spec = _coloring_from_args(args)
     op = _op_from_args(args, coloring)
     seq = _csv_ints(args.sequence)
     base = {"command": "composed-witness", "sequence": list(seq),
             "op": op.to_json(), "coloring": spec.to_json()}
-    t0 = time.perf_counter()
     if args.profile_depth is not None:
-        profile = composed_color_by_depth(coloring, op, seq,
-                                          args.profile_depth)
-        verdict = "profiled"
-        witness = {"profile": profile}
         query = dict(base, mode="profile", d_max=args.profile_depth)
-    elif args.depth_set_m0 is not None:
-        ok, color = check_depth_indexed_witness(coloring, op, seq,
-                                                args.depth_set_m0)
-        verdict = "valid" if ok else "invalid"
-        witness = {"color": color} if ok else None
+        return query, "composed-check", lambda: ("profiled", {
+            "profile": composed_color_by_depth(coloring, op, seq,
+                                               args.profile_depth)}, 0)
+    if args.depth_set_m0 is not None:
         query = dict(base, mode="depth-indexed", m0=args.depth_set_m0)
+        check = lambda: check_depth_indexed_witness(coloring, op, seq,
+                                                    args.depth_set_m0)
     else:
-        if not args.cuts:
-            raise RamseyError("composed-witness needs --cuts (or --profile-depth"
-                              " / --depth-set-m0)")
         cuts = _csv_ints(args.cuts)
-        ok, color = check_composed_witness(coloring, op, CutGrid(seq, cuts))
-        verdict = "valid" if ok else "invalid"
-        witness = {"color": color} if ok else None
         query = dict(base, mode="check", cuts=list(cuts))
-    _emit(_report(query, verdict, witness,
-                  _stats("composed-check", 0, t0, args.timing)), args.out)
-    return 0
+        check = lambda: check_composed_witness(coloring, op, CutGrid(seq, cuts))
+
+    def run():
+        ok, color = check()
+        return ("valid", {"color": color}, 0) if ok else ("invalid", None, 0)
+    return query, "composed-check", run
 
 
-def cmd_bundle(args) -> int:
+def cmd_bundle(args) -> tuple:
     coloring, spec = _coloring_from_args(args)
-    name, shifted = args.command, args.shifted
+    name = args.command
     if args.corollary:
         query = {"command": name, "mode": "corollary",
                  "coloring": spec.to_json()}
-        if shifted:
-            find, check, names = (find_shifted_quad_detailed,
-                                  check_shifted_quad, "buv")
-        else:
-            find, check, names = (find_scaled_quad_detailed,
-                                  check_scaled_quad, "axy")
-
-        def quad_witness(hit):
-            asg, color = hit
-            ok, chk = check(coloring, *(asg[v] for v in names))
-            _recheck(ok and chk == color, "quadruple values differ in color")
-            return {"assignment": asg, "color": color}
-
-        return _run_finder(args, query, "quad-scan",
-                           lambda: find(coloring, max_nodes=args.budget),
-                           quad_witness)
+        find, schema = ((find_shifted_quad_detailed, SHIFTED_QUAD)
+                        if args.shifted else
+                        (find_scaled_quad_detailed, SCALED_QUAD))
+        return query, "quad-scan", _finder(
+            lambda: find(coloring, max_nodes=args.budget),
+            _instance_witness(coloring, schema))
     query = {"command": name, "mode": "bundle", "k": args.k,
              "cap_a": args.cap_a, "coloring": spec.to_json()}
-    find = find_shifted_bundle_detailed if shifted else find_scaled_bundle_detailed
+    find = (find_shifted_bundle_detailed if args.shifted
+            else find_scaled_bundle_detailed)
 
-    def bundle_witness(hit):
+    def witness_of(hit):
         ok, detail = check_bundle(coloring, hit)
         _recheck(ok, detail)
         witness = {"lam": hit.lam, "a_set": list(hit.a_set),
@@ -399,51 +363,42 @@ def cmd_bundle(args) -> int:
         _maybe_save_witness(args, name, dict(witness), spec)
         return witness
 
-    return _run_finder(
-        args, query, "bundle-scan",
+    return query, "bundle-scan", _finder(
         lambda: find(coloring, args.k, cap_a=args.cap_a, budget=args.budget),
-        bundle_witness)
+        witness_of)
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple:
     record = load_witness(args.witness)
     coloring = None
     if args.coloring_file or args.generator:
         coloring, _ = _coloring_from_args(args)
     query = {"command": "verify", "witness": args.witness,
              "kind": record["kind"]}
-    stats = {"engine": "verify", "nodes": 0, "time_ms": 0.0}
-    try:
+
+    def run():
         ok, detail = verify_witness(record, coloring=coloring)
-    except BudgetExceededError as exc:
-        # a structure probe of a hand-made record ran past its budget
-        _emit(dict(_report(query, "unknown", None,
-                           dict(stats, nodes=exc.nodes)), error=str(exc)),
-              args.out)
-        return 2
-    _emit(_report(query, "valid" if ok else "invalid", {"detail": detail},
-                  stats), args.out)
-    return 0
+        return "valid" if ok else "invalid", {"detail": detail}, 0
+    return query, "verify", run
 
 
-def cmd_semigroup(args) -> int:
+def cmd_semigroup(args) -> tuple:
     table = load_table(args.table)
-    report = algebra_report(table).to_json()
-    if args.central_subset is not None:
-        subset = _csv_ints(args.central_subset)
-        report["subset"] = sorted(subset)
-        report["central"] = is_central(table, subset)
-        if args.translate_by is not None:
-            report["translate_by"] = args.translate_by
-            report["translate"] = sorted(
-                translate_set(table, subset, args.translate_by))
-    elif args.translate_by is not None:
-        raise RamseyError("--translate-by needs --central-subset")
-    query = {"command": "semigroup", "table": args.table}
-    _emit(_report(query, "analyzed", report,
-                  {"engine": "algebra", "nodes": 0, "time_ms": 0.0}),
-          args.out)
-    return 0
+
+    def run():
+        report = algebra_report(table).to_json()
+        if args.central_subset is not None:
+            subset = _csv_ints(args.central_subset)
+            report["subset"] = sorted(subset)
+            report["central"] = is_central(table, subset)
+            if args.translate_by is not None:
+                report["translate_by"] = args.translate_by
+                report["translate"] = sorted(
+                    translate_set(table, subset, args.translate_by))
+        elif args.translate_by is not None:
+            raise RamseyError("--translate-by needs --central-subset")
+        return "analyzed", report, 0
+    return {"command": "semigroup", "table": args.table}, "algebra", run
 
 
 def cmd_suite(args) -> int:
@@ -565,14 +520,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="check composed/depth-indexed witnesses")
     _add_coloring_args(p)
     p.add_argument("--sequence", required=True, help="comma-separated entries")
-    p.add_argument("--cuts", help="comma-separated cut tuple m_0,...,m_d")
     p.add_argument("--op", choices=BUILTIN_OPS, default="multiplication-capped")
     p.add_argument("--op-table", help="explicit operation table file")
     p.add_argument("--op-n", type=int, help="builtin op domain (default N)")
-    p.add_argument("--profile-depth", type=int,
-                   help="profile common colors for d = 1..D instead")
-    p.add_argument("--depth-set-m0", type=int,
-                   help="depth-indexed check with this head length")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--cuts", help="comma-separated cut tuple m_0,...,m_d")
+    mode.add_argument("--profile-depth", type=int,
+                      help="profile common colors for d = 1..D instead")
+    mode.add_argument("--depth-set-m0", type=int,
+                      help="depth-indexed check with this head length")
     _common_out(p)
     p.set_defaults(fn=cmd_composed_witness)
 
@@ -613,7 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("suite", help="run the acceptance criteria")
     p.add_argument("--ids", help="comma-separated criterion ids (default all)")
-    p.set_defaults(fn=cmd_suite)
+    p.set_defaults(fn=cmd_suite, out=None, timing=False)
 
     return parser
 
@@ -626,22 +582,41 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and print its report (``suite``: its criteria
+    lines); returns the exit code.  A budget the search runs out of gives
+    verdict ``unknown`` with the full query echo and the nodes spent; an
+    input error gives verdict ``error`` with only the command echoed."""
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    query, engine, error = {"command": args.command}, "", {}
+    t0 = time.perf_counter()
     try:
-        return args.fn(args)
-    except RamseyError as exc:
-        budget = isinstance(exc, BudgetExceededError)
-        _emit(dict(_report({"command": args.command},
-                           "unknown" if budget else "error", None,
-                           {"engine": "", "nodes": 0, "time_ms": 0.0}),
-                   error=str(exc)))
-        return 2 if budget else 1
+        try:
+            if args.command == "suite":
+                return cmd_suite(args)
+            query, engine, run = args.fn(args)
+            t0 = time.perf_counter()
+            verdict, witness, nodes = run()
+        except BudgetExceededError as exc:
+            verdict, witness, nodes = "unknown", None, exc.nodes
+        except RamseyError as exc:
+            query, engine, nodes = {"command": args.command}, "", 0
+            verdict, witness, error = "error", None, {"error": str(exc)}
+        ms = (time.perf_counter() - t0) * 1000.0
+        stats = {"engine": engine, "nodes": nodes,
+                 "time_ms": round(ms, 3) if args.timing else 0.0}
+        text = _canonical(dict(error, schema_version=1, query=query,
+                               verdict=verdict, witness=witness, stats=stats))
+        sys.stdout.write(text)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
     except OSError as exc:
         print(f"{PROG}: {exc}", file=sys.stderr)
         return 1
+    return {"error": 1, "unknown": 2}.get(verdict, 0)
 
 
 if __name__ == "__main__":

@@ -118,7 +118,7 @@ class Coloring:
 
     def __post_init__(self):
         if self.N < 1 or self.c < 1:
-            raise MalformedInputError("coloring requires d >= 1, N >= 1, c >= 1")
+            raise MalformedInputError("coloring requires N >= 1 and c >= 1")
         if self.d != 1:
             raise MalformedInputError(
                 f"a coloring colors [1..N], so d must be 1, got d={self.d}")

@@ -25,8 +25,10 @@ Degeneracy policy: geometric ratios must be >= 2, geometric progressions
 must start at a positive element, and product generators must be >= 2 —
 otherwise every nonempty set (every set holding 0) contains these
 structures and the detectors say nothing.  The k = 1 case is the
-deliberate exception: a single element is trivially a 1-AP/1-GP/1-FS/1-FP,
-so k = 1 always succeeds on nonempty sets (witness: the least element).
+deliberate exception: a single element is trivially a 1-AP/1-GP/1-FP, so
+k = 1 always succeeds on nonempty sets (witness: the least element).  A
+1-FS set is a generator >= 1, as for every k, so its witness is the least
+element >= 1, and a set with none holds no 1-FS set.
 """
 
 from __future__ import annotations
@@ -145,8 +147,8 @@ def contains_kgp(A, k: int) -> Optional[tuple]:
 
 
 def contains_kfs(A, k: int) -> Optional[tuple]:
-    """Least strictly increasing (a_1 < ... < a_k) from A whose full
-    subset-sum closure stays inside A."""
+    """Least strictly increasing (a_1 < ... < a_k), all >= 1, from A whose
+    full subset-sum closure stays inside A."""
     return _contains_closure(A, k, OP_ADD)
 
 
@@ -164,10 +166,12 @@ def _contains_closure(A, k: int, op: str) -> Optional[tuple]:
         raise RamseyError("k must be >= 1")
     if not A:
         return None
-    if k == 1:
+    mul = op == OP_MUL
+    if k == 1 and mul:
+        # a lone element of any value is a 1-FP set; a 1-FS generator is
+        # >= 1 as for every k, so the walk below answers k = 1 sums
         return (min(A),)
     Aset = A if isinstance(A, (set, frozenset)) else set(A)
-    mul = op == OP_MUL
     candidates = sorted(Aset)
     if candidates[0] < (2 if mul else 1):
         candidates = [a for a in candidates if a >= (2 if mul else 1)]
@@ -258,6 +262,8 @@ def validate_kgp(A, k: int, witness) -> bool:
 
 def validate_kfs(A, k: int, witness) -> bool:
     if len(witness) != k or any(witness[i] >= witness[i + 1] for i in range(k - 1)):
+        return False
+    if any(g < 1 for g in witness):
         return False
     return fs_values(witness, OP_ADD) <= set(A)
 

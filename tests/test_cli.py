@@ -177,7 +177,7 @@ def test_random_generator_rejects_an_empty_palette(capsys, argv, box):
     code, report = run_json(
         capsys, *argv, "--generator", "random", "--n", "10", *box)
     assert (code, report["verdict"], report["error"]) == (
-        1, "error", "coloring requires d >= 1, N >= 1, c >= 1")
+        1, "error", "coloring requires N >= 1 and c >= 1")
 
 
 D2_ERROR = "a coloring colors [1..N], so d must be 1, got d=2"
@@ -446,6 +446,18 @@ def test_encode_then_solve_round_trip(capsys, tmp_path):
     assert model.read_text().startswith("s SATISFIABLE")
 
 
+@pytest.mark.parametrize("flags", [("--n", "4"), ("--colors", "2")],
+                         ids=["n-only", "colors-only"])
+def test_solve_decodes_only_with_both_n_and_colors(capsys, tmp_path, flags):
+    # either flag alone used to skip the decoding silently
+    cnf = tmp_path / "s4.cnf"
+    run_json(capsys, "encode", "--pattern", SCHUR, "--n", "4",
+             "--colors", "2", "--out-cnf", str(cnf))
+    code, report = run_json(capsys, "solve", str(cnf), *flags)
+    assert (code, report["verdict"], report["error"]) == (
+        1, "error", "decoding the model needs both --n and --colors")
+
+
 def test_solve_unknown_exits_two(capsys, tmp_path):
     cnf = tmp_path / "s5.cnf"
     run_json(capsys, "encode", "--pattern", SCHUR, "--n", "5",
@@ -576,8 +588,7 @@ def test_verify_out_of_budget_keeps_its_query(capsys, tmp_path):
         "query": {"command": "verify", "witness": str(tmp_path / "w.json"),
                   "kind": "bundle14"},
         "verdict": "unknown", "witness": None,
-        "stats": {"engine": "verify", "nodes": 1_074_214, "time_ms": 0.0},
-        "error": "node budget 1000000 exceeded"}
+        "stats": {"engine": "verify", "nodes": 1_074_214, "time_ms": 0.0}}
 
 
 def test_grid_witness(capsys):
@@ -631,7 +642,7 @@ def test_fs_and_bundle_hits_are_rechecked(capsys, monkeypatch):
     monkeypatch.setattr(cli, "find_scaled_quad_detailed",
                         lambda *a, **k: (({"a": 2, "x": 1, "y": 1}, 0), 1))
     assert _refused(capsys, "bundle14", "--corollary", *PARITY8) == (
-        "finder hit failed its re-check: quadruple values differ in color")
+        "finder hit failed its re-check: instance values differ in color")
 
 
 def test_rechecks_run_under_optimize():
@@ -682,12 +693,32 @@ def test_composed_witness_depth_set(capsys):
     assert report["verdict"] == "valid"
 
 
+COMPOSED = ("composed-witness", "--sequence", "2,2", *PARITY8)
+
+
 def test_composed_witness_needs_a_mode(capsys):
-    code, report = run_json(
-        capsys, "composed-witness", "--sequence", "2,2",
-        "--generator", "parity", "--n", "8", "--colors", "2")
-    assert code == 1
-    assert "--cuts" in report["error"]
+    code = main(list(COMPOSED))
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err.endswith("ramseylab composed-witness: error: one of the "
+                        "arguments --cuts --profile-depth --depth-set-m0 is "
+                        "required\n")
+
+
+@pytest.mark.parametrize("modes, error", [
+    (("--cuts", "0,1,2", "--profile-depth", "2"),
+     "argument --profile-depth: not allowed with argument --cuts"),
+    (("--cuts", "0,1,2", "--depth-set-m0", "1"),
+     "argument --depth-set-m0: not allowed with argument --cuts"),
+    (("--profile-depth", "2", "--depth-set-m0", "1"),
+     "argument --depth-set-m0: not allowed with argument --profile-depth"),
+], ids=["cuts-profile", "cuts-depth-set", "profile-depth-set"])
+def test_composed_witness_takes_one_mode_only(capsys, modes, error):
+    # two modes used to run one of them silently, with exit 0
+    code = main([*COMPOSED, *modes])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err.endswith(f"ramseylab composed-witness: error: {error}\n")
 
 
 def test_composed_witness_explicit_table(capsys, tmp_path):
@@ -844,3 +875,69 @@ def test_suite_single_criterion(capsys):
     assert out.splitlines()[0].startswith("criterion 1 [")
     assert "PASS" in out.splitlines()[0]
     assert out.splitlines()[-1] == "1/1 criteria passed"
+
+
+def _fs_record(tmp_path):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({"schema_version": 1, "kind": "fs",
+                                "data": {"generators": [2, 2]},
+                                "coloring_ref": PARITY_REF}))
+    return str(path)
+
+
+def _file(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+# one command line per subcommand that prints a report, and its exit code:
+# an answer of each, an error report and two budget reports, one from a
+# verdict and one from a finder's budget error
+REPORTS = {
+    "find": (lambda d: ("find", "--pattern", SCHUR, *PARITY8), 0),
+    "avoid": (lambda d: ("avoid", "--pattern", SCHUR, "--n", "4",
+                         "--colors", "2"), 0),
+    "threshold": (lambda d: ("threshold", "--pattern", SCHUR, "--colors",
+                             "2", "--n-max", "6"), 0),
+    "encode": (lambda d: ("encode", "--pattern", SCHUR, "--n", "4",
+                          "--colors", "2", "--out-cnf", str(d / "s.cnf")), 0),
+    "solve": (lambda d: ("solve", _file(d, "s.cnf", "p cnf 1 1\n1 0\n")), 0),
+    "fs-witness": (lambda d: ("fs-witness", "--k", "2", *PARITY8), 0),
+    "grid-witness": (lambda d: ("grid-witness", "--length", "3", "--blocks",
+                                "2", *PARITY8), 0),
+    "composed-witness": (lambda d: (*COMPOSED, "--cuts", "0,1,2"), 0),
+    "bundle14": (lambda d: ("bundle14", "--k", "2", *_random(40)), 0),
+    "bundle15": (lambda d: ("bundle15", "--corollary", *_random(60)), 0),
+    "verify": (lambda d: ("verify", _fs_record(d)), 0),
+    "semigroup": (lambda d: ("semigroup", "--table",
+                             _file(d, "z3.txt", "3\n0 1 2\n1 2 0\n2 0 1\n")),
+                  0),
+    "error": (lambda d: ("avoid", "--pattern", SCHUR, "--n", "5",
+                         "--colors", "0"), 1),
+    "unknown": (lambda d: ("avoid", "--pattern", SCHUR, "--n", "13",
+                           "--colors", "3", "--max-nodes", "5"), 2),
+    "budget": (lambda d: ("fs-witness", "--k", "3", *_random(60),
+                          "--budget", "1"), 2),
+}
+
+
+@pytest.mark.parametrize("name", list(REPORTS))
+def test_every_report_takes_one_path(capsys, tmp_path, name):
+    """time_ms is 0.0 unless --timing is given, and then > 0; --out gets
+    the bytes of stdout; the flags change nothing else."""
+    argv, code = REPORTS[name]
+    argv = argv(tmp_path)
+    out = tmp_path / "report.json"
+    got, plain = run(capsys, *argv)
+    assert got == code
+    assert json.loads(plain)["stats"]["time_ms"] == 0.0
+    assert run(capsys, *argv, "--out", str(out)) == (code, plain)
+    assert out.read_text() == plain
+    got, timed = run(capsys, *argv, "--timing", "--out", str(out))
+    assert out.read_text() == timed
+    report = json.loads(timed)
+    assert (got, report["stats"].pop("time_ms") > 0.0) == (code, True)
+    expected = json.loads(plain)
+    del expected["stats"]["time_ms"]
+    assert report == expected

@@ -60,7 +60,7 @@ def test_only_one_dimension_is_a_coloring(build, d):
 @pytest.mark.parametrize("generator", colorings.GENERATORS)
 def test_an_empty_box_keeps_its_message(generator):
     with pytest.raises(MalformedInputError,
-                       match=r"^coloring requires d >= 1, N >= 1, c >= 1$"):
+                       match=r"^coloring requires N >= 1 and c >= 1$"):
         make_coloring(generator, 2, 0, 3, param=(1,))
 
 

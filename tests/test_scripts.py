@@ -58,7 +58,7 @@ def test_semigroup_census_refuses_order_four_without_force():
      "expected '}' (at offset 5)"),
     ("random_instance_sweep", ("--pattern", "{x}", "--n", "5", "--colors",
                                "0"),
-     "coloring requires d >= 1, N >= 1, c >= 1"),
+     "coloring requires N >= 1 and c >= 1"),
     ("semigroup_census", ("--order", "0"), "empty table"),
 ], ids=["n-max-0", "bad-pattern", "colors-0", "order-0"])
 def test_a_bad_input_is_one_error_line(capsys, name, argv, error):

@@ -157,6 +157,34 @@ def test_k1_degeneracy_is_uniform():
     assert contains_kfp(A, 1) == (5,)
 
 
+def test_a_1fs_generator_is_at_least_one():
+    # contains_kfs([-1, 2], 1) was (-1,), a witness validate_kfs raised on
+    assert contains_kfs([-1, 2], 1) == (2,)
+    assert contains_kfs([-3, 0], 1) is None
+    assert validate_kfs([-1, 2], 1, (-1,)) is False
+    assert validate_kfs([0, 1, 2], 2, (0, 1)) is False
+    # a lone element of any value still is a 1-FP set
+    assert contains_kfp([-1, 2], 1) == (-1,)
+
+
+_sets_below_one = st.builds(lambda low, rest: rest | {low},
+                            st.integers(-6, 0),
+                            st.frozensets(st.integers(-6, 30), max_size=9))
+
+
+@given(_sets_below_one, st.integers(1, 4))
+@settings(max_examples=300, deadline=None)
+def test_every_detector_answer_validates(A, k):
+    for detect, validate in ((contains_kap, validate_kap),
+                             (contains_kgp, validate_kgp),
+                             (contains_kfs, validate_kfs),
+                             (contains_kfp, validate_kfp)):
+        for given_as in (A, sorted(A)):
+            hit = detect(given_as, k)
+            if hit is not None:
+                assert validate(given_as, k, hit), (detect.__name__, hit)
+
+
 _sets = st.frozensets(st.integers(1, 24), min_size=1, max_size=10)
 
 
@@ -279,8 +307,8 @@ def _tuple_scan(A, k, op, max_tuples):
         raise RamseyError("k must be >= 1")
     if not A:
         return None
-    if k == 1:
-        return (min(A),)
+    if k == 1 and op == OP_MUL:
+        return (min(A),)  # a lone element of any value is a 1-FP set
     Aset = A if isinstance(A, (set, frozenset)) else set(A)
     mul = op == OP_MUL
     top = math.prod if mul else sum
@@ -322,8 +350,8 @@ def _least_closed_tuple(A, k, op):
     the admissible elements of A whose subset sums (products) all lie in A."""
     if not A:
         return None
-    if k == 1:
-        return (min(A),)
+    if k == 1 and op == OP_MUL:
+        return (min(A),)  # a lone element of any value is a 1-FP set
     floor = 2 if op == OP_MUL else 1
     candidates = sorted(a for a in A if a >= floor)
     if len(candidates) >= k > MAX_FAMILY:
