@@ -13,6 +13,13 @@ emits the header line, then all cells on one line separated by single
 spaces, with a trailing newline — loading and re-saving a file is
 byte-exact.
 
+``Coloring(...)`` checks that every cell lies in [0, c), and so does each
+constructor that builds through it: :func:`loads` (and
+:func:`load_file`), :func:`enumerate_colorings` and the SAT model decoder
+``ColorVarMap.decode``.  :func:`make_coloring` builds its colorings
+without that scan, since each generator's colors lie in [0, c) by
+construction: residues mod c, or parameters it has already checked.
+
 Seeded colorings use a splitmix-style mixer: for value x, cell index
 i = x - 1 and 64-bit seed s, ::
 
@@ -210,7 +217,16 @@ def make_coloring(generator: str, d: int, N: int, c: int, param=(), seed: int = 
         cells = tuple(itertools.chain.from_iterable(_random_blocks(seed, N, c)))
     else:
         cells = tuple(map(fn, range(1, N + 1)))
-    return Coloring(d=d, N=N, c=c, cells=cells)
+    return _generated(lazy, cells)
+
+
+def _generated(lazy: Coloring, cells: tuple) -> Coloring:
+    """``lazy`` with its N cells materialized, built without the cell scan
+    of ``Coloring(...)``: every generator's colors lie in [0, c) by
+    construction, and ``lazy`` has checked the rest."""
+    col = object.__new__(Coloring)
+    col.__dict__.update(lazy.__dict__, cells=cells, fn=None)
+    return col
 
 
 @dataclass(frozen=True)

@@ -340,7 +340,19 @@ class TermPlan:
     constant term above ``N`` ends the kernel.  Each leaf yields the
     variable values and the term values (in ``schema.terms`` order) as two
     tuples.  The source names only ``N``, ``hi``, ``v0..vk``, ``t0..tm``
-    and integer literals, never pattern text."""
+    and integer literals, never pattern text.
+
+    :meth:`scan_source` renders the same loops, bounds, skips and overflow
+    guards with a second leaf body, the *scan* ``scan(N, C, S)``.  Each
+    leaf adds one to the leaf count ``n``, which carries across the
+    generated functions; leaf ``S`` stops the scan before its colors are
+    read.  Otherwise the leaf compares the colors ``C[t]`` of its term
+    values and yields ``(n, variable values, color)`` when they are all
+    equal.  The scan ends with one ``(n, None, None)``, after its last leaf
+    or at leaf ``S``.  So ``S = max(B, 0) + 1`` spends a budget of B
+    leaves under the one rule of :mod:`ramseylab.search` (leaf B + 1
+    stops), and ``S = -1`` never stops.  It also names ``C``, ``S`` and
+    ``n``."""
 
     def __init__(self, schema: PatternSchema):
         self.schema = schema
@@ -356,6 +368,12 @@ class TermPlan:
                 self.ready[max(index[name] for name in tv)].append(i)
 
     def source(self) -> str:
+        return self._render(scan=False)
+
+    def scan_source(self) -> str:
+        return self._render(scan=True)
+
+    def _render(self, scan: bool) -> str:
         def expr(t):
             if isinstance(t, Const):
                 return str(t.value)
@@ -364,15 +382,29 @@ class TermPlan:
             op = "+" if isinstance(t, Add) else "*"
             return f"({expr(t.left)} {op} {expr(t.right)})"
 
+        def end(j):  # the scan's last line in the function of loops j, j+1..
+            return "    return n" if j else "    yield n, None, None"
+
         terms, lo = self.schema.terms, self.schema.min_value
+        carry = ", C, S, n" if scan else ""  # what a scan segment also takes
         bound = prefix = ""  # names bound so far / variables so far
-        lines = ["def _k0(N):", f"    hi = min(N, {VALUE_CAP})"]
-        lines += [f"    if {t.value} > N: return" for t in self.constant_terms]
+        lines = ["def _k0(N, C, S):" if scan else "def _k0(N):",
+                 f"    hi = min(N, {VALUE_CAP})"]
+        for t in self.constant_terms:
+            lines += ([f"    if {t.value} > N:", "        yield 0, None, None",
+                       "        return"] if scan else
+                      [f"    if {t.value} > N: return"])
+        if scan:
+            lines.append("    n = 0")
         pad = "    "
         for j in range(len(self.variables)):
             if j and j % _SEGMENT == 0:
-                lines += [f"{pad}yield from _k{j}(N, hi{bound})",
-                          f"def _k{j}(N, hi{bound}):"]
+                if scan:
+                    lines += [f"{pad}n = yield from _k{j}(N, hi{carry}{bound})",
+                              f"{pad}if n is None: return", end(j - _SEGMENT)]
+                else:
+                    lines.append(f"{pad}yield from _k{j}(N, hi{bound})")
+                lines.append(f"def _k{j}(N, hi{carry}{bound}):")
                 pad = "    "
             lines.append(f"{pad}for v{j} in range({lo}, N + 1):")
             pad += "    "
@@ -389,9 +421,18 @@ class TermPlan:
                           f"{pad}    if t{i} > {VALUE_CAP}: _overflow({i}, ({prefix}))",
                           f"{pad}    break"]
                 bound += f", t{i}"
-        values = "".join(f"t{i}, " if isinstance(t, (Add, Mul)) else
-                         f"{expr(t)}, " for i, t in enumerate(terms))
-        lines.append(f"{pad}yield ({prefix}), ({values})")
+        values = [f"t{i}" if isinstance(t, (Add, Mul)) else expr(t)
+                  for i, t in enumerate(terms)]
+        if not scan:
+            lines.append(f"{pad}yield ({prefix}), ({''.join(v + ', ' for v in values)})")
+            return "\n".join(lines) + "\n"
+        hit = f"yield n, ({prefix}), C[{values[0]}]"
+        if len(values) > 1:
+            hit = f"if {' == '.join(f'C[{v}]' for v in values)}: {hit}"
+        last = max(len(self.variables) - 1, 0) // _SEGMENT * _SEGMENT
+        lines += [f"{pad}n += 1", f"{pad}if n == S:",
+                  f"{pad}    yield n, None, None", f"{pad}    return",
+                  pad + hit, end(last)]
         return "\n".join(lines) + "\n"
 
 
@@ -399,6 +440,18 @@ class TermPlan:
 def compile_kernel(schema: PatternSchema) -> Callable[[int], Iterator[tuple]]:
     """The compiled :class:`TermPlan` kernel of ``schema``, as a function
     of ``N`` (see :class:`TermPlan`).  Compiled on first use, then cached."""
+    return _compile(schema, TermPlan(schema).source())
+
+
+@functools.lru_cache(maxsize=256)
+def compile_scan(schema: PatternSchema) -> Callable[..., Iterator[tuple]]:
+    """The compiled :class:`TermPlan` scan of ``schema``, as a function of
+    the box ``N``, the colors by value ``C`` and the leaf ``S`` to stop
+    at (see :class:`TermPlan`).  Compiled on first use, then cached."""
+    return _compile(schema, TermPlan(schema).scan_source())
+
+
+def _compile(schema: PatternSchema, source: str):
     terms, variables = schema.terms, schema.variables
 
     def overflow(i, prefix):
@@ -406,7 +459,7 @@ def compile_kernel(schema: PatternSchema) -> Callable[[int], Iterator[tuple]]:
         eval_term(terms[i], dict(zip(variables, prefix)))
 
     namespace = {"_overflow": overflow}
-    exec(TermPlan(schema).source(), namespace)
+    exec(source, namespace)
     return namespace["_k0"]
 
 

@@ -351,31 +351,6 @@ def parse_dimacs(text: str) -> CnfFormula:
     return CnfFormula(var_count=var_count, clauses=clauses)
 
 
-def parse_solver_output(text: str) -> SatVerdict:
-    """Read competition-style solver output: an 's' verdict line plus
-    'v' model lines with literals terminated by 0."""
-    status = None
-    model = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if line.startswith("s "):
-            tag = line[2:].strip()
-            if tag == "SATISFIABLE":
-                status = SAT
-            elif tag == "UNSATISFIABLE":
-                status = UNSAT
-            else:
-                status = UNKNOWN
-        elif line.startswith("v "):
-            for tok in line[2:].split():
-                lit = int(tok)
-                if lit != 0:
-                    model.append(lit)
-    if status is None:
-        raise MalformedInputError("no 's' verdict line in solver output")
-    return SatVerdict(status=status, model=model if status == SAT else None)
-
-
 def format_solver_output(verdict: SatVerdict) -> str:
     if verdict.status == SAT:
         lits = " ".join(map(str, verdict.model))

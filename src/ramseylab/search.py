@@ -9,14 +9,17 @@ Three engines answer "does some c-coloring of [1..N] avoid the pattern?":
 * ``sat`` — the CNF encoding from :mod:`ramseylab.sat`.
 * ``exhaustive`` — enumeration over canonical colorings; the test oracle.
 
-The instance scan walks its pattern's compiled kernel (see
-:class:`ramseylab.patterns.TermPlan`) in order, and backtracking is one
-depth-first search from value 1; each counts its nodes (leaves, color
-tries) in one counter on the calling thread, so witnesses, node counts and
-budget verdicts depend only on the query.  A budget of B nodes gives the
-answer when the search needs at most B nodes; otherwise node B + 1 stops
-it (``BudgetExceededError.past``).  Avoiding colorings are re-validated
-with ``find_instance``.
+The instance scan is its pattern's compiled scan
+(:func:`ramseylab.patterns.compile_scan`): the kernel's loops, in order,
+with the color test done at each leaf and only the monochromatic leaves
+yielded.  Backtracking is one depth-first search from value 1.  Each
+counts its nodes (leaves, color tries) in one counter on the calling
+thread, so witnesses, node counts and budget verdicts depend only on the
+query.  A budget of B nodes gives the answer when the search needs at most
+B nodes; otherwise node B + 1 stops it (``BudgetExceededError.past``).
+The scan stops itself there: it is handed leaf max(B, 0) + 1 as the leaf
+to stop at, before that leaf's colors are read.  Avoiding colorings are
+re-validated with ``find_instance``.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from . import sat as satmod
 from ._parallel import ordered_first_hit
 from .colorings import Coloring, enumerate_colorings
 from .errors import BudgetExceededError, MalformedInputError, RamseyError
-from .patterns import PatternSchema, compile_kernel, instance_value_sets
+from .patterns import PatternSchema, compile_scan, instance_value_sets
 
 ENGINES = ("backtracking", "sat", "exhaustive")
 
@@ -67,26 +70,22 @@ class ThresholdResult:
 
 def _scan_instances(schema: PatternSchema, coloring: Coloring,
                     max_nodes: Optional[int], limit: Optional[int] = 1):
-    """In-order scan of the schema's in-box assignments (its kernel's
-    leaves) for monochromatic ones.  Returns (hits as (assignment dict,
-    color), leaves visited); stops once ``limit`` hits are in.  Leaf
+    """In-order scan of the schema's in-box assignments (its compiled
+    scan's leaves) for monochromatic ones.  Returns (hits as (assignment
+    dict, color), leaves visited); stops once ``limit`` hits are in.  Leaf
     ``max_nodes + 1`` raises :class:`BudgetExceededError`."""
     variables = schema.variables
-    colors = coloring.value_table()
+    stop = -1 if max_nodes is None else max(max_nodes, 0) + 1
     hits: list = []
-    leaves = 0
-    for asg, values in compile_kernel(schema)(coloring.N):
-        leaves += 1
-        if max_nodes is not None and leaves > max_nodes:
-            raise BudgetExceededError.past(max_nodes)
-        color = colors[values[0]]
-        for v in values:
-            if colors[v] != color:
-                break
-        else:
-            hits.append((dict(zip(variables, asg)), color))
-            if limit is not None and len(hits) >= limit:
-                break
+    for leaves, asg, color in compile_scan(schema)(
+            coloring.N, coloring.value_table(), stop):
+        if color is None:
+            if leaves == stop:
+                raise BudgetExceededError.past(max_nodes)
+            break
+        hits.append((dict(zip(variables, asg)), color))
+        if limit is not None and len(hits) >= limit:
+            break
     return hits, leaves
 
 

@@ -152,6 +152,33 @@ def test_coloring_names_the_first_bad_cell(cells, bad):
         Coloring(d=1, N=3, c=2, cells=cells)
 
 
+_GENERATOR_CASES = [("constant", (1,), 2), ("parity", (), 2),
+                    ("mod", (3,), 3), ("blocks", (3, 1, 2), 3),
+                    ("random", (), 3)]
+
+
+@pytest.mark.parametrize("N", [2047, 2048, 2049])
+@pytest.mark.parametrize("generator, param, c", _GENERATOR_CASES)
+def test_generated_coloring_equals_a_checked_one(generator, param, c, N):
+    # generators skip the cell scan; what they build must be exactly the
+    # coloring that Coloring(...), which checks every cell, builds
+    col = make_coloring(generator, 1, N, c, param=param, seed=11)
+    checked = Coloring(d=1, N=N, c=c, cells=col.cells)
+    assert type(col) is Coloring
+    assert vars(col) == vars(checked)
+
+
+@pytest.mark.parametrize("N", [2047, 2048, 2049])
+def test_checked_constructors_still_scan_every_cell(N):
+    cells = (0, 1) * (N // 2) + (0,) * (N % 2)
+    for bad in (2, -1):
+        message = rf"^cell color {bad} out of range \[0, 2\)$"
+        with pytest.raises(MalformedInputError, match=message):
+            Coloring(d=1, N=N, c=2, cells=cells[:-1] + (bad,))
+        with pytest.raises(MalformedInputError, match=message):
+            loads(f"1 {N} 2\n" + " ".join(map(str, cells[:-1] + (bad,))))
+
+
 def test_value_color_out_of_range():
     col = make_coloring("parity", 1, 5, 2)
     for value in (0, 6):

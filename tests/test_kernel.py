@@ -5,6 +5,8 @@ lexicographic order, evaluates every term with ``eval_term`` and keeps the
 assignments whose values all land in [1..N].  Budget verdicts are checked
 against the scan's exact rule: a budget of B leaves answers when the scan
 stops within B leaves, and otherwise leaf B + 1 raises with ``nodes`` B + 1.
+The compiled scan is also checked against :func:`kernel_scan`, the colour
+test as a Python loop over the kernel's leaves.
 """
 
 import itertools
@@ -13,9 +15,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ramseylab.colorings import Coloring, make_coloring
-from ramseylab.errors import BudgetExceededError
+from ramseylab.errors import BudgetExceededError, ValueOverflowError
 from ramseylab.patterns import (Add, Const, Mul, TermPlan, Var,
-                                compile_kernel, eval_term,
+                                compile_kernel, compile_scan, eval_term,
                                 instance_value_sets, parse_pattern,
                                 schema_from_terms)
 from ramseylab.search import (InstanceQuery, find_all_instances_detailed,
@@ -122,12 +124,18 @@ def test_find_all_spends_its_budget():
 
 def test_kernel_source_has_no_pattern_text():
     schema = parse_pattern("{alpha, beta*gamma, 7*alpha+beta+gamma}")
-    source = TermPlan(schema).source()
-    assert not any(name in source for name in schema.variables)
+    for source in (TermPlan(schema).source(), TermPlan(schema).scan_source()):
+        assert not any(name in source for name in schema.variables)
     # pattern names that match the kernel's own names change nothing
     schema = parse_pattern("{range, N, hi, v1 + v0, t0*2}")
     assert box_assignments(schema, 6) == [
         dict(zip(schema.variables, a)) for a, _ in brute_leaves(schema, 6)]
+    # nor do names that match the scan's
+    schema = parse_pattern("{C, S + n, k*2, hi}")
+    col = make_coloring("random", 1, 5, 2, seed=4)
+    query = InstanceQuery(schema=schema, coloring=col)
+    assert find_all_instances_detailed(query, limit=None) == \
+        kernel_scan(schema, col, None, None)
 
 
 def test_many_variables_chain_generated_functions():
@@ -141,3 +149,139 @@ def test_many_variables_chain_generated_functions():
     assert len(got) == 46368
     assert got == sorted(got)
     assert all(a + b <= 3 for seq in got for a, b in zip(seq, seq[1:]))
+
+
+# ---------------------------------------------------------------------------
+# the compiled scan against the colour test over kernel leaves
+
+
+def kernel_scan(schema, coloring, max_nodes, limit=1):
+    """The instance scan as a Python loop over the kernel's leaves: count
+    the leaf, stop past the budget, then test its colours.  Kept as the
+    reference for the compiled scan."""
+    variables = schema.variables
+    colors = coloring.value_table()
+    hits = []
+    leaves = 0
+    for asg, values in compile_kernel(schema)(coloring.N):
+        leaves += 1
+        if max_nodes is not None and leaves > max_nodes:
+            raise BudgetExceededError.past(max_nodes)
+        color = colors[values[0]]
+        for v in values:
+            if colors[v] != color:
+                break
+        else:
+            hits.append((dict(zip(variables, asg)), color))
+            if limit is not None and len(hits) >= limit:
+                break
+    return hits, leaves
+
+
+def outcome(scan, *args):
+    try:
+        return scan(*args)
+    except BudgetExceededError as exc:
+        return "budget", str(exc), exc.nodes
+    except ValueOverflowError as exc:
+        return "overflow", str(exc)
+
+
+def leaves_before_overflow(schema, N):
+    """The leaves that the kernel and the compiled scan each visit before
+    they raise :class:`ValueOverflowError` (None for one that does not).
+    Under one colour every scan leaf is a hit, so the index of the scan's
+    last hit is its leaf count."""
+
+    def count(leaves):
+        n = 0
+        try:
+            for _ in leaves:
+                n += 1
+        except ValueOverflowError:
+            return n
+        return None
+
+    scan = compile_scan(schema)(N, (None,) + (0,) * N, -1)
+    return (count(compile_kernel(schema)(N)),
+            count(n for n, _, color in scan if color is not None))
+
+
+def assert_scans_agree(schema, col, limits=(1, 3, None), budgets=()):
+    query = InstanceQuery(schema=schema, coloring=col)
+    for limit in limits:
+        base = outcome(kernel_scan, schema, col, None, limit)
+        leaves = base[1] if isinstance(base[1], int) else 0
+        for budget in (-1, 0, 1, leaves - 1, leaves, None) + tuple(budgets):
+            want = outcome(kernel_scan, schema, col, budget, limit)
+            assert outcome(find_all_instances_detailed, query, limit,
+                           budget) == want, (limit, budget)
+            if limit == 1 and want[0] not in ("budget", "overflow"):
+                hits, leaves_1 = want
+                assert find_instance_detailed(query, budget) == \
+                    (hits[0] if hits else None, leaves_1)
+
+
+# besides small terms, at most one extra term: a constant up to 40, on
+# either side of N, or a term that 2**62 or 2**63 - 1 takes past the cap
+_big_terms = st.builds(lambda k, t, op: op(Const(k), t),
+                       st.sampled_from([2 ** 62, 2 ** 63 - 1]), _terms,
+                       st.sampled_from([Add, Mul]))
+_extra_terms = st.one_of(st.just([]), st.integers(1, 40).map(Const),
+                         _big_terms).map(lambda t: [t] if t else [])
+scan_schemas = st.builds(
+    lambda terms, extra, distinct, lo: schema_from_terms(terms + extra,
+                                                         distinct, lo),
+    st.lists(_terms, min_size=1, max_size=4), _extra_terms, st.booleans(),
+    st.integers(1, 3))
+
+
+@given(scan_schemas, st.integers(1, 30), st.integers(1, 3),
+       st.integers(0, 99), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_compiled_scan_matches_kernel_scan(schema, N, c, seed, lazy):
+    col = make_coloring("random", 1, N, c, seed=seed,
+                        cell_budget=0 if lazy else N)
+    assert (col.cells is None) == lazy
+    assert_scans_agree(schema, col)
+    kernel, scan = leaves_before_overflow(schema, N)
+    assert kernel == scan
+
+
+def test_overflow_stops_both_scans_at_the_same_leaf():
+    # x**64 * y is y while x = 1 and past the cap from x = 2, y = 1 on
+    schema = parse_pattern("{x, y, " + "x*" * 64 + "y}")
+    assert leaves_before_overflow(schema, 9) == (9, 9)
+    for col in (make_coloring("constant", 1, 9, 1, (0,)),
+                make_coloring("parity", 1, 9, 2)):
+        assert_scans_agree(schema, col, budgets=(8, 9, 10))
+        with pytest.raises(ValueOverflowError):
+            find_all_instances_detailed(
+                InstanceQuery(schema=schema, coloring=col), limit=None)
+
+
+def test_scan_of_a_constant_pattern():
+    # no loops at all: one leaf, or none once the constant leaves the box
+    for N in (4, 5, 6):
+        col = make_coloring("parity", 1, N, 2)
+        assert_scans_agree(parse_pattern("{5}"), col)
+        assert_scans_agree(parse_pattern("{5, 3}"), col)
+
+
+def test_scan_count_carries_across_generated_functions():
+    # the chain of test_many_variables_chain_generated_functions: loops 17
+    # to 22 run in a second generated function, which must go on counting
+    names = [f"x{i:02d}" for i in range(1, 23)]
+    schema = schema_from_terms(
+        [Add(Var(a), Var(b)) for a, b in zip(names, names[1:])])
+    one = make_coloring("constant", 1, 3, 1, (0,))
+    scan = compile_scan(schema)(3, one.value_table(), -1)
+    assert [n for n, _, _ in scan] == list(range(1, 46369)) + [46368]
+    # parity: every sum is 2 (all ones) or every sum is 3 (alternating)
+    parity = make_coloring("parity", 1, 3, 2)
+    assert len(kernel_scan(schema, parity, None, None)[0]) == 3
+    for col in (one, parity):
+        assert_scans_agree(schema, col, limits=(1, 3),
+                           budgets=(46367, 46368, 46369))
+    assert_scans_agree(schema, parity, limits=(None,),
+                       budgets=(46367, 46368, 46369))

@@ -11,7 +11,7 @@ from ramseylab.errors import MalformedInputError, RamseyError
 from ramseylab.patterns import parse_pattern
 from ramseylab.sat import (CnfFormula, ColorVarMap, check_model,
                            encode_avoidance, export_dimacs, parse_dimacs,
-                           parse_solver_output, solve)
+                           solve)
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -95,12 +95,14 @@ def test_parse_dimacs_rejects_malformed(bad):
 
 
 def test_solver_output_round_trip():
+    # the competition-style text that solve --out writes
     verdict = satmod.SatVerdict(status=satmod.SAT, model=(1, -2, 3))
-    text = satmod.format_solver_output(verdict)
-    back = parse_solver_output(text)
-    assert back.status == satmod.SAT
-    assert tuple(back.model) == (1, -2, 3)
-    assert parse_solver_output("s UNSATISFIABLE\n").status == satmod.UNSAT
+    assert satmod.format_solver_output(verdict) == \
+        "s SATISFIABLE\nv 1 -2 3 0\n"
+    assert satmod.format_solver_output(
+        satmod.SatVerdict(status=satmod.UNSAT)) == "s UNSATISFIABLE\n"
+    assert satmod.format_solver_output(
+        satmod.SatVerdict(status=satmod.UNKNOWN)) == "s UNKNOWN\n"
 
 
 def _brute_sat(formula):
