@@ -483,7 +483,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--colors", type=int, required=True)
     p.add_argument("--symmetry-break", action="store_true",
-                   help="pin value 1 to color 0")
+                   help="prepend the canonical colour-order block: the "
+                        "least value of any instance gets colour 0, and "
+                        "colour j >= 2 colours such a value only if j-1 "
+                        "colours a smaller one (auxiliary variables follow "
+                        "the N*c colour variables); every avoiding colouring "
+                        "has a relabelling that meets it, so the verdict "
+                        "stays the same")
     p.add_argument("--out-cnf", required=True, metavar="FILE")
     _common_out(p)
     p.set_defaults(fn=cmd_encode)

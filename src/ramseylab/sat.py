@@ -2,11 +2,23 @@
 
 Variable map: integer n taking color j is the variable (n-1)*c + j + 1, a
 pure function of (N, c).  The avoidance encoding emits, in this frozen
-order: an optional symmetry unit fixing integer 1 to color 0, then per-n
-exactly-one blocks (at-least-one clause followed by pairwise at-most-one
-clauses), then one clause per (instance value set, color) forbidding that
-set from being monochromatic in that color.  Value sets are deduplicated
-and emitted in sorted order, so the encoding is stable byte-for-byte.
+order: the optional canonical colour-order block, then per-n exactly-one
+blocks (at-least-one clause followed by pairwise at-most-one clauses),
+then one clause per (instance value set, color) forbidding that set from
+being monochromatic in that color.  Value sets are deduplicated and
+emitted in sorted order, so the encoding is stable byte-for-byte.
+
+The colour-order block (``symmetry_break=True``) ranges over occ, the
+sorted values that occur in some value set.  occ[0] gets colour 0, and
+colour j >= 2 may colour occ[i] only once colour j-1 has coloured one of
+occ[0..i-1] (first-use order; Heule, *Schur Number Five*, AAAI 2018).
+It is stated through auxiliary variables y(i, j), "colour j colours one
+of occ[0..i]" for i in [0..|occ|-2] and j in [1..c-2], numbered after
+the N*c colour variables as N*c + i*(c-2) + j: at most 4 clauses of
+width <= 3 per (i, j), plus the unit.  Permuting the colours of an
+avoiding colouring gives an avoiding colouring, and values outside occ
+are in no instance, so some relabelling of every avoiding colouring
+satisfies the block: it never changes the verdict.
 
 The solver is a first-UIP CDCL with two-watched-literal propagation.  It
 branches on the lowest-index unassigned variable, true first, never
@@ -104,18 +116,59 @@ def encode_avoidance(schema: PatternSchema, N: int, c: int,
     if N < 1 or c < 1:
         raise MalformedInputError("encode_avoidance needs N >= 1 and c >= 1")
     vmap = ColorVarMap(N=N, c=c)
+    first = range(1 - c, N * c + 1, c)  # first[n] = var(n, 0), n in [1..N]
+    value_sets = instance_value_sets(schema, N)
     clauses = []
-    if symmetry_break and c >= 1:
-        clauses.append([vmap.var(1, 0)])
+    var_count = N * c
+    if symmetry_break:
+        occ = sorted({v for values in value_sets for v in values})
+        var_count += _color_order_block(clauses, [first[v] for v in occ],
+                                        var_count, c)
     for n in range(1, N + 1):
-        clauses.append([vmap.var(n, j) for j in range(c)])
-        for j1 in range(c):
-            for j2 in range(j1 + 1, c):
-                clauses.append([-vmap.var(n, j1), -vmap.var(n, j2)])
-    for values in instance_value_sets(schema, N):
+        f = first[n]
+        clauses.append(list(range(f, f + c)))
+        for j1 in range(f, f + c):
+            for j2 in range(j1 + 1, f + c):
+                clauses.append([-j1, -j2])
+    for values in value_sets:
+        negs = [-first[v] for v in values]
         for j in range(c):
-            clauses.append([-vmap.var(v, j) for v in values])
-    return CnfFormula(var_count=vmap.var_count, clauses=clauses), vmap
+            clauses.append([b - j for b in negs])
+    return CnfFormula(var_count=var_count, clauses=clauses), vmap
+
+
+def _color_order_block(clauses, occ_first, aux_base, c) -> int:
+    """Append the colour-order block of the module docstring, with
+    ``occ_first[i]`` = var(occ[i], 0) and y(i, j) = aux_base + i*(c-2) + j,
+    and return the number of auxiliary variables it adds.  Clause order:
+    the unit on occ[0], then per occ[i] the clauses (not x(occ[i], j+1) or
+    y(i-1, j)) for j in [1..c-2] (i >= 1), then y(i, j)'s definition
+    (i <= |occ|-2): x(occ[i], j) implies y(i, j); y(i-1, j) implies
+    y(i, j); y(i, j) implies x(occ[i], j) or y(i-1, j).
+    """
+    if not occ_first:
+        return 0
+    clauses.append([occ_first[0]])
+    width = c - 2
+    if width <= 0:
+        return 0
+    last = len(occ_first) - 1
+    for i, f in enumerate(occ_first):
+        y = aux_base + i * width  # y(i, j) = y + j, y(i-1, j) = y + j - width
+        if i:
+            for j in range(1, c - 1):
+                clauses.append([-(f + j + 1), y + j - width])
+        if i == last:
+            break
+        for j in range(1, c - 1):
+            x, yj = f + j, y + j
+            clauses.append([-x, yj])
+            if i:
+                clauses.append([-(yj - width), yj])
+                clauses.append([-yj, x, yj - width])
+            else:
+                clauses.append([-yj, x])
+    return last * width
 
 
 # ---------------------------------------------------------------------------
@@ -135,9 +188,14 @@ class _Solver:
         self.conflicts = 0
         self.decisions = 0
         self.root_conflict = False
-        codes = list(range(2 * n + 2))  # shared ints: codes above 256 are not cached
+        # code_of[lit] is the code of the signed literal lit (a negative
+        # lit indexes from the end); one int per code, since ints above 256
+        # are not cached
+        code_of = [0] * (2 * n + 1)
+        code_of[1:n + 1] = range(2, 2 * n + 2, 2)
+        code_of[n + 1:] = range(2 * n + 1, 2, -2)
         for cl in formula.clauses:
-            self._add_clause([codes[2 * lit if lit > 0 else 1 - 2 * lit] for lit in cl])
+            self._add_clause(list(map(code_of.__getitem__, cl)))
 
     def _add_clause(self, lits) -> None:
         seen = set()
@@ -178,15 +236,23 @@ class _Solver:
             if not ws:
                 continue
             keep = watches[false_lit] = []
-            for i, cl in enumerate(ws):
+            for cl in ws:
+                # a clause whose other watch is true stays as it is: its
+                # watches are put back in order before it is next read
                 first = cl[0]
                 if first == false_lit:
-                    first = cl[0] = cl[1]
+                    first = cl[1]
+                    first_val = val[first]
+                    if first_val == 1:
+                        keep.append(cl)
+                        continue
+                    cl[0] = first
                     cl[1] = false_lit
-                first_val = val[first]
-                if first_val == 1:
-                    keep.append(cl)
-                    continue
+                else:
+                    first_val = val[first]
+                    if first_val == 1:
+                        keep.append(cl)
+                        continue
                 for k in range(2, len(cl)):
                     lit = cl[k]
                     if val[lit] != -1:
@@ -195,7 +261,8 @@ class _Solver:
                         break
                 else:
                     if first_val == -1:
-                        keep += ws[i:]
+                        keep += ws[next(i for i, w in enumerate(ws)
+                                        if w is cl):]
                         self.qhead = len(trail)
                         return cl
                     keep.append(cl)
@@ -292,11 +359,12 @@ class _Solver:
 
 
 def check_model(formula: CnfFormula, model) -> bool:
+    """True iff every clause has a true literal; a variable the model
+    leaves out counts as false."""
     truth = {abs(lit): lit > 0 for lit in model}
-    for cl in formula.clauses:
-        if not any(truth.get(abs(lit), False) == (lit > 0) for lit in cl):
-            return False
-    return True
+    true = {v if truth.get(v) else -v
+            for v in range(1, formula.var_count + 1)}
+    return not any(map(true.isdisjoint, formula.clauses))
 
 
 def solve(formula: CnfFormula, max_conflicts: Optional[int] = None) -> SatVerdict:

@@ -6,7 +6,11 @@ Three engines answer "does some c-coloring of [1..N] avoid the pattern?":
   any color that would complete a monochromatic instance.  Only canonical
   colorings (new colors in first-use order) are explored; the first solution
   found is the lexicographically least avoiding coloring overall.
-* ``sat`` — the CNF encoding from :mod:`ramseylab.sat`.
+* ``sat`` — the CNF encoding from :mod:`ramseylab.sat`, with its canonical
+  colour-order block.  Backtracking's first-use order starts at value 1;
+  the block's starts at the least value that occurs in some instance, so
+  it still breaks the symmetry of patterns whose instances never use 1
+  (the ``--distinct`` corollary patterns).
 * ``exhaustive`` — enumeration over canonical colorings; the test oracle.
 
 The instance scan is its pattern's compiled scan

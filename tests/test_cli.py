@@ -121,7 +121,7 @@ def test_avoid_budget_exhaustion_exits_two(capsys):
 
 
 @pytest.mark.parametrize("engine, nodes", [("backtracking", 6),
-                                           ("exhaustive", 6), ("sat", 15)])
+                                           ("exhaustive", 6), ("sat", 14)])
 def test_avoid_budget_exhaustion_reports_nodes(capsys, engine, nodes):
     code, report = run_json(
         capsys, "avoid", "--pattern", SCHUR, "--n", "13", "--colors", "3",

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from ramseylab import sat as satmod
 from ramseylab.errors import MalformedInputError, RamseyError
-from ramseylab.patterns import parse_pattern
+from ramseylab.patterns import instance_value_sets, parse_pattern
 from ramseylab.sat import (CnfFormula, ColorVarMap, check_model,
                            encode_avoidance, export_dimacs, parse_dimacs,
                            solve)
@@ -142,6 +142,110 @@ def test_symmetry_break_preserves_verdict(N):
     plain, _ = encode_avoidance(schema, N, 2)
     broken, _ = encode_avoidance(schema, N, 2, symmetry_break=True)
     assert solve(plain).status == solve(broken).status
+
+
+_GRID_PATTERNS = ["{x, y, x+y}", "{a, a+d, a+2*d}", "{x, 2*x}", "{5}",
+                  "{a*x, a*y, x*y, a*(x+y)}", "{u+b, v+b, u*v+b, u+v}"]
+
+
+def _occurring(schema, N):
+    return sorted({v for values in instance_value_sets(schema, N)
+                   for v in values})
+
+
+@pytest.mark.parametrize("pattern", _GRID_PATTERNS)
+@pytest.mark.parametrize("distinct", [False, True])
+@pytest.mark.parametrize("min_value", [1, 2])
+@pytest.mark.parametrize("c", [1, 2, 3, 4])
+def test_color_order_block_keeps_every_verdict(pattern, distinct, min_value,
+                                               c):
+    # every avoiding colouring has a relabelling in canonical order over
+    # the occurring values, so the block never turns sat into unsat; and
+    # every model it admits is in that order
+    schema = parse_pattern(pattern, distinct_vars=distinct,
+                           min_value=min_value)
+    for N in range(1, 22):
+        plain, _ = encode_avoidance(schema, N, c)
+        broken, vmap = encode_avoidance(schema, N, c, symmetry_break=True)
+        verdict = solve(broken)
+        assert verdict.status == solve(plain).status, N
+        if verdict.status == satmod.SAT:
+            cells = vmap.decode(verdict.model).cells
+            top = -1
+            for v in _occurring(schema, N):
+                assert cells[v - 1] <= top + 1, (N, v, cells)
+                top = max(top, cells[v - 1])
+
+
+@pytest.mark.parametrize("c", [1, 2, 3, 4])
+def test_color_order_block_layout(c):
+    # the block comes first, and its auxiliary variables y(i, j), i in
+    # [0..|occ|-2] and j in [1..c-2], follow the N*c colour variables
+    schema = parse_pattern("{x, 2*x}")
+    occ = _occurring(schema, 10)  # [1..5] and 6, 8, 10
+    plain, vmap = encode_avoidance(schema, 10, c)
+    broken, _ = encode_avoidance(schema, 10, c, symmetry_break=True)
+    added = len(broken.clauses) - len(plain.clauses)
+    assert broken.clauses[0] == [vmap.var(1, 0)]
+    assert broken.clauses[added:] == plain.clauses
+    assert broken.var_count == 10 * c + (len(occ) - 1) * max(c - 2, 0)
+    assert max(map(len, broken.clauses[:added])) <= 3
+
+
+def test_color_order_block_golden():
+    # {x, 2*x} at N=4, c=3: occ = [1, 2, 4], x(n, j) = 3(n-1) + j + 1,
+    # y(0, 1) = 13 and y(1, 1) = 14
+    broken, _ = encode_avoidance(parse_pattern("{x, 2*x}"), 4, 3,
+                                 symmetry_break=True)
+    assert broken.var_count == 14
+    assert broken.clauses[:8] == [
+        [1],                                  # occ[0] = 1 gets colour 0
+        [-2, 13], [-13, 2],                   # y(0, 1) <-> x(1, 1)
+        [-6, 13],                             # x(2, 2) -> y(0, 1)
+        [-5, 14], [-13, 14], [-14, 5, 13],    # y(1, 1) <-> x(2, 1) | y(0, 1)
+        [-12, 14],                            # x(4, 2) -> y(1, 1)
+    ]
+    assert broken.clauses[8] == [1, 2, 3]  # then the exactly-one blocks
+
+
+def test_color_order_block_is_linear():
+    # 4 clauses per (occurring value, colour in [1..c-2]) at most, plus
+    # the unit; the quadratic long-clause form would need ~|occ|^2 / 2
+    schema = parse_pattern("{x, 2*x}")
+    plain, _ = encode_avoidance(schema, 2000, 3)
+    broken, _ = encode_avoidance(schema, 2000, 3, symmetry_break=True)
+    occ = _occurring(schema, 2000)  # [1..1000] and the even values above
+    assert len(occ) == 1500
+    added = len(broken.clauses) - len(plain.clauses)
+    assert added <= 4 * len(occ) * (3 - 2) + 1
+
+
+def test_color_order_block_starts_at_the_least_occurring_value():
+    # {u+b, v+b, u*v+b, u+v} with --distinct never uses 1 or 2: the unit
+    # pins the least value of any instance, not value 1
+    schema = parse_pattern("{u+b, v+b, u*v+b, u+v}", distinct_vars=True)
+    occ = _occurring(schema, 25)
+    assert occ[0] > 1
+    broken, vmap = encode_avoidance(schema, 25, 3, symmetry_break=True)
+    assert broken.clauses[0] == [vmap.var(occ[0], 0)]
+
+
+def test_color_order_block_needs_an_instance():
+    # no instance in the box: nothing to order, no unit
+    plain, _ = encode_avoidance(parse_pattern("{5}"), 4, 3)
+    broken, _ = encode_avoidance(parse_pattern("{5}"), 4, 3,
+                                 symmetry_break=True)
+    assert broken.clauses == plain.clauses
+    assert broken.var_count == plain.var_count
+
+
+def test_check_model_counts_a_missing_variable_as_false():
+    f = CnfFormula(var_count=3, clauses=((1, -2), (-3,)))
+    assert check_model(f, (1,))
+    assert check_model(f, (-1, -2))
+    assert not check_model(f, (-1, 2))
+    assert not check_model(f, (1, 3))
+    assert check_model(f, ())
 
 
 def test_decode_requires_exactly_one_color():
