@@ -514,8 +514,9 @@ def _find_bundle(coloring: Coloring, k: int, cap_a: Optional[int],
     colors = coloring.value_table()
     nodes = 0
     a_set: list = []
-    # first_good_b and extend read lam, vmax, image and b_by_color as the
-    # loop over lam at the bottom sets them
+    # first_good_b and extend read vmax, image, b_by_color and the shape's
+    # sum and product tables and caps as the loop over lam at the bottom
+    # sets them
 
     def first_good_b(anchor):
         nonlocal nodes
@@ -524,24 +525,14 @@ def _find_bundle(coloring: Coloring, k: int, cap_a: Optional[int],
             nodes += 1
             if budget is not None and nodes > budget:
                 raise BudgetExceededError.past(budget)
-            if shifted:
-                if amax + b > N or lam + amax * b > N:
-                    break  # both escapes are monotone in b
-                for a in a_set:
-                    if colors[a + b] != anchor or \
-                            colors[lam + a * b] != anchor:
-                        break
-                else:
-                    return b
-            else:
-                if lam * (amax + b) > N or amax * b > N:
+            if amax + b > sum_cap or amax * b > prod_cap:
+                break  # both escapes are monotone in b
+            for a in a_set:
+                if sum_colors[a + b] != anchor or \
+                        prod_colors[a * b] != anchor:
                     break
-                for a in a_set:
-                    if colors[a * b] != anchor or \
-                            colors[lam * (a + b)] != anchor:
-                        break
-                else:
-                    return b
+            else:
+                return b
         return None
 
     def extend(anchor, size):
@@ -584,6 +575,10 @@ def _find_bundle(coloring: Coloring, k: int, cap_a: Optional[int],
             image = [None] + [colors[lam + v] for v in range(1, vmax + 1)]
         else:
             image = [None] + [colors[lam * v] for v in range(1, vmax + 1)]
+        # shifted: a+b and lam+a*b, so the image is read at a*b <= N - lam;
+        # scaled: lam*(a+b) and a*b, so the image is read at a+b <= N // lam
+        sum_colors, prod_colors = (colors, image) if shifted else (image, colors)
+        sum_cap, prod_cap = (N, vmax) if shifted else (vmax, N)
         # b candidates by the color of their image, ascending
         b_by_color: dict = {}
         for b in range(1, vmax + 1):

@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Union
 
-from .errors import RamseyError, ValueOverflowError
+from .errors import BudgetExceededError, RamseyError, ValueOverflowError
 
 #: evaluation width — values above this raise ValueOverflowError
 VALUE_CAP = 2**63 - 1
@@ -328,31 +328,30 @@ def instantiate(schema: PatternSchema, assignment: Mapping[str, int]) -> frozens
 
 _SEGMENT = 16  # loops per generated function; CPython nests at most 20 blocks
 
+#: leaves :func:`instance_value_sets` walks before it gives up
+LEAF_BUDGET = 1 << 20
+
 
 class TermPlan:
     """A schema's in-box enumeration, rendered as the source of one
-    generator, the *kernel*: ``kernel(N)`` runs one ``for`` per variable,
-    in schema order, over ``[min_value..N]``, skipping (under
+    generator, the *scan* ``scan(N, C, S)``: one ``for`` per variable, in
+    schema order, over ``[min_value..N]``, skipping (under
     ``distinct_vars``) values equal to an earlier variable's.  Each term is
     evaluated once its last variable is bound; terms never decrease in any
     variable, so one above ``N`` ends its loop (one above
     :data:`VALUE_CAP` there raises :class:`ValueOverflowError`), and a
-    constant term above ``N`` ends the kernel.  Each leaf yields the
-    variable values and the term values (in ``schema.terms`` order) as two
-    tuples.  The source names only ``N``, ``hi``, ``v0..vk``, ``t0..tm``
-    and integer literals, never pattern text.
-
-    :meth:`scan_source` renders the same loops, bounds, skips and overflow
-    guards with a second leaf body, the *scan* ``scan(N, C, S)``.  Each
-    leaf adds one to the leaf count ``n``, which carries across the
-    generated functions; leaf ``S`` stops the scan before its colors are
-    read.  Otherwise the leaf compares the colors ``C[t]`` of its term
-    values and yields ``(n, variable values, color)`` when they are all
-    equal.  The scan ends with one ``(n, None, None)``, after its last leaf
-    or at leaf ``S``.  So ``S = max(B, 0) + 1`` spends a budget of B
-    leaves under the one rule of :mod:`ramseylab.search` (leaf B + 1
-    stops), and ``S = -1`` never stops.  It also names ``C``, ``S`` and
-    ``n``."""
+    constant term above ``N`` ends the scan.  Each leaf adds one to the
+    leaf count ``n``, which carries across the generated functions; leaf
+    ``S`` stops the scan before its colors are read.  Otherwise the leaf
+    compares the colors ``C[t]`` of its term values and, when they are all
+    equal, yields ``(n, variable values, term values)``, the term values
+    in ``schema.terms`` order.  The scan ends with one ``(n, None, None)``,
+    after its last leaf or at leaf ``S``.  So ``S = max(B, 0) + 1`` spends
+    a budget of B leaves under the one rule of :mod:`ramseylab.search`
+    (leaf B + 1 stops), ``S = -1`` never stops, and under one color every
+    leaf is a hit.  The source names only ``N``, ``C``, ``S``, ``n``,
+    ``hi``, ``v0..vk``, ``t0..tm`` and integer literals, never pattern
+    text."""
 
     def __init__(self, schema: PatternSchema):
         self.schema = schema
@@ -368,12 +367,6 @@ class TermPlan:
                 self.ready[max(index[name] for name in tv)].append(i)
 
     def source(self) -> str:
-        return self._render(scan=False)
-
-    def scan_source(self) -> str:
-        return self._render(scan=True)
-
-    def _render(self, scan: bool) -> str:
         def expr(t):
             if isinstance(t, Const):
                 return str(t.value)
@@ -382,29 +375,22 @@ class TermPlan:
             op = "+" if isinstance(t, Add) else "*"
             return f"({expr(t.left)} {op} {expr(t.right)})"
 
-        def end(j):  # the scan's last line in the function of loops j, j+1..
+        def end(j):  # the last line of the function of loops j, j+1..
             return "    return n" if j else "    yield n, None, None"
 
         terms, lo = self.schema.terms, self.schema.min_value
-        carry = ", C, S, n" if scan else ""  # what a scan segment also takes
         bound = prefix = ""  # names bound so far / variables so far
-        lines = ["def _k0(N, C, S):" if scan else "def _k0(N):",
-                 f"    hi = min(N, {VALUE_CAP})"]
+        lines = ["def _k0(N, C, S):", f"    hi = min(N, {VALUE_CAP})"]
         for t in self.constant_terms:
-            lines += ([f"    if {t.value} > N:", "        yield 0, None, None",
-                       "        return"] if scan else
-                      [f"    if {t.value} > N: return"])
-        if scan:
-            lines.append("    n = 0")
+            lines += [f"    if {t.value} > N:", "        yield 0, None, None",
+                      "        return"]
+        lines.append("    n = 0")
         pad = "    "
         for j in range(len(self.variables)):
             if j and j % _SEGMENT == 0:
-                if scan:
-                    lines += [f"{pad}n = yield from _k{j}(N, hi{carry}{bound})",
-                              f"{pad}if n is None: return", end(j - _SEGMENT)]
-                else:
-                    lines.append(f"{pad}yield from _k{j}(N, hi{bound})")
-                lines.append(f"def _k{j}(N, hi{carry}{bound}):")
+                lines += [f"{pad}n = yield from _k{j}(N, hi, C, S, n{bound})",
+                          f"{pad}if n is None: return", end(j - _SEGMENT),
+                          f"def _k{j}(N, hi, C, S, n{bound}):"]
                 pad = "    "
             lines.append(f"{pad}for v{j} in range({lo}, N + 1):")
             pad += "    "
@@ -423,10 +409,7 @@ class TermPlan:
                 bound += f", t{i}"
         values = [f"t{i}" if isinstance(t, (Add, Mul)) else expr(t)
                   for i, t in enumerate(terms)]
-        if not scan:
-            lines.append(f"{pad}yield ({prefix}), ({''.join(v + ', ' for v in values)})")
-            return "\n".join(lines) + "\n"
-        hit = f"yield n, ({prefix}), C[{values[0]}]"
+        hit = f"yield n, ({prefix}), ({''.join(v + ', ' for v in values)})"
         if len(values) > 1:
             hit = f"if {' == '.join(f'C[{v}]' for v in values)}: {hit}"
         last = max(len(self.variables) - 1, 0) // _SEGMENT * _SEGMENT
@@ -437,21 +420,10 @@ class TermPlan:
 
 
 @functools.lru_cache(maxsize=256)
-def compile_kernel(schema: PatternSchema) -> Callable[[int], Iterator[tuple]]:
-    """The compiled :class:`TermPlan` kernel of ``schema``, as a function
-    of ``N`` (see :class:`TermPlan`).  Compiled on first use, then cached."""
-    return _compile(schema, TermPlan(schema).source())
-
-
-@functools.lru_cache(maxsize=256)
 def compile_scan(schema: PatternSchema) -> Callable[..., Iterator[tuple]]:
     """The compiled :class:`TermPlan` scan of ``schema``, as a function of
     the box ``N``, the colors by value ``C`` and the leaf ``S`` to stop
-    at (see :class:`TermPlan`).  Compiled on first use, then cached."""
-    return _compile(schema, TermPlan(schema).scan_source())
-
-
-def _compile(schema: PatternSchema, source: str):
+    at.  Compiled on first use, then cached."""
     terms, variables = schema.terms, schema.variables
 
     def overflow(i, prefix):
@@ -459,11 +431,20 @@ def _compile(schema: PatternSchema, source: str):
         eval_term(terms[i], dict(zip(variables, prefix)))
 
     namespace = {"_overflow": overflow}
-    exec(source, namespace)
+    exec(TermPlan(schema).source(), namespace)
     return namespace["_k0"]
 
 
 def instance_value_sets(schema: PatternSchema, N: int) -> list:
-    """Deduplicated in-box instance value sets, as sorted tuples, sorted."""
-    return sorted({tuple(sorted(set(values))) for _, values
-                   in compile_kernel(schema)(N)})
+    """Deduplicated in-box instance value sets, as sorted tuples, sorted:
+    the term values of every leaf of the compiled scan under one color.
+    Leaf :data:`LEAF_BUDGET` + 1 raises :class:`BudgetExceededError`."""
+    stop = LEAF_BUDGET + 1
+    sets = set()
+    for n, _, values in compile_scan(schema)(N, bytes(N + 1), stop):
+        if values is None:
+            if n == stop:
+                raise BudgetExceededError.past(LEAF_BUDGET)
+            break
+        sets.add(tuple(sorted(set(values))))
+    return sorted(sets)

@@ -14,9 +14,12 @@ Three engines answer "does some c-coloring of [1..N] avoid the pattern?":
 * ``exhaustive`` — enumeration over canonical colorings; the test oracle.
 
 The instance scan is its pattern's compiled scan
-(:func:`ramseylab.patterns.compile_scan`): the kernel's loops, in order,
-with the color test done at each leaf and only the monochromatic leaves
-yielded.  Backtracking is one depth-first search from value 1.  Each
+(:func:`ramseylab.patterns.compile_scan`): one loop per variable over
+the box, in order, with the color test done at each leaf and only the
+monochromatic leaves yielded.  The value sets the avoidance engines
+read are the same scan's leaves under one color, and past
+:data:`ramseylab.patterns.LEAF_BUDGET` leaves their verdict is
+``unknown``.  Backtracking is one depth-first search from value 1.  Each
 counts its nodes (leaves, color tries) in one counter on the calling
 thread, so witnesses, node counts and budget verdicts depend only on the
 query.  A budget of B nodes gives the answer when the search needs at most
@@ -79,15 +82,15 @@ def _scan_instances(schema: PatternSchema, coloring: Coloring,
     dict, color), leaves visited); stops once ``limit`` hits are in.  Leaf
     ``max_nodes + 1`` raises :class:`BudgetExceededError`."""
     variables = schema.variables
+    table = coloring.value_table()
     stop = -1 if max_nodes is None else max(max_nodes, 0) + 1
     hits: list = []
-    for leaves, asg, color in compile_scan(schema)(
-            coloring.N, coloring.value_table(), stop):
-        if color is None:
+    for leaves, asg, values in compile_scan(schema)(coloring.N, table, stop):
+        if values is None:
             if leaves == stop:
                 raise BudgetExceededError.past(max_nodes)
             break
-        hits.append((dict(zip(variables, asg)), color))
+        hits.append((dict(zip(variables, asg)), table[values[0]]))
         if limit is not None and len(hits) >= limit:
             break
     return hits, leaves
@@ -200,42 +203,39 @@ def find_avoiding_coloring(schema: PatternSchema, N: int, c: int,
     verdict = "unsat"
     found: Optional[Coloring] = None
 
-    if engine == "sat":
-        formula, vmap = satmod.encode_avoidance(schema, N, c,
-                                                symmetry_break=True)
-        sv = satmod.solve(formula, max_conflicts=max_nodes)
-        stats.nodes = sv.conflicts + sv.decisions
-        if sv.status == satmod.SAT:
-            verdict, found = "sat", vmap.decode(sv.model)
-        elif sv.status == satmod.UNKNOWN:
-            verdict = "unknown"
-    elif engine == "exhaustive":
-        nodes = 0
-        try:
+    try:
+        if engine == "sat":
+            formula, vmap = satmod.encode_avoidance(schema, N, c,
+                                                    symmetry_break=True)
+            sv = satmod.solve(formula, max_conflicts=max_nodes)
+            stats.nodes = sv.conflicts + sv.decisions
+            if sv.status == satmod.SAT:
+                verdict, found = "sat", vmap.decode(sv.model)
+            elif sv.status == satmod.UNKNOWN:
+                verdict = "unknown"
+        elif engine == "exhaustive":
             value_sets = instance_value_sets(schema, N)
+            nodes = 0
             for col in enumerate_colorings(N, c, symmetry_break=True):
                 nodes += 1
                 if max_nodes is not None and nodes > max_nodes:
-                    raise BudgetExceededError("exhaustive scan budget exceeded")
+                    raise BudgetExceededError.past(max_nodes)
                 cells = col.cells
                 if not any(all(cells[v - 1] == cells[vs[0] - 1] for v in vs[1:])
                            for vs in value_sets):
                     verdict, found = "sat", col
                     break
-        except BudgetExceededError:
-            verdict = "unknown"
-        stats.nodes = nodes
-    else:
-        index = _index_by_max(instance_value_sets(schema, N), N)
-        try:
+            stats.nodes = nodes
+        else:
+            index = _index_by_max(instance_value_sets(schema, N), N)
             # one task, so the bench's parallel.* counters still see it
             cells, stats.nodes = ordered_first_hit(
                 [lambda: _backtrack(N, c, index, max_nodes)])
             if cells is not None:
                 verdict, found = "sat", Coloring(d=1, N=N, c=c, cells=cells)
-        except BudgetExceededError as exc:
-            verdict = "unknown"
-            stats.nodes = exc.nodes
+    except BudgetExceededError as exc:
+        # a node budget, or the value sets' LEAF_BUDGET, ran out
+        verdict, stats.nodes = "unknown", exc.nodes
 
     stats.time_ms = (time.perf_counter() - t0) * 1000.0
     if found is not None:

@@ -101,13 +101,6 @@ def parse_table(text: str) -> CayleyTable:
     return table_from_rows(rows)
 
 
-def format_table(table: CayleyTable) -> str:
-    lines = [str(table.n)]
-    for row in table.rows:
-        lines.append(" ".join(str(v) for v in row))
-    return "\n".join(lines) + "\n"
-
-
 def load_table(path) -> CayleyTable:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_table(fh.read())

@@ -2,7 +2,9 @@
 
 A budget of B nodes gives the answer when the search needs at most B
 nodes; otherwise node B + 1 stops it, and the error (or, for backtracking,
-the ``unknown`` result) carries ``nodes`` B + 1.
+the ``unknown`` result) carries ``nodes`` B + 1.  The value sets the
+avoidance engines read follow the same rule with the fixed budget
+:data:`ramseylab.patterns.LEAF_BUDGET`.
 """
 
 import pytest
@@ -14,8 +16,10 @@ from ramseylab.hindman import (find_fs_witness_detailed,
                                find_scaled_bundle_detailed,
                                find_scaled_quad_detailed,
                                find_shifted_bundle_detailed)
-from ramseylab.patterns import parse_pattern
-from ramseylab.search import (InstanceQuery, find_all_instances_detailed,
+from ramseylab import patterns
+from ramseylab.patterns import LEAF_BUDGET, instance_value_sets, parse_pattern
+from ramseylab.search import (ENGINES, InstanceQuery,
+                              find_all_instances_detailed,
                               find_avoiding_coloring, find_instance_detailed,
                               threshold_number)
 
@@ -105,3 +109,31 @@ def test_backtracking_rows_do_not_shrink_while_sat(pattern, distinct, c):
     sat_nodes = [nodes for _, verdict, nodes, _ in res.rows if verdict == "sat"]
     assert len(sat_nodes) >= 8
     assert sat_nodes == sorted(sat_nodes)
+
+
+def test_value_sets_stop_at_the_leaf_past_the_leaf_budget():
+    # {x+y} has N(N-1)/2 leaves: LEAF_BUDGET - 948 at N = 1448 and
+    # LEAF_BUDGET + 500 at N = 1449
+    schema = parse_pattern("{x+y}")
+    assert LEAF_BUDGET == 1 << 20
+    assert instance_value_sets(schema, 1448) == [(s,) for s in range(2, 1449)]
+    with pytest.raises(BudgetExceededError) as exc:
+        instance_value_sets(schema, 1449)
+    assert exc.value.nodes == LEAF_BUDGET + 1
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_leaf_budget_gives_unknown_on_every_engine(monkeypatch, engine):
+    # Schur's pattern has 6 leaves at N = 4 and 10 at N = 5
+    monkeypatch.setattr(patterns, "LEAF_BUDGET", 6)
+    schema = parse_pattern("{x, y, x+y}")
+    assert len(instance_value_sets(schema, 4)) == 4
+    assert find_avoiding_coloring(schema, 4, 2, engine=engine).verdict == "sat"
+    res = find_avoiding_coloring(schema, 5, 2, engine=engine)
+    assert (res.verdict, res.coloring, res.stats.nodes) == ("unknown", None, 7)
+    # a threshold scan keeps its rows and its certificate up to that N
+    res = threshold_number(schema, 2, 8, engine=engine)
+    assert (res.status, res.threshold) == ("unknown", None)
+    assert [row[1] for row in res.rows] == ["sat"] * 4 + ["unknown"]
+    assert res.rows[-1][2] == 7
+    assert res.certificate.N == 4

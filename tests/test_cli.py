@@ -8,12 +8,11 @@ import sys
 import pytest
 
 import ramseylab
-from ramseylab import cli
+from ramseylab import cli, patterns
 from ramseylab.cli import main
 from ramseylab.colorings import load_file
 from ramseylab.hindman import Bundle
 from ramseylab.sat import parse_dimacs
-from ramseylab.semigroups import format_table, table_from_rows
 
 SCHUR = "{x, y, x+y}"
 
@@ -129,6 +128,44 @@ def test_avoid_budget_exhaustion_reports_nodes(capsys, engine, nodes):
     assert code == 2
     assert report["verdict"] == "unknown"
     assert report["stats"]["nodes"] == nodes
+
+
+def test_avoid_past_the_leaf_budget_exits_two(capsys):
+    # the value sets of this box used to be enumerated in full, past any
+    # --max-nodes, until memory ran out; now leaf LEAF_BUDGET + 1 stops them
+    code, report = run_json(
+        capsys, "avoid", "--pattern", SCHUR, "--n", "200000", "--colors", "2",
+        "--max-nodes", "10")
+    assert (code, report["verdict"], report["witness"]) == (2, "unknown", None)
+    assert report["stats"]["nodes"] == patterns.LEAF_BUDGET + 1
+    assert report["query"]["n"] == 200000
+
+
+def test_encode_past_the_leaf_budget_exits_two(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(patterns, "LEAF_BUDGET", 6)  # Schur: 10 leaves at 5
+    cnf = tmp_path / "s5.cnf"
+    code, report = run_json(
+        capsys, "encode", "--pattern", SCHUR, "--n", "5", "--colors", "2",
+        "--out-cnf", str(cnf))
+    assert (code, report["verdict"], report["stats"]["nodes"]) == (
+        2, "unknown", 7)
+    assert not cnf.exists()
+
+
+def test_threshold_past_the_leaf_budget_keeps_its_rows(capsys, monkeypatch,
+                                                       tmp_path):
+    monkeypatch.setattr(patterns, "LEAF_BUDGET", 6)  # Schur: 10 leaves at 5
+    csv = tmp_path / "rows.csv"
+    code, report = run_json(
+        capsys, "threshold", "--pattern", SCHUR, "--colors", "2",
+        "--n-max", "8", "--csv", str(csv))
+    assert (code, report["verdict"], report["witness"]) == (2, "unknown", None)
+    rows = [line.split(",") for line in csv.read_text().splitlines()[1:]]
+    assert [(r[0], r[1]) for r in rows] == [
+        ("1", "sat"), ("2", "sat"), ("3", "sat"), ("4", "sat"),
+        ("5", "unknown")]
+    assert rows[-1][2] == "7"
+    assert report["stats"]["nodes"] == sum(int(r[2]) for r in rows)
 
 
 @pytest.mark.parametrize("engine", ["backtracking", "exhaustive", "sat"])
@@ -828,8 +865,7 @@ def test_bundle_corollary_mode(capsys):
 
 def test_semigroup_report(capsys, tmp_path):
     path = tmp_path / "z3.txt"
-    path.write_text(format_table(table_from_rows(
-        ((0, 1, 2), (1, 2, 0), (2, 0, 1)))))
+    path.write_text("3\n0 1 2\n1 2 0\n2 0 1\n")
     code, report = run_json(
         capsys, "semigroup", "--table", str(path),
         "--central-subset", "0,1", "--translate-by", "2")

@@ -1,14 +1,17 @@
-"""Differential tests of the compiled in-box kernel against brute force.
+"""Differential tests of the compiled instance scan.
 
-The reference enumerates [min_value..N]^k with ``itertools.product`` in
+Two references check it, neither of which reads :class:`TermPlan`.  Brute
+force enumerates [min_value..N]^k with ``itertools.product`` in
 lexicographic order, evaluates every term with ``eval_term`` and keeps the
-assignments whose values all land in [1..N].  Budget verdicts are checked
-against the scan's exact rule: a budget of B leaves answers when the scan
-stops within B leaves, and otherwise leaf B + 1 raises with ``nodes`` B + 1.
-The compiled scan is also checked against :func:`kernel_scan`, the colour
-test as a Python loop over the kernel's leaves.
+assignments whose values all land in [1..N].  :func:`walk` is a
+plain-Python walk written from the rules in :class:`TermPlan`'s docstring;
+it reaches boxes that brute force cannot, and it raises on overflow where
+the scan must.  Budget verdicts are checked against the scan's exact rule:
+a budget of B leaves answers when the scan stops within B leaves, and
+otherwise leaf B + 1 raises with ``nodes`` B + 1.
 """
 
+import functools
 import itertools
 
 import pytest
@@ -17,9 +20,9 @@ from hypothesis import given, settings, strategies as st
 from ramseylab.colorings import Coloring, make_coloring
 from ramseylab.errors import BudgetExceededError, ValueOverflowError
 from ramseylab.patterns import (Add, Const, Mul, TermPlan, Var,
-                                compile_kernel, compile_scan, eval_term,
-                                instance_value_sets, parse_pattern,
-                                schema_from_terms)
+                                compile_scan, eval_term, instance_value_sets,
+                                parse_pattern, schema_from_terms,
+                                term_variables)
 from ramseylab.search import (InstanceQuery, find_all_instances_detailed,
                               find_instance_detailed)
 
@@ -38,10 +41,65 @@ def brute_leaves(schema, N):
     return out
 
 
+def walk(schema, N):
+    """(assignment tuple, value tuple) of every in-box assignment, in order:
+    one loop per variable, in schema order, over [min_value..N], skipping
+    under ``distinct_vars`` a value that an earlier variable holds; each
+    term evaluated by ``eval_term`` once its last variable is bound, the
+    first one above N ending its loop; a constant term above N ends the
+    walk."""
+    names, terms = schema.variables, schema.terms
+    last = [max((names.index(v) for v in term_variables(t)), default=-1)
+            for t in terms]
+    values = [eval_term(t, {}) if j < 0 else None
+              for t, j in zip(terms, last)]
+    if any(j < 0 and v > N for v, j in zip(values, last)):
+        return
+    ready = [[i for i, j in enumerate(last) if j == level]
+             for level in range(len(names))]
+    held = [None] * len(names)
+
+    def loop(j):
+        if j == len(names):
+            yield tuple(held), tuple(values)
+            return
+        for v in range(schema.min_value, N + 1):
+            if schema.distinct_vars and v in held[:j]:
+                continue
+            held[j] = v
+            asg = dict(zip(names, held[:j + 1]))
+            for i in ready[j]:
+                values[i] = eval_term(terms[i], asg)
+                if values[i] > N:
+                    return
+            yield from loop(j + 1)
+
+    yield from loop(0)
+
+
+@functools.lru_cache(maxsize=8)
+def walked(schema, N):
+    """The walk's leaves, and the ValueOverflowError that ended it (None
+    when it ran to the end)."""
+    leaves = []
+    try:
+        leaves.extend(walk(schema, N))
+    except ValueOverflowError as exc:
+        return leaves, exc
+    return leaves, None
+
+
+def one_color_leaves(schema, N):
+    """The compiled scan's leaves under one color, where every leaf is a
+    hit, as (assignment tuple, value tuple)."""
+    return [(asg, values) for _, asg, values
+            in compile_scan(schema)(N, bytes(N + 1), -1) if values is not None]
+
+
 def box_assignments(schema, N):
-    """The kernel's leaves as assignment dicts."""
+    """The compiled scan's leaves as assignment dicts."""
     return [dict(zip(schema.variables, asg))
-            for asg, _ in compile_kernel(schema)(N)]
+            for asg, _ in one_color_leaves(schema, N)]
 
 
 def monochromatic(cells, values):
@@ -64,7 +122,8 @@ schemas = st.builds(
 @settings(max_examples=150, deadline=None)
 def test_enumeration_matches_brute_force(schema, N):
     want = brute_leaves(schema, N)
-    assert list(compile_kernel(schema)(N)) == want
+    assert walked(schema, N) == (want, None)
+    assert one_color_leaves(schema, N) == want
     assert instance_value_sets(schema, N) == sorted(
         {tuple(sorted(set(values))) for _, values in want})
 
@@ -124,9 +183,9 @@ def test_find_all_spends_its_budget():
 
 def test_kernel_source_has_no_pattern_text():
     schema = parse_pattern("{alpha, beta*gamma, 7*alpha+beta+gamma}")
-    for source in (TermPlan(schema).source(), TermPlan(schema).scan_source()):
-        assert not any(name in source for name in schema.variables)
-    # pattern names that match the kernel's own names change nothing
+    source = TermPlan(schema).source()
+    assert not any(name in source for name in schema.variables)
+    # pattern names that match the scan's own names change nothing
     schema = parse_pattern("{range, N, hi, v1 + v0, t0*2}")
     assert box_assignments(schema, 6) == [
         dict(zip(schema.variables, a)) for a, _ in brute_leaves(schema, 6)]
@@ -135,7 +194,7 @@ def test_kernel_source_has_no_pattern_text():
     col = make_coloring("random", 1, 5, 2, seed=4)
     query = InstanceQuery(schema=schema, coloring=col)
     assert find_all_instances_detailed(query, limit=None) == \
-        kernel_scan(schema, col, None, None)
+        walk_scan(schema, col, None, None)
 
 
 def test_many_variables_chain_generated_functions():
@@ -149,32 +208,32 @@ def test_many_variables_chain_generated_functions():
     assert len(got) == 46368
     assert got == sorted(got)
     assert all(a + b <= 3 for seq in got for a, b in zip(seq, seq[1:]))
+    assert walked(schema, 3) == (one_color_leaves(schema, 3), None)
 
 
 # ---------------------------------------------------------------------------
-# the compiled scan against the colour test over kernel leaves
+# the compiled scan against the colour test over the walk's leaves
 
 
-def kernel_scan(schema, coloring, max_nodes, limit=1):
-    """The instance scan as a Python loop over the kernel's leaves: count
-    the leaf, stop past the budget, then test its colours.  Kept as the
-    reference for the compiled scan."""
-    variables = schema.variables
+def walk_scan(schema, coloring, max_nodes, limit=1):
+    """The instance scan as a Python loop over the walk's leaves: count the
+    leaf, stop past the budget, then test its colours; after the last leaf,
+    raise the overflow that ended the walk, if one did."""
+    leaves_walked, overflow = walked(schema, coloring.N)
     colors = coloring.value_table()
     hits = []
     leaves = 0
-    for asg, values in compile_kernel(schema)(coloring.N):
+    for asg, values in leaves_walked:
         leaves += 1
         if max_nodes is not None and leaves > max_nodes:
             raise BudgetExceededError.past(max_nodes)
         color = colors[values[0]]
-        for v in values:
-            if colors[v] != color:
-                break
-        else:
-            hits.append((dict(zip(variables, asg)), color))
+        if all(colors[v] == color for v in values):
+            hits.append((dict(zip(schema.variables, asg)), color))
             if limit is not None and len(hits) >= limit:
-                break
+                return hits, leaves
+    if overflow is not None:
+        raise ValueOverflowError(str(overflow))
     return hits, leaves
 
 
@@ -188,32 +247,29 @@ def outcome(scan, *args):
 
 
 def leaves_before_overflow(schema, N):
-    """The leaves that the kernel and the compiled scan each visit before
+    """The leaves that the walk and the compiled scan each visit before
     they raise :class:`ValueOverflowError` (None for one that does not).
     Under one colour every scan leaf is a hit, so the index of the scan's
     last hit is its leaf count."""
-
-    def count(leaves):
-        n = 0
-        try:
-            for _ in leaves:
-                n += 1
-        except ValueOverflowError:
-            return n
-        return None
-
-    scan = compile_scan(schema)(N, (None,) + (0,) * N, -1)
-    return (count(compile_kernel(schema)(N)),
-            count(n for n, _, color in scan if color is not None))
+    leaves, overflow = walked(schema, N)
+    walk_count = len(leaves) if overflow else None
+    visited = 0
+    try:
+        for n, _, values in compile_scan(schema)(N, bytes(N + 1), -1):
+            if values is not None:
+                visited = n
+    except ValueOverflowError:
+        return walk_count, visited
+    return walk_count, None
 
 
 def assert_scans_agree(schema, col, limits=(1, 3, None), budgets=()):
     query = InstanceQuery(schema=schema, coloring=col)
     for limit in limits:
-        base = outcome(kernel_scan, schema, col, None, limit)
+        base = outcome(walk_scan, schema, col, None, limit)
         leaves = base[1] if isinstance(base[1], int) else 0
         for budget in (-1, 0, 1, leaves - 1, leaves, None) + tuple(budgets):
-            want = outcome(kernel_scan, schema, col, budget, limit)
+            want = outcome(walk_scan, schema, col, budget, limit)
             assert outcome(find_all_instances_detailed, query, limit,
                            budget) == want, (limit, budget)
             if limit == 1 and want[0] not in ("budget", "overflow"):
@@ -239,13 +295,13 @@ scan_schemas = st.builds(
 @given(scan_schemas, st.integers(1, 30), st.integers(1, 3),
        st.integers(0, 99), st.booleans())
 @settings(max_examples=200, deadline=None)
-def test_compiled_scan_matches_kernel_scan(schema, N, c, seed, lazy):
+def test_compiled_scan_matches_walk_scan(schema, N, c, seed, lazy):
     col = make_coloring("random", 1, N, c, seed=seed,
                         cell_budget=0 if lazy else N)
     assert (col.cells is None) == lazy
     assert_scans_agree(schema, col)
-    kernel, scan = leaves_before_overflow(schema, N)
-    assert kernel == scan
+    walked_leaves, scan = leaves_before_overflow(schema, N)
+    assert walked_leaves == scan
 
 
 def test_overflow_stops_both_scans_at_the_same_leaf():
@@ -279,7 +335,7 @@ def test_scan_count_carries_across_generated_functions():
     assert [n for n, _, _ in scan] == list(range(1, 46369)) + [46368]
     # parity: every sum is 2 (all ones) or every sum is 3 (alternating)
     parity = make_coloring("parity", 1, 3, 2)
-    assert len(kernel_scan(schema, parity, None, None)[0]) == 3
+    assert len(walk_scan(schema, parity, None, None)[0]) == 3
     for col in (one, parity):
         assert_scans_agree(schema, col, limits=(1, 3),
                            budgets=(46367, 46368, 46369))

@@ -7,7 +7,7 @@ from ramseylab.patterns import (Add, AssignmentError, Const, Mul,
                                 PatternSyntaxError, UnboundVariableError,
                                 VALUE_CAP, Var, canonicalize, eval_term,
                                 format_pattern, format_term,
-                                compile_kernel, instance_value_sets,
+                                compile_scan, instance_value_sets,
                                 instantiate, parse_pattern,
                                 schema_from_terms, term_variables,
                                 validate_assignment)
@@ -89,8 +89,11 @@ def test_min_value_and_distinct():
 
 def test_kernel_leaves_lexicographic():
     schema = parse_pattern("{x, y, x+y}")
-    assert list(compile_kernel(schema)(3)) == [
-        ((1, 1), (1, 1, 2)), ((1, 2), (1, 2, 3)), ((2, 1), (2, 1, 3))]
+    # under one color every leaf is a hit: its number, variable values and
+    # term values
+    assert list(compile_scan(schema)(3, bytes(4), -1)) == [
+        (1, (1, 1), (1, 1, 2)), (2, (1, 2), (1, 2, 3)), (3, (2, 1), (2, 1, 3)),
+        (3, None, None)]
 
 
 def test_instance_value_sets_dedupes():

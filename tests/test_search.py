@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from ramseylab.colorings import Coloring, make_coloring
 from ramseylab.errors import (BudgetExceededError, MalformedInputError,
                               RamseyError)
-from ramseylab.patterns import (compile_kernel, instance_value_sets,
+from ramseylab.patterns import (compile_scan, instance_value_sets,
                                 parse_pattern)
 from ramseylab.search import (ENGINES, InstanceQuery, _scan_instances,
                               find_all_instances_detailed,
@@ -142,9 +142,11 @@ def test_variable_free_pattern_is_forced_past_min_value(engine):
     # no variable is bounded by min_value, so {3} has its one instance
     # whatever min_value is, as the find scan has always said
     schema = parse_pattern("{3}", min_value=5)
-    assert list(compile_kernel(schema)(4)) == [((), (3,))]
+    assert list(compile_scan(schema)(4, bytes(5), -1)) == [
+        (1, (), (3,)), (1, None, None)]
     assert instance_value_sets(schema, 4) == [(3,)]
-    assert list(compile_kernel(schema)(2)) == []
+    assert list(compile_scan(schema)(2, bytes(3), -1)) == [(0, None, None)]
+    assert instance_value_sets(schema, 2) == []
     assert find_avoiding_coloring(schema, 4, 2, engine=engine).verdict == "unsat"
     res = threshold_number(schema, 2, 6, engine=engine)
     assert (res.status, res.threshold) == ("found", 3)
