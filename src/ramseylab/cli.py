@@ -40,15 +40,13 @@ from .colorings import (GENERATORS, Coloring, ColoringSpec, load_file,
                         save_file)
 from .errors import BudgetExceededError, MalformedInputError, RamseyError
 from .hindman import (BUILTIN_OPS, SCALED_QUAD, SHIFTED_QUAD, CutGrid,
-                      builtin_op, check_bundle, check_composed_witness,
-                      check_depth_indexed_witness, check_fs_witness,
-                      composed_color_by_depth,
+                      builtin_op, check_composed_witness,
+                      check_depth_indexed_witness, composed_color_by_depth,
                       find_fs_witness_detailed, find_grid_witness_detailed,
                       find_scaled_bundle_detailed, find_scaled_quad_detailed,
                       find_shifted_bundle_detailed,
-                      find_shifted_quad_detailed, grid_common_color,
-                      load_op_table, load_witness, make_witness,
-                      save_witness, verify_witness)
+                      find_shifted_quad_detailed, load_op_table, load_witness,
+                      make_witness, save_witness, verify_witness)
 from .patterns import format_pattern, instantiate, parse_pattern
 from .search import (ENGINES, InstanceQuery, find_all_instances_detailed,
                      find_avoiding_coloring, find_instance_detailed,
@@ -123,13 +121,6 @@ def _coloring_from_args(args) -> tuple:
     raise RamseyError("no coloring given (use --coloring-file or --generator)")
 
 
-def _maybe_save_witness(args, kind: str, data: dict, spec: ColoringSpec):
-    path = getattr(args, "witness_out", None)
-    if path:
-        save_witness(path, make_witness(kind, data, coloring_spec=spec,
-                                        validated=True))
-
-
 def _recheck(ok: bool, detail: str) -> None:
     """The independent re-check of a finder's hit before it is printed: a
     refused hit is an error (verdict ``error``, exit 1), never a witness."""
@@ -158,6 +149,19 @@ def _instance_witness(coloring: Coloring, schema):
                  "instance values differ in color")
         return {"assignment": asg, "color": color}
     return witness_of
+
+
+def _verified(args, kind: str, witness: dict, coloring: Coloring,
+              spec: ColoringSpec, **extra) -> dict:
+    """``witness``, once :func:`verify_witness` accepts the record of kind
+    ``kind`` built from it (its data: ``witness`` plus ``extra``); that
+    same record is saved to --witness-out."""
+    record = make_witness(kind, dict(witness, **extra), coloring_spec=spec,
+                          validated=True)
+    _recheck(*verify_witness(record, coloring=coloring))
+    if args.witness_out:
+        save_witness(args.witness_out, record)
+    return witness
 
 
 # ---------------------------------------------------------------------------
@@ -274,16 +278,11 @@ def cmd_fs_witness(args) -> tuple:
     query = {"command": "fs-witness", "k": args.k,
              "coloring": spec.to_json()}
 
-    def witness_of(hit):
-        ok, color = check_fs_witness(coloring, hit)
-        _recheck(ok, "subset sums differ in color")
-        witness = {"generators": list(hit), "color": color}
-        _maybe_save_witness(args, "fs", dict(witness, k=args.k), spec)
-        return witness
-
     return query, "fs-scan", _finder(
         lambda: find_fs_witness_detailed(coloring, args.k, budget=args.budget),
-        witness_of)
+        lambda hit: _verified(args, "fs", {
+            "generators": list(hit), "color": coloring.value_color(hit[0])},
+            coloring, spec, k=args.k))
 
 
 def cmd_grid_witness(args) -> tuple:
@@ -291,18 +290,12 @@ def cmd_grid_witness(args) -> tuple:
     query = {"command": "grid-witness", "length": args.length,
              "blocks": args.blocks, "coloring": spec.to_json()}
 
-    def witness_of(hit):
-        seq, color = hit
-        _recheck(grid_common_color(coloring, seq, args.blocks) == color,
-                 "grid values differ in color")
-        witness = {"sequence": list(seq), "d": args.blocks, "color": color}
-        _maybe_save_witness(args, "grid", dict(witness), spec)
-        return witness
-
     return query, "grid-scan", _finder(
         lambda: find_grid_witness_detailed(coloring, args.length, args.blocks,
                                            budget=args.budget),
-        witness_of)
+        lambda hit: _verified(args, "grid", {
+            "sequence": list(hit[0]), "d": args.blocks, "color": hit[1]},
+            coloring, spec))
 
 
 def _op_from_args(args, coloring: Coloring):
@@ -355,17 +348,11 @@ def cmd_bundle(args) -> tuple:
     find = (find_shifted_bundle_detailed if args.shifted
             else find_scaled_bundle_detailed)
 
-    def witness_of(hit):
-        ok, detail = check_bundle(coloring, hit)
-        _recheck(ok, detail)
-        witness = {"lam": hit.lam, "a_set": list(hit.a_set),
-                   "b_set": list(hit.b_set), "k": hit.k, "color": hit.color}
-        _maybe_save_witness(args, name, dict(witness), spec)
-        return witness
-
     return query, "bundle-scan", _finder(
         lambda: find(coloring, args.k, cap_a=args.cap_a, budget=args.budget),
-        witness_of)
+        lambda hit: _verified(args, name, {
+            "lam": hit.lam, "a_set": list(hit.a_set), "b_set": list(hit.b_set),
+            "k": hit.k, "color": hit.color}, coloring, spec))
 
 
 def cmd_verify(args) -> tuple:
@@ -374,7 +361,7 @@ def cmd_verify(args) -> tuple:
     if args.coloring_file or args.generator:
         coloring, _ = _coloring_from_args(args)
     query = {"command": "verify", "witness": args.witness,
-             "kind": record["kind"]}
+             "kind": record.get("kind")}
 
     def run():
         ok, detail = verify_witness(record, coloring=coloring)

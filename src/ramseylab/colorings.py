@@ -354,13 +354,15 @@ def enumerate_colorings(N: int, c: int, symmetry_break: bool = False,
         return
 
     prefix = [0] * N
-
-    def rec(i: int, used: int) -> Iterator[Coloring]:
-        if i == N:
-            yield Coloring(d=1, N=N, c=c, cells=tuple(prefix))
+    used = [0] + [1] * N  # used[i]: the colors among prefix[:i]
+    while True:
+        yield Coloring(d=1, N=N, c=c, cells=tuple(prefix))
+        # next: raise the last entry below both c - 1 and its used count
+        i = N - 1
+        while i >= 0 and (prefix[i] == used[i] or prefix[i] + 1 == c):
+            i -= 1
+        if i < 0:
             return
-        for v in range(min(used + 1, c)):
-            prefix[i] = v
-            yield from rec(i + 1, max(used, v + 1))
-
-    yield from rec(0, 0)
+        prefix[i] += 1
+        prefix[i + 1:] = [0] * (N - 1 - i)
+        used[i + 1:] = [max(used[i], prefix[i] + 1)] * (N - i)

@@ -38,7 +38,9 @@ most B nodes; otherwise node B + 1 stops it
 indexed by value, without bounds checks: their own loop bounds keep every
 lookup in [1..N].  Every checker recomputes its verdict from the raw data
 through the bounds-checked accessor, so it does not share the finders'
-indexing, and the CLI prints no hit before a checker has confirmed it.
+indexing.  :func:`verify_witness` is the one judge of a witness record:
+the CLI prints no fs, grid or bundle hit before it has accepted the
+record built from the hit, and that record is the one it saves.
 Every color check (fs, grid, composed, depth-indexed) is one fold,
 :func:`_common_color`, over the colors its walk yields.
 """
@@ -56,6 +58,7 @@ from .errors import (BudgetExceededError, CompositionOutOfBoxError,
                      MalformedInputError, OutOfBoxError, RamseyError)
 from .patterns import VALUE_CAP, parse_pattern
 from .search import InstanceQuery, find_instance_detailed
+from .semigroups import parse_rows
 from .structures import (MAX_FAMILY, OP_ADD, contains_kap, contains_kfp,
                          contains_kfs, contains_kgp, fs_values,
                          min_closure_size)
@@ -99,11 +102,13 @@ def find_fs_witness_detailed(coloring: Coloring, k: int,
     """
     if k < 1:
         raise RamseyError("k must be at least 1")
+    if k > MAX_FAMILY:  # the closure check refuses more generators anyway
+        raise RamseyError(f"family size {k} outside [1, {MAX_FAMILY}]")
     N = coloring.N
     colors = coloring.value_table()
     nodes = 0
     gens: list = []
-    sums: list = []
+    sums: dict = {}  # the distinct subset sums of gens (at most N), in order
 
     def rec(total: int, anchor: int):
         nonlocal nodes
@@ -123,11 +128,11 @@ def find_fs_witness_detailed(coloring: Coloring, k: int,
                     break
             else:
                 n = len(sums)
-                sums.extend([s + v for s in sums])
-                sums.append(v)
+                sums.update(dict.fromkeys([v] + [s + v for s in sums]))
                 gens.append(v)
                 hit = rec(total + v, anchor)
-                del sums[n:]
+                while len(sums) > n:  # the sums added here are the last
+                    sums.popitem()
                 gens.pop()
                 if hit is not None:
                     return hit
@@ -135,7 +140,8 @@ def find_fs_witness_detailed(coloring: Coloring, k: int,
 
     for a1 in range(1, N // k + 1):  # a non-decreasing tuple sums to >= a1*k
         gens[:] = [a1]
-        sums[:] = [a1]
+        sums.clear()
+        sums[a1] = None
         hit = rec(a1, colors[a1])
         if hit is not None:
             return hit, nodes
@@ -359,19 +365,8 @@ def load_op_table(path) -> OpTable:
     """Read an explicit table: first line n, then n rows of n entries in
     [1..n] (rows[i][j] is op(i+1, j+1))."""
     with open(path, "r", encoding="utf-8") as fh:
-        tokens = fh.read().split()
-    if not tokens:
-        raise MalformedInputError(f"{path}: empty operation table")
-    try:
-        values = [int(t) for t in tokens]
-    except ValueError as exc:
-        raise MalformedInputError(f"{path}: non-integer entry") from exc
-    n = values[0]
-    if n < 1 or len(values) != 1 + n * n:
-        raise MalformedInputError(
-            f"{path}: expected {n}*{n} entries after the header")
-    rows = tuple(tuple(values[1 + i * n: 1 + (i + 1) * n]) for i in range(n))
-    return OpTable(kind="table", n=n, rows=rows)
+        rows = parse_rows(fh.read(), "operation table")
+    return OpTable(kind="table", n=len(rows), rows=rows)
 
 
 def check_composed_witness(coloring: Coloring, op: OpTable,
@@ -666,6 +661,7 @@ def save_witness(path, record: dict):
 
 
 def load_witness(path) -> dict:
+    """The JSON object in ``path``, as :func:`verify_witness` reads it."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             record = json.load(fh)
@@ -673,12 +669,6 @@ def load_witness(path) -> dict:
             raise MalformedInputError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(record, dict):
         raise MalformedInputError(f"{path}: witness record must be an object")
-    if record.get("schema_version") != 1:
-        raise MalformedInputError(f"{path}: unsupported schema_version")
-    if record.get("kind") not in WITNESS_KINDS:
-        raise MalformedInputError(f"{path}: unknown witness kind")
-    if not isinstance(record.get("data"), dict):
-        raise MalformedInputError(f"{path}: witness data must be an object")
     return record
 
 
@@ -704,7 +694,9 @@ def verify_witness(record: dict, coloring: Optional[Coloring] = None) -> tuple:
     directly, or loaded from the record's coloring_ref).  Returns
     (ok, detail string); out-of-box data verifies False, it does not
     raise.  A field that is missing or of the wrong type raises
-    MalformedInputError."""
+    MalformedInputError, and so does a record of another schema_version."""
+    if record.get("schema_version") != 1:
+        raise MalformedInputError("unsupported schema_version")
     kind = record.get("kind")
     if kind not in WITNESS_KINDS:
         raise MalformedInputError(f"unknown witness kind {kind!r}")

@@ -165,29 +165,36 @@ def _forbidden(entry, bits) -> int:
 def _backtrack(N, c, index, max_nodes: Optional[int]):
     """Canonical-coloring DFS over [1..N], one node per color tried;
     returns (lexicographically least avoiding coloring or None, nodes).
-    Node ``max_nodes + 1`` raises :class:`BudgetExceededError`."""
+    Node ``max_nodes + 1`` raises :class:`BudgetExceededError`.  A loop,
+    not a recursion, so N may pass Python's recursion limit."""
     bits = [0] * N
     choices = [[(color, 1 << color) for color in range(min(u + 1, c))]
                for u in range(c + 1)]
     nodes = 0
-
-    def rec(i: int, used: int):
-        nonlocal nodes
-        if i == N:
-            return tuple(b.bit_length() - 1 for b in bits)
-        forbidden = _forbidden(index[i], bits)
-        for color, bit in choices[used]:
+    # position i's untried (color, bit) pairs, forbidden colors and colors
+    # used before it; the stack holds them for positions 0..i-1
+    i, used, stack = 0, 0, []
+    untried, forbidden = iter(choices[0]), _forbidden(index[0], bits)
+    while True:
+        for color, bit in untried:
             nodes += 1
             if max_nodes is not None and nodes > max_nodes:
                 raise BudgetExceededError.past(max_nodes)
             if not forbidden & bit:
-                bits[i] = bit
-                hit = rec(i + 1, used + 1 if color == used else used)
-                if hit is not None:
-                    return hit
-        return None
-
-    return rec(0, 0), nodes
+                break
+        else:  # every color was tried here: back up one position
+            if not stack:
+                return None, nodes
+            i -= 1
+            untried, forbidden, used = stack.pop()
+            continue
+        bits[i] = bit
+        i += 1
+        if i == N:
+            return tuple(b.bit_length() - 1 for b in bits), nodes
+        stack.append((untried, forbidden, used))
+        used = used + 1 if color == used else used
+        untried, forbidden = iter(choices[used]), _forbidden(index[i], bits)
 
 
 def find_avoiding_coloring(schema: PatternSchema, N: int, c: int,

@@ -86,10 +86,12 @@ def table_from_rows(rows) -> CayleyTable:
     return table
 
 
-def parse_table(text: str) -> CayleyTable:
+def parse_rows(text: str, what: str = "semigroup table") -> tuple:
+    """The rows of a square table file: the order n, then n*n integers,
+    row by row.  The entries' range is the caller's to check."""
     tokens = text.split()
     if not tokens:
-        raise MalformedInputError("empty semigroup table")
+        raise MalformedInputError(f"empty {what}")
     try:
         values = [int(t) for t in tokens]
     except ValueError as exc:
@@ -97,8 +99,11 @@ def parse_table(text: str) -> CayleyTable:
     n = values[0]
     if n < 1 or len(values) != 1 + n * n:
         raise MalformedInputError(f"expected {n}*{n} entries after the header")
-    rows = tuple(tuple(values[1 + i * n: 1 + (i + 1) * n]) for i in range(n))
-    return table_from_rows(rows)
+    return tuple(tuple(values[1 + i * n: 1 + (i + 1) * n]) for i in range(n))
+
+
+def parse_table(text: str) -> CayleyTable:
+    return table_from_rows(parse_rows(text))
 
 
 def load_table(path) -> CayleyTable:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -11,10 +12,11 @@ import ramseylab
 from ramseylab import cli, patterns
 from ramseylab.cli import main
 from ramseylab.colorings import load_file
-from ramseylab.hindman import Bundle
+from ramseylab.hindman import Bundle, verify_witness
 from ramseylab.sat import parse_dimacs
 
 SCHUR = "{x, y, x+y}"
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -652,8 +654,8 @@ def test_grid_and_find_hits_are_rechecked(capsys, monkeypatch):
     monkeypatch.setattr(cli, "find_grid_witness_detailed",
                         lambda *a, **k: (((2, 3, 2), 0), 1))
     assert _refused(capsys, "grid-witness", "--length", "3", "--blocks", "2",
-                    *PARITY8) == ("finder hit failed its re-check: grid "
-                                  "values differ in color")
+                    *PARITY8) == ("finder hit failed its re-check: blocks "
+                                  "are not monochromatic")
     bad = ({"x": 1, "y": 2}, 1)  # x + y = 3 is odd, x = 1 too, y = 2 is not
     monkeypatch.setattr(cli, "find_instance_detailed", lambda *a, **k: (bad, 1))
     monkeypatch.setattr(cli, "find_all_instances_detailed",
@@ -668,7 +670,7 @@ def test_fs_and_bundle_hits_are_rechecked(capsys, monkeypatch):
     monkeypatch.setattr(cli, "find_fs_witness_detailed",
                         lambda *a, **k: ((1, 2), 1))
     assert _refused(capsys, "fs-witness", "--k", "2", *PARITY8) == (
-        "finder hit failed its re-check: subset sums differ in color")
+        "finder hit failed its re-check: closure is not monochromatic")
     bundle = Bundle(shifted=False, lam=2, a_set=(1, 2), b_set=(1,), k=2,
                     color=0)
     monkeypatch.setattr(cli, "find_scaled_bundle_detailed",
@@ -680,6 +682,88 @@ def test_fs_and_bundle_hits_are_rechecked(capsys, monkeypatch):
                         lambda *a, **k: (({"a": 2, "x": 1, "y": 1}, 0), 1))
     assert _refused(capsys, "bundle14", "--corollary", *PARITY8) == (
         "finder hit failed its re-check: instance values differ in color")
+
+
+def test_a_refused_hit_saves_no_record(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(cli, "find_fs_witness_detailed",
+                        lambda *a, **k: ((1, 2), 1))
+    monkeypatch.setattr(cli, "find_grid_witness_detailed",
+                        lambda *a, **k: (((2, 3, 2), 0), 1))
+    monkeypatch.setattr(cli, "find_scaled_bundle_detailed",
+                        lambda *a, **k: (Bundle(shifted=False, lam=2,
+                                                a_set=(1, 2), b_set=(1,),
+                                                k=2, color=0), 1))
+    path = tmp_path / "w.json"
+    for argv in (("fs-witness", "--k", "2"),
+                 ("grid-witness", "--length", "3", "--blocks", "2"),
+                 ("bundle14",)):
+        _refused(capsys, *argv, *PARITY8, "--witness-out", str(path))
+        assert not path.exists()
+
+
+WITNESS_ARGV = {
+    "fs": ("fs-witness", "--k", "3", "--n", "100"),
+    "grid": ("grid-witness", "--length", "3", "--blocks", "2", "--n", "60"),
+    "bundle14": ("bundle14", "--k", "2", "--n", "40"),
+    "bundle15": ("bundle15", "--k", "2", "--n", "40"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(WITNESS_ARGV))
+def test_finders_recheck_the_record_they_save(capsys, monkeypatch, tmp_path,
+                                              kind):
+    """The record --witness-out saves is the one verify_witness accepted,
+    byte for byte the golden record of the query."""
+    argv = (*WITNESS_ARGV[kind], "--generator", "random", "--colors", "2",
+            "--seed", "0", "--witness-out", str(tmp_path / "w.json"))
+    checked = []
+
+    def verify(record, coloring=None):
+        checked.append(json.dumps(record, indent=2, sort_keys=True) + "\n")
+        return verify_witness(record, coloring=coloring)
+
+    monkeypatch.setattr(cli, "verify_witness", verify)
+    code, report = run_json(capsys, *argv)
+    assert (code, report["verdict"]) == (0, "found")
+    saved = (tmp_path / "w.json").read_text()
+    assert checked == [saved]
+    assert saved == (DATA / f"witness_{kind}.json").read_text()
+
+
+def test_fs_witness_takes_at_most_30_generators(capsys):
+    argv = ("--generator", "constant", "--n", "3000", "--colors", "1",
+            "--param", "0")
+    code, report = run_json(capsys, "fs-witness", "--k", "30", *argv)
+    assert (code, report["verdict"]) == (0, "found")
+    assert report["witness"] == {"generators": [1] * 30, "color": 0}
+    code, report = run_json(capsys, "fs-witness", "--k", "31", *argv)
+    assert (code, report["verdict"], report["error"]) == (
+        1, "error", "family size 31 outside [1, 30]")
+
+
+@pytest.mark.parametrize("colors, engine", [(2, "backtracking"),
+                                            (1, "exhaustive"), (2, "sat")])
+def test_avoid_answers_on_a_box_past_the_recursion_limit(capsys, colors,
+                                                         engine):
+    # no instance of {x + 10^6} lies in [1..2000], so every coloring avoids
+    code, report = run_json(capsys, "avoid", "--pattern", "{x+1000000}",
+                            "--n", "2000", "--colors", str(colors),
+                            "--engine", engine)
+    assert (code, report["verdict"]) == (0, "sat")
+    assert report["witness"] == {"cells": [0] * 2000}
+
+
+@pytest.mark.parametrize("record", [
+    {"schema_version": 2, "kind": "fs", "data": {}},
+    {"schema_version": 1, "kind": "mystery", "data": {}},
+    {"schema_version": 1, "kind": "fs", "data": []},
+], ids=["schema-version-2", "unknown-kind", "data-not-object"])
+def test_verify_refuses_a_malformed_record(capsys, tmp_path, record):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(dict(record, coloring_ref=PARITY_REF)))
+    code, report = run_json(capsys, "verify", str(path))
+    assert (code, report["verdict"], report["query"]) == (
+        1, "error", {"command": "verify"})
 
 
 def test_rechecks_run_under_optimize():

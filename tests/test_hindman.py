@@ -217,6 +217,23 @@ def test_load_op_table(tmp_path):
         load_op_table(path)
 
 
+@pytest.mark.parametrize("text, error", [
+    ("", "empty operation table"),
+    ("2\n1 2\n2 x\n", "non-integer table entry"),
+    ("2\n1 2\n2\n", "expected 2*2 entries after the header"),
+    ("0\n", "expected 0*0 entries after the header"),
+    ("2\n1 2\n2 3\n", "table entry 3 outside [1..2]"),
+])
+def test_load_op_table_reads_the_semigroup_table_layout(tmp_path, text, error):
+    """One reader (semigroups.parse_rows) tokenises both table files; the
+    operation table keeps its own 1-based entry range."""
+    path = tmp_path / "op.txt"
+    path.write_text(text)
+    with pytest.raises(MalformedInputError) as exc:
+        load_op_table(path)
+    assert str(exc.value) == error
+
+
 def test_check_composed_witness_multiplication():
     mul = builtin_op("multiplication-capped", 8)
     # blocks {2} and {2}: the single composed value is 4
@@ -711,6 +728,25 @@ def test_grid_finder_keeps_distinct_block_sums_only():
         find_grid_witness_detailed(col, 31, 1)
 
 
+def test_fs_finder_keeps_each_sum_once():
+    # on one color the generators (1, ..., 1) pass; their 2^k subsets have
+    # only k distinct sums
+    col = make_coloring("constant", 1, 3000, 1, param=(0,))
+    tracemalloc.start()
+    try:
+        hit, nodes = find_fs_witness_detailed(col, 23)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (hit, nodes) == ((1,) * 23, 22)
+    assert peak < 1 << 20
+    assert find_fs_witness_detailed(col, 30) == ((1,) * 30, 29)
+    # the closure check takes at most MAX_FAMILY generators, so the finder
+    # refuses more before it searches
+    with pytest.raises(RamseyError, match=r"family size 31 outside \[1, 30\]"):
+        find_fs_witness_detailed(col, 31)
+
+
 # ---------------------------------------------------------------------------
 # corollary quadruples
 
@@ -763,9 +799,6 @@ def test_make_witness_rejects_unknown_kind():
 
 @pytest.mark.parametrize("text", [
     "not json",
-    '{"schema_version": 2, "kind": "fs", "data": {}}',
-    '{"schema_version": 1, "kind": "mystery", "data": {}}',
-    '{"schema_version": 1, "kind": "fs", "data": []}',
     '["schema_version"]',
 ])
 def test_load_witness_rejects_malformed(tmp_path, text):
@@ -773,6 +806,21 @@ def test_load_witness_rejects_malformed(tmp_path, text):
     path.write_text(text)
     with pytest.raises(MalformedInputError):
         load_witness(path)
+
+
+@pytest.mark.parametrize("text", [
+    '{"schema_version": 2, "kind": "fs", "data": {}}',
+    '{"schema_version": 1, "kind": "mystery", "data": {}}',
+    '{"schema_version": 1, "kind": "fs", "data": []}',
+])
+def test_verify_witness_rejects_malformed(tmp_path, text):
+    """load_witness reads any JSON object; verify_witness checks its
+    schema_version, kind and data."""
+    path = tmp_path / "w.json"
+    path.write_text(text)
+    record = load_witness(path)
+    with pytest.raises(MalformedInputError):
+        verify_witness(record, coloring=parity(8))
 
 
 def test_verify_witness_through_coloring_ref():
