@@ -56,7 +56,7 @@ from typing import Optional
 from .colorings import Coloring, ColoringSpec
 from .errors import (BudgetExceededError, CompositionOutOfBoxError,
                      MalformedInputError, OutOfBoxError, RamseyError)
-from .patterns import VALUE_CAP, parse_pattern
+from .patterns import parse_pattern
 from .search import InstanceQuery, find_instance_detailed
 from .semigroups import parse_rows
 from .structures import (MAX_FAMILY, OP_ADD, contains_kap, contains_kfp,
@@ -195,96 +195,96 @@ def check_grid_witness(coloring: Coloring, grid: CutGrid) -> tuple:
 
 def grid_common_color(coloring: Coloring, sequence, d: int):
     """Common color over *all* cut tuples of d blocks, or None.  Raises
-    OutOfBoxError when some block closure escapes the box."""
+    OutOfBoxError when some block closure escapes the box.  Checking each
+    distinct block once, in :func:`_grid_blocks` order, against the first
+    entry's color gives the answer and error of the per-tuple fold."""
     seq = tuple(int(v) for v in sequence)
     L = len(seq)
     if not 1 <= d <= L:
         raise RamseyError(f"need 1 <= d <= {L}, got d={d}")
-    return _common_color(
-        check_grid_witness(coloring, CutGrid(seq, cuts))
-        for cuts in combinations(range(L + 1), d + 1))[1]
+    CutGrid(seq, (0, L))  # refuses entries below 1
+    return _common_color((True, coloring.value_color(v))
+                         for lo, hi in _grid_blocks(L, d)
+                         for v in sorted(fs_values(seq[lo:hi], OP_ADD)))[1]
+
+
+def _grid_blocks(L: int, d: int):
+    """The distinct blocks (lo, hi) of the d-block cut tuples from {0..L},
+    in the order the tuples, walked lexicographically, first hold them:
+    the (lo, hi) with lo + (L - hi) >= d - 1, each first held by the tuple
+    (0, 1, ..., i - 2, lo, hi, hi + 1, ...) with i = min(lo + 1, d)."""
+    yield from ((j, j + 1) for j in range(d))  # (0, 1, ..., d)
+    yield from ((d - 1, hi) for hi in range(d + 1, L + 1))  # (0..d-1, hi)
+    for x in range(d, L + 1):  # (0, ..., d - 2, x, y)
+        if d >= 2 and x < L:
+            yield d - 2, x  # at y = x + 1, before (x, x + 1)
+        yield from ((x, y) for y in range(x + 1, L + 1))
+    for k in range(d - 2, 0, -1):  # (0, ..., k - 1, x, x + 1, ...)
+        yield from ((k - 1, x) for x in range(k + 1, L - d + k + 1))
 
 
 def find_grid_witness_detailed(coloring: Coloring, L: int, d: int,
                                budget: Optional[int] = None):
     """Least sequence in [1..N]^L whose d-block grid is witnessed under one
     common color, plus node count.  Returns ((sequence, color) or None,
-    nodes).
+    nodes).  Each candidate in [1..N] at a position m > 1 is one node.
 
-    Cut tuples are evaluated as soon as their last cut is covered by the
-    prefix, against the color of the first entry — sound because the cut
-    tuple (0, 1, ..., d) forces that color on any full witness.
-    """
+    A block is checked against the first entry's color (the tuple (0, 1,
+    ..., d) forces it) at the least m ending a cut tuple that holds it.
+    Those ending before m, (lo, lo + m - d + 1) for lo < d - 1, are checked
+    once per position: if one fails, all N candidates count at once.  At
+    (lo, m), lo >= d - 1, a candidate v adds v + s for s in {0} and
+    FS(seq[d-1:m-1]); those with v + sum(seq[d-1:m-1]) > N count at once."""
     if d < 1:
         raise RamseyError("d must be at least 1")
     if L < d:
         raise RamseyError(f"need L >= d, got L={L} d={d}")
+    if L - d + 1 > MAX_FAMILY:  # every grid holds the block (0, L - d + 1)
+        raise RamseyError(f"grid block length {L - d + 1}: family size "
+                          f"{L - d + 1} outside [1, {MAX_FAMILY}]")
     N = coloring.N
     colors = coloring.value_table()
-    # the blocks (lo, hi) of the cut tuples ending at each prefix length,
-    # each once, in the order of their first appearance
-    blocks_by_end: dict = {}
-    for cuts in combinations(range(L + 1), d + 1):
-        blocks = blocks_by_end.setdefault(cuts[-1], [])
-        for block in zip(cuts, cuts[1:]):
-            if block not in blocks:
-                blocks.append(block)
-
     nodes = 0
-    seq: list = []
-
-    def prefix_ok(anchor: int) -> bool:
-        for lo, hi in blocks_by_end.get(len(seq), ()):
-            if not _closure_colored(seq[lo:hi], colors, anchor, N):
-                return False
-        return True
-
-    def rec(anchor: int):
-        nonlocal nodes
-        if len(seq) == L:
-            return (tuple(seq), anchor)
-        for v in range(1, N + 1):
-            nodes += 1
-            if budget is not None and nodes > budget:
-                raise BudgetExceededError.past(budget)
-            seq.append(v)
-            if prefix_ok(anchor):
-                hit = rec(anchor)
-                if hit is not None:
-                    return hit
-            seq.pop()
-        return None
-
     for a1 in range(1, N + 1):
-        seq[:] = [a1]
-        anchor = colors[a1]
-        if prefix_ok(anchor):
-            hit = rec(anchor)
-            if hit is not None:
-                return hit, nodes
-    return None, nodes
-
-
-def _closure_colored(block, colors, anchor: int, N: int) -> bool:
-    """Is every subset sum of ``block`` (entries in [1..N]) at most N and
-    of color ``anchor``?  A block that :func:`fs_values` refuses (more than
-    :data:`MAX_FAMILY` entries, or a total above :data:`VALUE_CAP`) goes
-    through it to raise its error.  Each distinct sum is kept once, so the
-    work is bounded by the distinct sums, not by the 2^len subsets."""
-    if len(block) > MAX_FAMILY or sum(block) > VALUE_CAP:
-        fs_values(block, OP_ADD)
-    closure = [0]  # the empty sum; adding g to it gives g itself
-    seen = {0}
-    for g in block:
-        for i in range(len(closure)):
-            v = closure[i] + g
-            if v in seen:
+        anchor, seq, marks, stack = colors[a1], [a1], [], []
+        sums = dict.fromkeys((0, a1) if d == 1 else (0,))  # 0, FS(seq[d-1:])
+        # marks: len(sums) before each later entry; stack: open positions
+        while True:
+            if len(stack) < len(seq):  # an entry was placed: open the next
+                if len(seq) == L:
+                    return (tuple(seq), anchor), nodes
+                w = len(seq) - d + 2  # the fixed blocks' length
+                last = N - max(sums) if w < 1 or all(
+                    v <= N and colors[v] == anchor for lo in range(d - 1)
+                    for v in fs_values(seq[lo:lo + w], OP_ADD)) else 0
+                stack.append((iter(range(1, last + 1)), last))
+            candidates, last = stack[-1]
+            fresh = sums if len(seq) >= d - 1 else ()
+            for v in candidates:
+                nodes += 1
+                if budget is not None and nodes > budget:
+                    raise BudgetExceededError.past(budget)
+                for s in fresh:
+                    if colors[s + v] != anchor:
+                        break
+                else:
+                    break  # v passes
+            else:  # none passed, nor can those past last
+                nodes += N - last
+                if budget is not None and nodes > budget:
+                    raise BudgetExceededError.past(budget)
+                stack.pop()
+                if not stack:
+                    break
+                seq.pop()
+                for _ in range(len(sums) - marks.pop()):
+                    sums.popitem()
                 continue
-            if v > N or colors[v] != anchor:
-                return False
-            seen.add(v)
-            closure.append(v)
-    return True
+            marks.append(len(sums))
+            if fresh:
+                sums.update(dict.fromkeys([s + v for s in sums]))
+            seq.append(v)
+    return None, nodes
 
 
 # ---------------------------------------------------------------------------

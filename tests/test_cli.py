@@ -638,6 +638,36 @@ def test_grid_witness(capsys):
     assert report["witness"] == {"sequence": [2, 2, 2], "d": 2, "color": 0}
 
 
+ONE_COLOR = ("--generator", "constant", "--n", "100", "--colors", "1",
+             "--param", "0")
+
+
+@pytest.mark.parametrize("argv, width", [
+    (("--length", "2000", "--blocks", "1", "--generator", "parity",
+      "--n", "100", "--colors", "2", "--budget", "10"), 2000),
+    (("--length", "60", "--blocks", "5") + ONE_COLOR, 56),
+], ids=["length-2000", "length-60-blocks-5"])
+def test_grid_block_past_the_family_cap_is_an_input_error(capsys, argv,
+                                                          width):
+    code, report = run_json(capsys, "grid-witness", *argv)
+    assert (code, report["verdict"]) == (1, "error")
+    assert report["error"] == (f"grid block length {width}: family size "
+                               f"{width} outside [1, 30]")
+
+
+def test_grid_witness_with_15_blocks_then_verify(capsys, tmp_path):
+    # C(31, 16) cut tuples, but 360 distinct blocks for the re-check
+    record_path = tmp_path / "grid.json"
+    code, report = run_json(capsys, "grid-witness", "--length", "30",
+                            "--blocks", "15", *ONE_COLOR,
+                            "--witness-out", str(record_path))
+    assert (code, report["verdict"], report["stats"]["nodes"]) == \
+        (0, "found", 29)
+    assert report["witness"] == {"sequence": [1] * 30, "d": 15, "color": 0}
+    code, report = run_json(capsys, "verify", str(record_path))
+    assert (code, report["verdict"]) == (0, "valid")
+
+
 PARITY8 = ("--generator", "parity", "--n", "8", "--colors", "2")
 
 

@@ -24,12 +24,13 @@ from ramseylab.hindman import (BUILTIN_OPS, Bundle, CutGrid, OpTable,
                                find_scaled_quad_detailed,
                                find_shifted_bundle_detailed,
                                find_shifted_quad_detailed,
-                               grid_common_color,
+                               grid_common_color, _grid_blocks,
                                load_op_table, load_witness, make_witness,
                                op_from_json, save_witness, verify_witness,
                                _missing_structure)
-from ramseylab.structures import (OP_ADD, contains_kfs, fs_values,
-                                  min_closure_size)
+from ramseylab.patterns import VALUE_CAP
+from ramseylab.structures import (MAX_FAMILY, OP_ADD, contains_kfs,
+                                  fs_values, min_closure_size)
 
 
 def parity(N):
@@ -151,6 +152,158 @@ def test_grid_depth_one_matches_fs_existence(cells):
         has_fs = find_fs_witness_detailed(col, k)[0] is not None
         has_grid = find_grid_witness_detailed(col, k, 1)[0] is not None
         assert has_fs == has_grid
+
+
+def _first_held(L, d, ends=None):
+    """The distinct blocks of the d-block cut tuples from {0..L} (those
+    whose last cut is ``ends``, if given), in the order a lexicographic
+    walk of the tuples first holds them."""
+    out = []
+    for cuts in combinations(range(L + 1), d + 1):
+        if ends is None or cuts[-1] == ends:
+            out += [b for b in zip(cuts, cuts[1:]) if b not in out]
+    return out
+
+
+def test_grid_blocks_match_the_cut_tuples():
+    for L in range(1, 10):
+        for d in range(1, L + 1):
+            assert list(_grid_blocks(L, d)) == _first_held(L, d)
+            assert set(_grid_blocks(L, d)) == {
+                (lo, hi) for hi in range(1, L + 1) for lo in range(hi)
+                if lo + (L - hi) >= d - 1}
+            before = set()  # the blocks of the tuples ending before m
+            for m in range(d, L + 1):
+                fresh = {(lo, m) for lo in range(d - 1, m)}
+                fixed = {(lo, hi) for hi in range(1, m) for lo in range(hi)
+                         if d >= 2 and lo + (m - hi) >= d - 1}
+                assert set(_first_held(L, d, ends=m)) == fresh | fixed
+                # the finder checks at m the blocks that no tuple ending
+                # before m holds: the fresh ones and the fixed ones of
+                # length m - d + 1
+                held = before | fresh | fixed
+                assert held == set(_grid_blocks(m, d))
+                assert held - before == fresh | {
+                    (lo, lo + m - d + 1) for lo in range(d - 1)}
+                before = held
+
+
+def _ref_find_grid(coloring, L, d, budget=None):
+    """The grid finder as it stood before it checked each block once per
+    position: the blocks of the cut tuples ending at each prefix length,
+    listed by walking every cut tuple, each checked for every candidate."""
+    if d < 1:
+        raise RamseyError("d must be at least 1")
+    if L < d:
+        raise RamseyError(f"need L >= d, got L={L} d={d}")
+    N = coloring.N
+    colors = coloring.value_table()
+    blocks_by_end = {}
+    for cuts in combinations(range(L + 1), d + 1):
+        blocks = blocks_by_end.setdefault(cuts[-1], [])
+        for block in zip(cuts, cuts[1:]):
+            if block not in blocks:
+                blocks.append(block)
+    nodes = 0
+    seq = []
+
+    def closure_colored(block, anchor):
+        if len(block) > MAX_FAMILY or sum(block) > VALUE_CAP:
+            fs_values(block, OP_ADD)
+        closure, seen = [0], {0}
+        for g in block:
+            for i in range(len(closure)):
+                v = closure[i] + g
+                if v in seen:
+                    continue
+                if v > N or colors[v] != anchor:
+                    return False
+                seen.add(v)
+                closure.append(v)
+        return True
+
+    def prefix_ok(anchor):
+        return all(closure_colored(seq[lo:hi], anchor)
+                   for lo, hi in blocks_by_end.get(len(seq), ()))
+
+    def rec(anchor):
+        nonlocal nodes
+        if len(seq) == L:
+            return (tuple(seq), anchor)
+        for v in range(1, N + 1):
+            nodes += 1
+            if budget is not None and nodes > budget:
+                raise BudgetExceededError.past(budget)
+            seq.append(v)
+            if prefix_ok(anchor):
+                hit = rec(anchor)
+                if hit is not None:
+                    return hit
+            seq.pop()
+        return None
+
+    for a1 in range(1, N + 1):
+        seq[:] = [a1]
+        anchor = colors[a1]
+        if prefix_ok(anchor):
+            hit = rec(anchor)
+            if hit is not None:
+                return hit, nodes
+    return None, nodes
+
+
+def _budget_outcome(find, *args, **kwargs):
+    try:
+        return find(*args, **kwargs)
+    except BudgetExceededError as exc:
+        return "budget", exc.nodes, str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(N=st.integers(1, 40), c=st.integers(1, 3), seed=st.integers(0, 999),
+       L=st.integers(1, 5), d=st.integers(1, 5), lazy=st.booleans())
+@example(N=12, c=3, seed=8, L=4, d=2, lazy=False)  # none after 1188 nodes
+@example(N=40, c=1, seed=0, L=5, d=5, lazy=False)  # only unchecked heads
+@example(N=20, c=2, seed=0, L=5, d=3, lazy=True)
+def test_grid_finder_matches_the_walk_over_every_cut_tuple(N, c, seed, L, d,
+                                                           lazy):
+    d = min(d, L)
+    col = make_coloring("random", 1, N, c, seed=seed,
+                        cell_budget=0 if lazy else N)
+    hit, nodes = _ref_find_grid(col, L, d)
+    assert find_grid_witness_detailed(col, L, d) == (hit, nodes)
+    for budget in (0, 1, 7, nodes - 1, nodes):
+        assert _budget_outcome(find_grid_witness_detailed, col, L, d,
+                               budget=budget) == \
+            _budget_outcome(_ref_find_grid, col, L, d, budget=budget)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cells=st.lists(st.integers(0, 1), min_size=1, max_size=16),
+       seq=st.lists(st.integers(1, 6), min_size=1, max_size=7),
+       d=st.integers(1, 7))
+@example(cells=[0, 1], seq=[3, 0], d=1)  # an entry below 1 is refused first
+def test_grid_common_color_matches_the_per_tuple_fold(cells, seq, d):
+    # short sequences of small entries on a small box: the sums of the
+    # longer blocks escape it, and the first failure decides the outcome
+    col = Coloring(d=1, N=len(cells), c=2, cells=tuple(cells))
+    d = min(d, len(seq))
+    assert _outcome(grid_common_color, col, seq, d) == \
+        _outcome(_ref_grid_common_color, col, seq, d)
+
+
+def test_grid_length_past_the_family_cap_is_refused_before_any_node():
+    # the block (0, L - d + 1) of every grid would hold more than 30 entries
+    col = make_coloring("parity", 1, 100, 2)
+    for L, d in ((2000, 1), (60, 5), (32, 2)):
+        with pytest.raises(RamseyError, match=rf"grid block length {L - d + 1}"
+                           r": family size \d+ outside \[1, 30\]"):
+            find_grid_witness_detailed(col, L, d, budget=0)
+    one = make_coloring("constant", 1, 100, 1, param=(0,))
+    assert find_grid_witness_detailed(one, 30, 1)[1] == 29
+    hit, nodes = find_grid_witness_detailed(one, 30, 15)
+    assert (hit, nodes) == (((1,) * 30, 0), 29)
+    assert grid_common_color(one, hit[0], 15) == 0
 
 
 # ---------------------------------------------------------------------------
