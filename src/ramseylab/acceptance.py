@@ -18,15 +18,14 @@ import time
 from . import sat as satmod
 from .colorings import (ColoringSpec, Coloring, enumerate_colorings,
                         load_file, make_coloring, save_file)
-from .hindman import (check_fs_witness, check_scaled_quad,
-                      check_shifted_quad, find_fs_witness_detailed,
-                      find_grid_witness_detailed, find_scaled_quad_detailed,
-                      find_shifted_quad_detailed, grid_common_color,
-                      load_witness, make_witness, save_witness,
-                      verify_witness)
+from .hindman import (SCALED_QUAD, SHIFTED_QUAD, check_fs_witness,
+                      find_fs_witness_detailed, find_grid_witness_detailed,
+                      find_scaled_quad_detailed, find_shifted_quad_detailed,
+                      grid_common_color, load_witness, make_witness,
+                      save_witness, verify_witness)
 from .patterns import parse_pattern
 from .search import (InstanceQuery, find_avoiding_coloring, find_instance,
-                     threshold_number)
+                     instance_color, threshold_number)
 from .semigroups import (algebra_report, find_associativity_violation,
                          iter_tables, table_from_rows)
 
@@ -194,15 +193,13 @@ def criterion_6():
         if hit is None:
             return False, f"seed {seed}: no scaled quadruple"
         asg, color = hit
-        ok, chk = check_scaled_quad(col, asg["a"], asg["x"], asg["y"])
-        if not ok or chk != color:
+        if instance_color(SCALED_QUAD, col, asg) != color:
             return False, f"seed {seed}: scaled checker rejected {asg}"
         hit, _ = find_shifted_quad_detailed(col)
         if hit is None:
             return False, f"seed {seed}: no shifted quadruple"
         asg, color = hit
-        ok, chk = check_shifted_quad(col, asg["b"], asg["u"], asg["v"])
-        if not ok or chk != color:
+        if instance_color(SHIFTED_QUAD, col, asg) != color:
             return False, f"seed {seed}: shifted checker rejected {asg}"
 
     for trial in range(100):
@@ -212,15 +209,13 @@ def criterion_6():
         derived = {a * x, a * y, x * y, a * (x + y)}
         cells = tuple(0 if v in derived else 1 for v in range(1, 501))
         col = Coloring(d=1, N=500, c=2, cells=cells)
-        ok, chk = check_scaled_quad(col, a, x, y)
-        if not ok or chk != 0:
+        if instance_color(SCALED_QUAD, col, {"a": a, "x": x, "y": y}) != 0:
             return False, f"trial {trial}: planted quadruple fails its check"
         hit, _ = find_scaled_quad_detailed(col)
         if hit is None:
             return False, f"trial {trial}: nothing found in planted coloring"
         asg, color = hit
-        ok, chk = check_scaled_quad(col, asg["a"], asg["x"], asg["y"])
-        if not ok or chk != color:
+        if instance_color(SCALED_QUAD, col, asg) != color:
             return False, f"trial {trial}: found quadruple fails its check"
     elapsed = time.perf_counter() - t0
     return True, f"1000 seeded + 100 planted searches verified in {elapsed:.1f}s"

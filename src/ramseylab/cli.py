@@ -47,10 +47,10 @@ from .hindman import (BUILTIN_OPS, SCALED_QUAD, SHIFTED_QUAD, CutGrid,
                       find_shifted_bundle_detailed,
                       find_shifted_quad_detailed, load_op_table, load_witness,
                       make_witness, save_witness, verify_witness)
-from .patterns import format_pattern, instantiate, parse_pattern
+from .patterns import format_pattern, parse_pattern
 from .search import (ENGINES, InstanceQuery, find_all_instances_detailed,
                      find_avoiding_coloring, find_instance_detailed,
-                     threshold_number)
+                     instance_color, threshold_number)
 from .semigroups import algebra_report, is_central, load_table, translate_set
 
 PROG = "ramseylab"
@@ -140,12 +140,11 @@ def _finder(search, witness_of):
 
 
 def _instance_witness(coloring: Coloring, schema):
-    """The witness of a hit (assignment, color) of ``schema``, after its
-    terms are re-evaluated at the assignment and their colors re-read."""
+    """The witness of a hit (assignment, color) of ``schema``, once
+    :func:`instance_color` re-derives its color."""
     def witness_of(hit):
         asg, color = hit
-        _recheck(all(coloring.value_color(v) == color
-                      for v in instantiate(schema, asg)),
+        _recheck(instance_color(schema, coloring, asg) == color,
                  "instance values differ in color")
         return {"assignment": asg, "color": color}
     return witness_of
@@ -335,6 +334,9 @@ def cmd_bundle(args) -> tuple:
     coloring, spec = _coloring_from_args(args)
     name = args.command
     if args.corollary:
+        if args.witness_out:  # no witness kind holds a quadruple
+            raise RamseyError("--corollary saves no witness record: "
+                              "drop --witness-out")
         query = {"command": name, "mode": "corollary",
                  "coloring": spec.to_json()}
         find, schema = ((find_shifted_quad_detailed, SHIFTED_QUAD)

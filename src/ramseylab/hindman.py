@@ -1,48 +1,36 @@
 """Desk-scale witnesses for finite-sum phenomena.
 
 A *finite-sums witness* is a generator tuple whose full subset-sum closure
-is monochromatic.  A *grid witness* generalises this to a sequence plus cut
-tuples: for cuts m_0 < m_1 < ... < m_d the blocks are the subset-sum
-closures FS(seq[m_{i-1}:m_i]), and the witness demands one common color
-over every block of every cut tuple drawn from {0..L}.  For d = 1 the union
-of all window closures is exactly FS(seq), so grid witnesses and fs
-witnesses coincide there — a fact the test suite leans on.
+is monochromatic.  A *grid witness* is a sequence whose block closures
+FS(seq[m_{i-1}:m_i]), over every cut tuple m_0 < ... < m_d from {0..L},
+share one color.  For d = 1 the union of all window closures is FS(seq),
+so grid and fs witnesses coincide there — a fact the test suite leans on.
 
 *Composed* checks push one block value per cut through a binary operation,
 left-nested, and color the results; the *depth-indexed* variant ties the
-number of blocks d to the subset sums of the sequence's own head.  Both are
-check-only: there is no composed finder.
+number of blocks d to the subset sums of the sequence's own head.  One
+walk, :func:`_composed_walk`, answers both: it closes each block once and
+gives up past :data:`structures.PROBE_BUDGET` units.  No finder exists.
 
-A :class:`Bundle` is one of the paper's two structures, told apart by its
-``shifted`` flag: the scaled
+A :class:`Bundle` is one of the paper's two structures: the scaled lam*A ∪
+lam*B ∪ lam*(A+B) ∪ A*B (kind ``bundle14``), A carrying k-FS and k-AP, or
+the shifted (lam+A) ∪ (lam+B) ∪ (lam+A*B) ∪ (A+B) (``bundle15``), A
+carrying k-FS, k-AP, k-GP and k-FP.  A+B and A*B are the pairwise
+sum/product sets (a in A, b in B); lam >= 1, and A and B are nonempty sets
+of positive integers.
 
-    lam*A ∪ lam*B ∪ lam*(A+B) ∪ A*B          (witness kind ``bundle14``)
-
-with A carrying a k-generator finite-sums set and a k-term arithmetic
-progression, or the shifted
-
-    (lam+A) ∪ (lam+B) ∪ (lam+A*B) ∪ (A+B)    (witness kind ``bundle15``)
-
-with A carrying k-FS, k-AP, k-GP and k-FP.  A+B and A*B are the pairwise
-sum/product sets (a in A, b in B), never A with itself.  Both bundle
-finders run one search, and :func:`check_bundle` checks either structure,
-asking for A's structures in the finder's order.
-
-Each finder (``find_*_detailed``) returns ``(hit or None, nodes)``; there
-is one entry point per search.  Each is one in-order depth-first search
-over its candidates, in a fixed documented order, that counts its nodes in
-one counter, so results, node counts and budget verdicts depend only on
-the query.  A budget of B nodes gives the answer when the search needs at
-most B nodes; otherwise node B + 1 stops it
-(``BudgetExceededError.past``).  Finders read colors from a flat table
-indexed by value, without bounds checks: their own loop bounds keep every
-lookup in [1..N].  Every checker recomputes its verdict from the raw data
-through the bounds-checked accessor, so it does not share the finders'
-indexing.  :func:`verify_witness` is the one judge of a witness record:
-the CLI prints no fs, grid or bundle hit before it has accepted the
-record built from the hit, and that record is the one it saves.
-Every color check (fs, grid, composed, depth-indexed) is one fold,
-:func:`_common_color`, over the colors its walk yields.
+Each finder (``find_*_detailed``) returns ``(hit or None, nodes)`` from one
+in-order depth-first search in a fixed documented order, so results, node
+counts and budget verdicts depend only on the query: a budget of B nodes
+gives the answer when the search needs at most B nodes, else node B + 1
+stops it (``BudgetExceededError.past``).  Finders read colors from a flat
+table by value, unchecked (their loop bounds keep every lookup in
+[1..N]); checkers recompute from the raw data through the bounds-checked
+accessor, and the fs, cut-grid and composed checks size a closure by its
+sum before they build it.  :func:`verify_witness` is the one judge of a
+witness record: the CLI prints no fs, grid or bundle hit before it has
+accepted the record built from the hit, and saves that record.  Every
+color check is one fold, :func:`_common_color`, over what its walk yields.
 """
 
 from __future__ import annotations
@@ -59,8 +47,9 @@ from .errors import (BudgetExceededError, CompositionOutOfBoxError,
 from .patterns import parse_pattern
 from .search import InstanceQuery, find_instance_detailed
 from .semigroups import parse_rows
+from . import structures
 from .structures import (MAX_FAMILY, OP_ADD, contains_kap, contains_kfp,
-                         contains_kfs, contains_kgp, fs_values,
+                         contains_kfs, contains_kgp, fs_family, fs_values,
                          min_closure_size)
 
 WITNESS_KINDS = ("fs", "grid", "composed", "bundle14", "bundle15")
@@ -84,9 +73,13 @@ def _common_color(results) -> tuple:
 
 
 def check_fs_witness(coloring: Coloring, generators) -> tuple:
-    """Is FS(generators) monochromatic?  Returns (ok, color or None); raises
-    OutOfBoxError when the closure escapes [1..N]."""
-    gens = tuple(int(g) for g in generators)
+    """Is FS(generators) monochromatic?  Returns (ok, color or None).  The
+    generators' sum, their closure's largest value, past N raises
+    OutOfBoxError before any of the up to 2^k sums is built."""
+    gens = fs_family(int(g) for g in generators)
+    if sum(gens) > coloring.N:
+        raise OutOfBoxError(
+            f"closure value {sum(gens)} outside [1..{coloring.N}]")
     return _common_color((True, coloring.value_color(v))
                          for v in sorted(fs_values(gens, OP_ADD)))
 
@@ -187,10 +180,10 @@ class CutGrid:
 
 def check_grid_witness(coloring: Coloring, grid: CutGrid) -> tuple:
     """One cut tuple: is every block closure monochromatic in one common
-    color?  Returns (ok, color or None)."""
-    return _common_color((True, coloring.value_color(v))
-                         for block in grid.blocks
-                         for v in sorted(fs_values(block, OP_ADD)))
+    color?  Returns (ok, color or None); escapes raise as in
+    :func:`check_fs_witness`."""
+    return _common_color(check_fs_witness(coloring, block)
+                         for block in grid.blocks)
 
 
 def grid_common_color(coloring: Coloring, sequence, d: int):
@@ -225,9 +218,8 @@ def _grid_blocks(L: int, d: int):
 
 def find_grid_witness_detailed(coloring: Coloring, L: int, d: int,
                                budget: Optional[int] = None):
-    """Least sequence in [1..N]^L whose d-block grid is witnessed under one
-    common color, plus node count.  Returns ((sequence, color) or None,
-    nodes).  Each candidate in [1..N] at a position m > 1 is one node.
+    """Least sequence in [1..N]^L whose d-block grid shares one color:
+    ((sequence, color) or None, nodes), a node per candidate at m > 1.
 
     A block is checked against the first entry's color (the tuple (0, 1,
     ..., d) forces it) at the least m ending a cut tuple that holds it.
@@ -313,11 +305,10 @@ class OpTable:
             if len(rows) != self.n or any(len(r) != self.n for r in rows):
                 raise MalformedInputError(
                     f"operation table must be {self.n}x{self.n}")
-            for row in rows:
-                for x in row:
-                    if not 1 <= x <= self.n:
-                        raise MalformedInputError(
-                            f"table entry {x} outside [1..{self.n}]")
+            bad = [x for row in rows for x in row if not 1 <= x <= self.n]
+            if bad:
+                raise MalformedInputError(
+                    f"table entry {bad[0]} outside [1..{self.n}]")
             object.__setattr__(self, "rows", rows)
         elif self.rows is not None:
             raise MalformedInputError(f"{self.kind} takes no rows")
@@ -369,40 +360,69 @@ def load_op_table(path) -> OpTable:
     return OpTable(kind="table", n=len(rows), rows=rows)
 
 
-def check_composed_witness(coloring: Coloring, op: OpTable,
-                           grid: CutGrid) -> tuple:
-    """Pick one closure value per block, fold them through ``op``
-    left-nested (d = 1 means the bare value), and demand one color over all
-    choices.  Color mismatches return (False, None); values the operation
-    or the coloring cannot take raise CompositionOutOfBoxError."""
-    closures = [sorted(fs_values(b, OP_ADD)) for b in grid.blocks]
+def _composed_walk(coloring: Coloring, op: OpTable, seq: tuple):
+    """``(close, fold)`` with one unit counter.  ``close(block)`` spends
+    min(2^len - 1, sum) units, the most values FS(block) has, then builds
+    it sorted.  ``fold(tuples)`` folds each cut tuple's picks (one closure
+    value per block, in ``product`` order, left-nested through ``op``; a
+    unit each) into the tuple's color, then those colors into (ok, color),
+    so answers and errors are those of one check per tuple.  A block (lo,
+    hi) is closed when a tuple first holds it; the first tuple checks
+    ``seq`` as its CutGrid did.  Unit PROBE_BUDGET + 1 raises
+    BudgetExceededError."""
+    budget, spent, closures = structures.PROBE_BUDGET, 0, {}
 
-    def colors():
-        for choice in product(*closures):
+    def spend(units: int):
+        nonlocal spent
+        spent += units
+        if spent > budget:
+            raise BudgetExceededError.past(budget)
+
+    def close(block) -> list:
+        block = fs_family(block)
+        spend(min(2 ** len(block) - 1, sum(block)))
+        return sorted(fs_values(block, OP_ADD))
+
+    def colors(cuts):
+        blocks = list(zip(cuts, cuts[1:]))
+        for lo, hi in blocks:
+            if (lo, hi) not in closures:
+                if not closures:
+                    CutGrid(seq, (0, len(seq)))
+                closures[lo, hi] = close(seq[lo:hi])
+        for choice in product(*[closures[block] for block in blocks]):
+            spend(1)
             v = reduce(op.apply, choice)
             if v > coloring.N:
                 raise CompositionOutOfBoxError(
                     f"composed value {v} outside [1..{coloring.N}]")
             yield True, coloring.value_color(v)
 
-    return _common_color(colors())
+    return close, lambda tuples: _common_color(
+        _common_color(colors(cuts)) for cuts in tuples)
+
+
+def check_composed_witness(coloring: Coloring, op: OpTable,
+                           grid: CutGrid) -> tuple:
+    """Pick one closure value per block, fold the picks through ``op``
+    left-nested (d = 1: the bare value), and demand one color over all
+    choices: (False, None) on a mismatch; CompositionOutOfBoxError for a
+    value the operation or the coloring cannot take."""
+    return _composed_walk(coloring, op, grid.sequence)[1]([grid.cuts])
 
 
 def composed_color_by_depth(coloring: Coloring, op: OpTable, sequence,
                             d_max: int):
     """Depth profile: for each d in 1..min(d_max, L), do all d-block cut
-    tuples compose to one common color?  Escapes are recorded per depth
-    rather than raised, so a profile always completes."""
+    tuples compose to one common color?  Escapes are recorded per depth;
+    the depths share one walk and its budget."""
     seq = tuple(int(v) for v in sequence)
-    L = len(seq)
-    profile = []
-    for d in range(1, min(d_max, L) + 1):
+    fold, profile = _composed_walk(coloring, op, seq)[1], []
+    for d in range(1, min(d_max, len(seq)) + 1):
         try:
-            ok, color = _common_color(
-                check_composed_witness(coloring, op, CutGrid(seq, cuts))
-                for cuts in combinations(range(L + 1), d + 1))
+            ok, color = fold(combinations(range(len(seq) + 1), d + 1))
             oob = False
-        except (CompositionOutOfBoxError, OutOfBoxError):
+        except OutOfBoxError:  # CompositionOutOfBoxError included
             ok, color, oob = False, None, True
         profile.append({"d": d, "ok": ok, "color": color, "oob": oob})
     return profile
@@ -410,19 +430,17 @@ def composed_color_by_depth(coloring: Coloring, op: OpTable, sequence,
 
 def check_depth_indexed_witness(coloring: Coloring, op: OpTable, sequence,
                                 m0: int) -> tuple:
-    """Depth-indexed check: the admissible block counts d are exactly the
-    subset sums of seq[:m0], and for each such d every cut tuple
-    (m0, m_1, ..., m_d) with m0 < m_1 < ... < m_d <= L must compose
-    monochromatically, all in one shared color.  Returns (ok, color);
-    (True, None) when no cut tuple exists at any admissible depth."""
+    """Depth-indexed check: for each subset sum d of seq[:m0], every cut
+    tuple (m0, m_1, ..., m_d) with m_d <= L must compose to one color,
+    shared by all.  Returns (ok, color); (True, None) when no cut tuple
+    exists at any admissible depth."""
     seq = tuple(int(v) for v in sequence)
     L = len(seq)
     if not 1 <= m0 <= L:
         raise RamseyError(f"need 1 <= m0 <= {L}, got {m0}")
-    return _common_color(
-        check_composed_witness(coloring, op, CutGrid(seq, (m0,) + rest))
-        for d in sorted(fs_values(seq[:m0], OP_ADD)) if d <= L - m0
-        for rest in combinations(range(m0 + 1, L + 1), d))
+    close, fold = _composed_walk(coloring, op, seq)
+    return fold((m0,) + rest for d in close(seq[:m0]) if d <= L - m0
+                for rest in combinations(range(m0 + 1, L + 1), d))
 
 
 # ---------------------------------------------------------------------------
@@ -431,10 +449,8 @@ def check_depth_indexed_witness(coloring: Coloring, op: OpTable, sequence,
 
 @dataclass(frozen=True)
 class Bundle:
-    """A bundle witness: the scaled structure lam*A ∪ lam*B ∪ lam*(A+B) ∪ A*B
-    (``shifted`` False, kind ``bundle14``) or the shifted structure
-    (lam+A) ∪ (lam+B) ∪ (lam+A*B) ∪ (A+B) (``shifted`` True, kind
-    ``bundle15``), all of ``color``, with A carrying the k-structures that
+    """A bundle witness, scaled (kind ``bundle14``) or ``shifted``
+    (``bundle15``), all of ``color``, with A carrying the k-structures that
     :func:`_missing_structure` asks for."""
 
     shifted: bool
@@ -458,9 +474,8 @@ class Bundle:
 
 def _missing_structure(A: frozenset, k: int, shifted: bool) -> Optional[str]:
     """The first k-structure A lacks, named for a detail after "k-", or
-    None: a finite-sums set, an arithmetic progression, then, when shifted,
-    a geometric progression and a finite-products set.  The detectors are
-    looked up at each call, so a wrapped ``contains_k*`` sees every probe."""
+    None: FS, AP, then, when shifted, GP and FP.  The detectors are looked
+    up at each call, so a wrapped ``contains_k*`` sees every probe."""
     if contains_kfs(A, k) is None:
         return "generator finite-sums set"
     if contains_kap(A, k) is None:
@@ -474,9 +489,14 @@ def _missing_structure(A: frozenset, k: int, shifted: bool) -> Optional[str]:
 
 
 def check_bundle(coloring: Coloring, bundle: Bundle) -> tuple:
-    """Recompute everything from the raw sets: the derived values in box
-    and all of bundle.color, then A's structures in the finder's order.
-    Returns (ok, detail)."""
+    """Recompute everything from the raw data: the shape, the derived
+    values in box and all of bundle.color, then A's structures in the
+    finder's order.  Returns (ok, detail)."""
+    if bundle.lam < 1:
+        return False, f"lam {bundle.lam} is below 1"
+    for name, values in (("A", bundle.a_set), ("B", bundle.b_set)):
+        if not values or min(values) < 1 or len(set(values)) < len(values):
+            return False, f"{name} is not a nonempty set of positive integers"
     for v in bundle.derived():
         if coloring.value_color(v) != bundle.color:
             return False, f"derived value {v} is not color {bundle.color}"
@@ -489,13 +509,12 @@ def check_bundle(coloring: Coloring, bundle: Bundle) -> tuple:
 
 def _find_bundle(coloring: Coloring, k: int, cap_a: Optional[int],
                  budget: Optional[int], shifted: bool):
-    """Shared bundle search.  Candidate order: lam ascending, |A|
-    ascending from ``min_closure_size(k)`` (no smaller A holds a
-    k-generator finite-sums set), A lexicographic, then B — and since the
-    per-b constraints are independent, the first feasible B is always a
-    singleton, checked in ascending b.  Structure is checked once per A,
-    after the first b that keeps the derived set monochromatic.  A cap
-    below that least size answers None after 0 nodes."""
+    """Shared bundle search.  Candidate order: lam ascending, |A| ascending
+    from ``min_closure_size(k)`` (no smaller A holds a k-FS set; a cap
+    below it answers None after 0 nodes), A lexicographic, then B, whose
+    per-b constraints are independent, so the first feasible B is a
+    singleton, tried in ascending b.  Structure is checked once per A,
+    after the first b that keeps the derived set monochromatic."""
     if k < 1:
         raise RamseyError("k must be at least 1")
     if cap_a is None:
@@ -510,8 +529,7 @@ def _find_bundle(coloring: Coloring, k: int, cap_a: Optional[int],
     nodes = 0
     a_set: list = []
     # first_good_b and extend read vmax, image, b_by_color and the shape's
-    # sum and product tables and caps as the loop over lam at the bottom
-    # sets them
+    # sum and product tables and caps as the loop over lam below sets them
 
     def first_good_b(anchor):
         nonlocal nodes
@@ -566,10 +584,8 @@ def _find_bundle(coloring: Coloring, k: int, cap_a: Optional[int],
     for lam in range(1, (N - 1 if shifted else N) + 1):
         vmax = N - lam if shifted else N // lam
         # image[v]: the color of lam+v (lam*v) for v in [1..vmax]
-        if shifted:
-            image = [None] + [colors[lam + v] for v in range(1, vmax + 1)]
-        else:
-            image = [None] + [colors[lam * v] for v in range(1, vmax + 1)]
+        image = [None] + [colors[v] for v in (
+            range(lam + 1, N + 1) if shifted else range(lam, N + 1, lam))]
         # shifted: a+b and lam+a*b, so the image is read at a*b <= N - lam;
         # scaled: lam*(a+b) and a*b, so the image is read at a+b <= N // lam
         sum_colors, prod_colors = (colors, image) if shifted else (image, colors)
@@ -610,30 +626,16 @@ def find_scaled_quad_detailed(coloring: Coloring,
                               max_nodes: Optional[int] = None):
     """Least (a, x, y) with {a*x, a*y, x*y, a*(x+y)} monochromatic, as
     (assignment dict, color) or None, plus the leaf count."""
-    return find_instance_detailed(
-        InstanceQuery(schema=SCALED_QUAD, coloring=coloring),
-        max_nodes=max_nodes)
-
-
-def check_scaled_quad(coloring: Coloring, a: int, x: int, y: int) -> tuple:
-    values = (a * x, a * y, x * y, a * (x + y))
-    colors = {coloring.value_color(v) for v in values}
-    return (True, colors.pop()) if len(colors) == 1 else (False, None)
+    return find_instance_detailed(InstanceQuery(SCALED_QUAD, coloring),
+                                  max_nodes=max_nodes)
 
 
 def find_shifted_quad_detailed(coloring: Coloring,
                                max_nodes: Optional[int] = None):
     """Least (b, u, v) with {u+b, v+b, u*v+b, u+v} monochromatic, as
     (assignment dict, color) or None, plus the leaf count."""
-    return find_instance_detailed(
-        InstanceQuery(schema=SHIFTED_QUAD, coloring=coloring),
-        max_nodes=max_nodes)
-
-
-def check_shifted_quad(coloring: Coloring, b: int, u: int, v: int) -> tuple:
-    values = (u + b, v + b, u * v + b, u + v)
-    colors = {coloring.value_color(w) for w in values}
-    return (True, colors.pop()) if len(colors) == 1 else (False, None)
+    return find_instance_detailed(InstanceQuery(SHIFTED_QUAD, coloring),
+                                  max_nodes=max_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -646,13 +648,9 @@ def make_witness(kind: str, data: dict,
     if kind not in WITNESS_KINDS:
         raise MalformedInputError(
             f"unknown witness kind {kind!r} (choose from {WITNESS_KINDS})")
-    return {
-        "schema_version": 1,
-        "kind": kind,
-        "data": data,
-        "coloring_ref": coloring_spec.to_json() if coloring_spec else None,
-        "validated": bool(validated),
-    }
+    return {"schema_version": 1, "kind": kind, "data": data,
+            "coloring_ref": coloring_spec.to_json() if coloring_spec else None,
+            "validated": bool(validated)}
 
 
 def save_witness(path, record: dict):
@@ -690,11 +688,10 @@ def _int(data: dict, key: str) -> int:
 
 
 def verify_witness(record: dict, coloring: Optional[Coloring] = None) -> tuple:
-    """Re-check a witness record from scratch against a coloring (given
-    directly, or loaded from the record's coloring_ref).  Returns
-    (ok, detail string); out-of-box data verifies False, it does not
-    raise.  A field that is missing or of the wrong type raises
-    MalformedInputError, and so does a record of another schema_version."""
+    """Re-check a witness record from scratch against a coloring (given, or
+    loaded from the record's coloring_ref): (ok, detail string), and
+    out-of-box data verifies False.  A missing or mistyped field, or a
+    record of another schema_version, raises MalformedInputError."""
     if record.get("schema_version") != 1:
         raise MalformedInputError("unsupported schema_version")
     kind = record.get("kind")
@@ -720,7 +717,10 @@ def verify_witness(record: dict, coloring: Optional[Coloring] = None) -> tuple:
             return ok, detail or \
                 f"{'shifted' if shifted else 'scaled'} bundle verified"
         if kind == "fs":
-            ok, color = check_fs_witness(coloring, _ints(data, "generators"))
+            gens = _ints(data, "generators")
+            if "k" in data and _int(data, "k") != len(gens):
+                return False, f"k {data['k']} != {len(gens)} generators"
+            ok, color = check_fs_witness(coloring, gens)
             values, subject, part = "FS closure", "closure is", "closure"
         elif kind == "grid":
             seq = _ints(data, "sequence")
@@ -742,7 +742,7 @@ def verify_witness(record: dict, coloring: Optional[Coloring] = None) -> tuple:
             return True, f"{values} monochromatic in color {color}"
         return False, (f"{subject} not monochromatic" if not ok else
                        f"{part} color {color} != recorded {want}")
-    except (OutOfBoxError, CompositionOutOfBoxError) as exc:
+    except OutOfBoxError as exc:  # CompositionOutOfBoxError included
         return False, f"out of box: {exc}"
     except KeyError as exc:
         raise MalformedInputError(f"witness data missing field {exc}") from exc

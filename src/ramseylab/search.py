@@ -39,7 +39,8 @@ from . import sat as satmod
 from ._parallel import ordered_first_hit
 from .colorings import Coloring, enumerate_colorings
 from .errors import BudgetExceededError, MalformedInputError, RamseyError
-from .patterns import PatternSchema, compile_scan, instance_value_sets
+from .patterns import (PatternSchema, compile_scan, instance_value_sets,
+                       instantiate)
 
 ENGINES = ("backtracking", "sat", "exhaustive")
 
@@ -94,6 +95,17 @@ def _scan_instances(schema: PatternSchema, coloring: Coloring,
         if limit is not None and len(hits) >= limit:
             break
     return hits, leaves
+
+
+def instance_color(schema: PatternSchema, coloring: Coloring,
+                   assignment) -> Optional[int]:
+    """The one color of the schema's values at ``assignment``, or None when
+    they differ: the check of a hit, independent of the scan.
+    :func:`ramseylab.patterns.instantiate` refuses an assignment that
+    breaks ``distinct_vars`` or ``min_value``, and a value outside the box
+    raises OutOfBoxError."""
+    colors = {coloring.value_color(v) for v in instantiate(schema, assignment)}
+    return colors.pop() if len(colors) == 1 else None
 
 
 def find_instance_detailed(query: InstanceQuery,

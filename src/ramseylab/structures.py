@@ -48,10 +48,11 @@ MAX_FAMILY = 30
 PROBE_BUDGET = 1_000_000
 
 
-def fs_values(generators, op: str = OP_ADD) -> frozenset:
-    """All sums (or products) over nonempty sub-multisets of 1 to
-    :data:`MAX_FAMILY` generators, each at least 1 (2 for products); a
-    value above :data:`VALUE_CAP` raises :class:`ValueOverflowError`."""
+def fs_family(generators, op: str = OP_ADD) -> tuple:
+    """The generators as a tuple, refused (:class:`RamseyError`) as
+    :func:`fs_values` refuses them: 1 to :data:`MAX_FAMILY` of them, each
+    at least 1 (2 for products).  A caller can size a family's closure by
+    its sum (product), its largest value, before building it."""
     gens = tuple(generators)
     if not 1 <= len(gens) <= MAX_FAMILY:
         raise RamseyError(f"family size {len(gens)} outside [1, {MAX_FAMILY}]")
@@ -61,6 +62,14 @@ def fs_values(generators, op: str = OP_ADD) -> frozenset:
     for g in gens:
         if g < floor:
             raise RamseyError(f"generator {g} < {floor} for {op} family")
+    return gens
+
+
+def fs_values(generators, op: str = OP_ADD) -> frozenset:
+    """All sums (or products) over nonempty sub-multisets of the generators
+    :func:`fs_family` accepts; a value above :data:`VALUE_CAP` raises
+    :class:`ValueOverflowError`."""
+    gens = fs_family(generators, op)
     acc: set = set()
     for g in gens:
         if op == OP_ADD:

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import ramseylab
-from ramseylab import cli, patterns
+from ramseylab import cli, patterns, structures
 from ramseylab.cli import main
 from ramseylab.colorings import load_file
 from ramseylab.hindman import Bundle, verify_witness
@@ -975,6 +975,57 @@ def test_bundle_corollary_mode(capsys):
     assert code == 0
     assert report["verdict"] == "found"
     assert report["witness"]["assignment"] == {"a": 1, "x": 1, "y": 1}
+
+
+@pytest.mark.parametrize("shape", ["bundle14", "bundle15"])
+def test_corollary_saves_no_witness_record(capsys, tmp_path, shape):
+    # no witness kind holds a quadruple, so --witness-out is refused
+    # rather than ignored
+    path = tmp_path / "q.json"
+    code, report = run_json(capsys, shape, "--corollary", "--generator",
+                            "random", "--n", "100", "--colors", "2",
+                            "--witness-out", str(path))
+    assert (code, report["verdict"], report["error"]) == (
+        1, "error", "--corollary saves no witness record: drop --witness-out")
+    assert not path.exists()
+
+
+THIRTY_ONES = ",".join(["1"] * 30)
+POWERS_30 = ",".join(str(2 ** i) for i in range(30))
+
+
+@pytest.mark.parametrize("sequence, mode", [
+    (THIRTY_ONES, ("--profile-depth", "15")),
+    (THIRTY_ONES, ("--depth-set-m0", "4")),
+    (POWERS_30, ("--cuts", "0,30")),
+], ids=["ones-profile-15", "ones-depth-set-4", "powers-one-block"])
+def test_composed_walk_past_its_budget_is_unknown(capsys, sequence, mode):
+    # the profile ran for hours, the depth-indexed check for seconds, and
+    # the one block of powers built 2^30 sums before the first fold
+    code, report = run_json(capsys, "composed-witness", "--sequence",
+                            sequence, "--op", "addition-capped",
+                            "--generator", "constant", "--n", "1000",
+                            "--colors", "1", "--param", "0", *mode)
+    assert (code, report["verdict"], report["witness"]) == (2, "unknown", None)
+    assert report["stats"]["nodes"] == structures.PROBE_BUDGET + 1
+    assert report["query"]["sequence"] == [int(v) for v in sequence.split(",")]
+
+
+CONSTANT100 = dict(CONSTANT30, N=100)
+
+
+@pytest.mark.parametrize("kind, data, detail", [
+    ("fs", {"generators": [2 ** i for i in range(30)], "k": 30},
+     f"out of box: closure value {2 ** 30 - 1} outside [1..100]"),
+    ("fs", {"generators": [1, 2], "k": 5}, "k 5 != 2 generators"),
+    ("bundle14", {"lam": 1, "a_set": [1, 2, 3], "b_set": [], "k": 2,
+                  "color": 0}, "B is not a nonempty set of positive integers"),
+], ids=["fs-powers", "fs-k", "bundle14-empty-b"])
+def test_verify_refuses_what_is_no_witness(capsys, tmp_path, kind, data,
+                                           detail):
+    code, report = _verify_record(capsys, tmp_path, kind, data, CONSTANT100)
+    assert (code, report["verdict"], report["witness"]) == (
+        0, "invalid", {"detail": detail})
 
 
 def test_semigroup_report(capsys, tmp_path):

@@ -4,20 +4,22 @@ record round trip."""
 import json
 import random
 import tracemalloc
+from functools import reduce
 from itertools import combinations, product
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ramseylab import hindman, structures
 from ramseylab.colorings import Coloring, ColoringSpec, loads, make_coloring
 from ramseylab.errors import (BudgetExceededError, CompositionOutOfBoxError,
                               MalformedInputError, OutOfBoxError, RamseyError)
-from ramseylab.hindman import (BUILTIN_OPS, Bundle, CutGrid, OpTable,
+from ramseylab.hindman import (BUILTIN_OPS, SCALED_QUAD, SHIFTED_QUAD,
+                               Bundle, CutGrid, OpTable,
                                builtin_op, check_bundle, check_composed_witness,
                                check_depth_indexed_witness, check_fs_witness,
-                               check_grid_witness, check_scaled_quad,
-                               check_shifted_quad, composed_color_by_depth,
+                               check_grid_witness, composed_color_by_depth,
                                find_fs_witness_detailed,
                                find_grid_witness_detailed,
                                find_scaled_bundle_detailed,
@@ -29,8 +31,9 @@ from ramseylab.hindman import (BUILTIN_OPS, Bundle, CutGrid, OpTable,
                                op_from_json, save_witness, verify_witness,
                                _missing_structure)
 from ramseylab.patterns import VALUE_CAP
+from ramseylab.search import instance_color
 from ramseylab.structures import (MAX_FAMILY, OP_ADD, contains_kfs,
-                                  fs_values, min_closure_size)
+                                  fs_family, fs_values, min_closure_size)
 
 
 def parity(N):
@@ -437,7 +440,8 @@ def test_depth_indexed_witness_validates_m0():
 
 
 # The color checks and cut-tuple walks as they were written before they
-# shared one fold.  The differential test below holds the folded ones to
+# shared one fold (the composed ones are the frozen per-tuple checks
+# further down).  The differential test below holds the folded ones to
 # them: same results, and the same first exception, since both evaluate in
 # the same order.
 
@@ -449,24 +453,6 @@ def _ref_check_fs(coloring, generators):
         if coloring.value_color(v) != color:
             return False, None
     return True, color
-
-
-def _ref_check_composed(coloring, op, grid):
-    closures = [sorted(fs_values(b, OP_ADD)) for b in grid.blocks]
-    anchor = None
-    for choice in product(*closures):
-        v = choice[0]
-        for x in choice[1:]:
-            v = op.apply(v, x)
-        if v > coloring.N:
-            raise CompositionOutOfBoxError(
-                f"composed value {v} outside [1..{coloring.N}]")
-        color = coloring.value_color(v)
-        if anchor is None:
-            anchor = color
-        elif color != anchor:
-            return False, None
-    return True, anchor
 
 
 def _ref_check_grid(coloring, grid):
@@ -489,48 +475,6 @@ def _ref_grid_common_color(coloring, seq, d):
             return None
         anchor = color
     return anchor
-
-
-def _ref_composed_by_depth(coloring, op, seq, d_max):
-    L = len(seq)
-    profile = []
-    for d in range(1, min(d_max, L) + 1):
-        entry = {"d": d, "ok": False, "color": None, "oob": False}
-        anchor = None
-        ok = True
-        try:
-            for cuts in combinations(range(L + 1), d + 1):
-                good, color = _ref_check_composed(
-                    coloring, op, CutGrid(seq, cuts))
-                if not good or (anchor is not None and color != anchor):
-                    ok = False
-                    break
-                anchor = color
-        except (CompositionOutOfBoxError, OutOfBoxError):
-            entry["oob"] = True
-            ok = False
-        if ok:
-            entry["ok"] = True
-            entry["color"] = anchor
-        profile.append(entry)
-    return profile
-
-
-def _ref_depth_indexed(coloring, op, seq, m0):
-    L = len(seq)
-    anchor = None
-    checked = False
-    for d in sorted(fs_values(seq[:m0], OP_ADD)):
-        if d > L - m0:
-            continue
-        for rest in combinations(range(m0 + 1, L + 1), d):
-            ok, color = _ref_check_composed(
-                coloring, op, CutGrid(seq, (m0,) + rest))
-            if not ok or (anchor is not None and color != anchor):
-                return False, None
-            anchor = color
-            checked = True
-    return (True, anchor) if checked else (True, None)
 
 
 def _outcome(fn, *args):
@@ -568,14 +512,285 @@ def test_folded_walks_match_the_loops_they_replace(cells, constant, seq,
     seq = tuple(seq)
     grid_d = min(d, len(seq))
     m0 = min(m0, len(seq))
-    assert _outcome(check_fs_witness, col, seq) == \
-        _outcome(_ref_check_fs, col, seq)
+    # a family whose sum passes N escapes before its closure is built, even
+    # where a color clash comes first in the closure's order
+    assert _outcome(check_fs_witness, col, seq) == (
+        (OutOfBoxError, f"closure value {sum(seq)} outside [1..{N}]")
+        if sum(seq) > N else _outcome(_ref_check_fs, col, seq))
     assert _outcome(grid_common_color, col, seq, grid_d) == \
         _outcome(_ref_grid_common_color, col, seq, grid_d)
     assert _outcome(composed_color_by_depth, col, op, seq, d) == \
-        _outcome(_ref_composed_by_depth, col, op, seq, d)
+        _outcome(_frozen_composed_by_depth, col, op, seq, d)
     assert _outcome(check_depth_indexed_witness, col, op, seq, m0) == \
-        _outcome(_ref_depth_indexed, col, op, seq, m0)
+        _outcome(_frozen_depth_indexed, col, op, seq, m0)
+
+
+# The three composed checks as they were when each cut tuple built its own
+# CutGrid and closed every block again, frozen as the reference for the
+# one walk that replaced them.
+
+
+def _frozen_common_color(results):
+    anchor = None
+    for ok, color in results:
+        if not ok or (anchor is not None and color != anchor):
+            return False, None
+        anchor = color
+    return True, anchor
+
+
+def _frozen_check_composed(coloring, op, grid):
+    closures = [sorted(fs_values(b, OP_ADD)) for b in grid.blocks]
+
+    def colors():
+        for choice in product(*closures):
+            v = reduce(op.apply, choice)
+            if v > coloring.N:
+                raise CompositionOutOfBoxError(
+                    f"composed value {v} outside [1..{coloring.N}]")
+            yield True, coloring.value_color(v)
+
+    return _frozen_common_color(colors())
+
+
+def _frozen_composed_by_depth(coloring, op, sequence, d_max):
+    seq = tuple(int(v) for v in sequence)
+    L = len(seq)
+    profile = []
+    for d in range(1, min(d_max, L) + 1):
+        try:
+            ok, color = _frozen_common_color(
+                _frozen_check_composed(coloring, op, CutGrid(seq, cuts))
+                for cuts in combinations(range(L + 1), d + 1))
+            oob = False
+        except (CompositionOutOfBoxError, OutOfBoxError):
+            ok, color, oob = False, None, True
+        profile.append({"d": d, "ok": ok, "color": color, "oob": oob})
+    return profile
+
+
+def _frozen_depth_indexed(coloring, op, sequence, m0):
+    seq = tuple(int(v) for v in sequence)
+    L = len(seq)
+    if not 1 <= m0 <= L:
+        raise RamseyError(f"need 1 <= m0 <= {L}, got {m0}")
+    return _frozen_common_color(
+        _frozen_check_composed(coloring, op, CutGrid(seq, (m0,) + rest))
+        for d in sorted(fs_values(seq[:m0], OP_ADD)) if d <= L - m0
+        for rest in combinations(range(m0 + 1, L + 1), d))
+
+
+def _frozen_outcome(fn, *args):
+    """The outcome of a frozen function, the units its work costs under the
+    walk's rule (min(2^len - 1, sum) per closure it builds, one per fold),
+    and the families it closed, in order."""
+    units, closed = 0, []
+
+    def closure(gens, op):
+        nonlocal units
+        gens = fs_family(gens, op)  # a refused family costs nothing
+        units += min(2 ** len(gens) - 1, sum(gens))
+        closed.append(gens)
+        return structures.fs_values(gens, op)
+
+    def fold(f, choice, reduce=reduce):
+        nonlocal units
+        units += 1
+        return reduce(f, choice)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(globals(), "fs_values", closure)
+        patch.setitem(globals(), "reduce", fold)
+        return _outcome(fn, *args), units, closed
+
+
+def _walk_outcome(fn, *args):
+    """The outcome of a composed check and the families it closed."""
+    closed = []
+
+    def closure(gens, op):
+        closed.append(tuple(gens))
+        return fs_values(gens, op)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hindman, "fs_values", closure)
+        return _outcome(fn, *args), closed
+
+
+def _composed_cases(cells, seq, op_kind, op_n, table_seed, cut_seed, d, m0):
+    """For each composed check, its function, its frozen reference and
+    their arguments; a sequence with an entry below 1 has no CutGrid, so
+    only the sequence walks take it."""
+    N = len(cells)
+    col = Coloring(d=1, N=N, c=max(cells) + 1, cells=tuple(cells))
+    if op_kind == "table":
+        rng = random.Random(table_seed)
+        op = OpTable("table", op_n, rows=[
+            [rng.randint(1, op_n) for _ in range(op_n)] for _ in range(op_n)])
+    else:
+        op = builtin_op(op_kind, op_n)
+    seq = tuple(seq)
+    L = len(seq)
+    cuts = sorted(random.Random(cut_seed).sample(range(L + 1), min(d, L) + 1))
+    m0 = min(m0, L)
+    cases = [(composed_color_by_depth, _frozen_composed_by_depth,
+              (col, op, seq, d)),
+             (check_depth_indexed_witness, _frozen_depth_indexed,
+              (col, op, seq, m0))]
+    if min(seq) >= 1:
+        cases.append((check_composed_witness, _frozen_check_composed,
+                      (col, op, CutGrid(seq, cuts))))
+    return cases
+
+
+_COMPOSED_INPUTS = dict(
+    cells=st.lists(st.integers(0, 2), min_size=2, max_size=16),
+    op_kind=st.sampled_from(BUILTIN_OPS + ("table",)),
+    op_n=st.integers(1, 20), table_seed=st.integers(0, 999),
+    cut_seed=st.integers(0, 999), d=st.integers(1, 4), m0=st.integers(1, 6))
+
+
+@settings(max_examples=400, deadline=None)
+@given(seq=st.lists(st.integers(0, 20), min_size=1, max_size=6),
+       budget=st.integers(0, 80), **_COMPOSED_INPUTS)
+@example(cells=[0] * 8, seq=[2, 2, 2], op_kind="table", op_n=8,
+         table_seed=0, cut_seed=0, d=4, m0=1, budget=0)  # d_max > L
+@example(cells=[0, 1] * 4, seq=[3, 3], op_kind=BUILTIN_OPS[0], op_n=8,
+         table_seed=0, cut_seed=0, d=2, m0=1, budget=5)  # 3*3 escapes
+@example(cells=[0] * 4, seq=[1, 9, 2], op_kind=BUILTIN_OPS[1], op_n=20,
+         table_seed=0, cut_seed=0, d=2, m0=1, budget=80)  # 9 escapes N
+def test_composed_walk_matches_the_per_tuple_checks(seq, budget, cells,
+                                                    op_kind, op_n,
+                                                    table_seed, cut_seed, d,
+                                                    m0):
+    """Against the frozen per-tuple checks, at PROBE_BUDGET and at a small
+    budget B: the same answer, profile or exception wherever the frozen
+    check's own work is at most B units, else that or the budget error."""
+    for fn, frozen, args in _composed_cases(cells, seq, op_kind, op_n,
+                                            table_seed, cut_seed, d, m0):
+        want, units, _ = _frozen_outcome(frozen, *args)
+        assert _outcome(fn, *args) == want
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(structures, "PROBE_BUDGET", budget)
+            got = _outcome(fn, *args)
+        out_of_budget = (BudgetExceededError,
+                         f"node budget {budget} exceeded")
+        assert got == want or (units > budget and got == out_of_budget)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seq=st.lists(st.integers(1, 20), min_size=1, max_size=6, unique=True),
+       **_COMPOSED_INPUTS)
+def test_composed_walk_closes_each_block_once(seq, cells, op_kind, op_n,
+                                              table_seed, cut_seed, d, m0):
+    """Distinct entries make a block's entries name its place, so the
+    families closed are the frozen checks' first closings, in order: one
+    fs_values call per distinct block (and the depth-indexed head)."""
+    for fn, frozen, args in _composed_cases(cells, seq, op_kind, op_n,
+                                            table_seed, cut_seed, d, m0):
+        want, _, frozen_closed = _frozen_outcome(frozen, *args)
+        got, closed = _walk_outcome(fn, *args)
+        assert got == want
+        assert closed == list(dict.fromkeys(frozen_closed))
+
+
+def test_composed_walk_closes_blocks_by_place():
+    # 8 ones: every (lo, hi) is a block of some cut tuple of depth <= 3,
+    # 36 places in all (8 distinct families); the frozen checks closed
+    # each block of each of the C(9, d + 1) tuples of depth d
+    one = make_coloring("constant", 1, 100, 1, param=(0,))
+    add = builtin_op("addition-capped", 100)
+    (profile, closed) = _walk_outcome(composed_color_by_depth, one, add,
+                                      (1,) * 8, 3)
+    assert [row["ok"] for row in profile] == [True] * 3
+    assert len(closed) == 36
+    assert len(_frozen_outcome(_frozen_composed_by_depth, one, add,
+                               (1,) * 8, 3)[2]) == 36 + 2 * 84 + 3 * 126
+
+
+def test_composed_walk_spends_one_unit_per_fold_and_value(monkeypatch):
+    # the blocks (2) and (2) cost a unit each before they are closed, and
+    # their one fold, 2 * 2, a third
+    mul = builtin_op("multiplication-capped", 8)
+    grid = CutGrid((2, 2), (0, 1, 2))
+    monkeypatch.setattr(structures, "PROBE_BUDGET", 3)
+    assert check_composed_witness(parity(8), mul, grid) == (True, 0)
+    monkeypatch.setattr(structures, "PROBE_BUDGET", 2)
+    with pytest.raises(BudgetExceededError) as exc:
+        check_composed_witness(parity(8), mul, grid)
+    assert exc.value.nodes == 3
+    # the head (1, 2) of the depth-indexed check costs min(3, 3) = 3 units
+    monkeypatch.setattr(structures, "PROBE_BUDGET", 2)
+    with pytest.raises(BudgetExceededError):
+        check_depth_indexed_witness(parity(8), mul, (1, 2, 2, 2, 2), 2)
+
+
+def test_composed_walk_stops_at_its_budget():
+    # 2^30 - 1 sums are charged before the block (1, 2, ..., 2^29) is
+    # closed, so it is never built; 30 ones run out of folds instead
+    one = make_coloring("constant", 1, 1000, 1, param=(0,))
+    add = builtin_op("addition-capped", 1000)
+    powers = tuple(2 ** i for i in range(30))
+    for call in (lambda: check_composed_witness(one, add,
+                                                CutGrid(powers, (0, 30))),
+                 lambda: check_depth_indexed_witness(one, add, powers, 30)):
+        with pytest.raises(BudgetExceededError) as exc:
+            call()
+        assert exc.value.nodes == structures.PROBE_BUDGET + 1
+    with pytest.raises(BudgetExceededError):
+        check_depth_indexed_witness(one, add, (1,) * 30, 4)
+
+
+ONE_COLOR_100 = make_coloring("constant", 1, 100, 1, param=(0,))
+B15 = {"lam": 1, "a_set": [1, 2, 3, 6], "b_set": [1], "k": 2, "color": 0}
+B14 = dict(B15, a_set=[1, 2, 3])
+NOT_A_SET = "{} is not a nonempty set of positive integers"
+
+
+@pytest.mark.parametrize("kind, data, detail", [
+    ("bundle14", dict(B14, b_set=[]), NOT_A_SET.format("B")),
+    ("bundle15", dict(B15, b_set=[]), NOT_A_SET.format("B")),
+    ("bundle15", dict(B15, b_set=[0]), NOT_A_SET.format("B")),
+    ("bundle15", dict(B15, a_set=[0, 1, 2, 3, 6]), NOT_A_SET.format("A")),
+    ("bundle14", dict(B14, a_set=[1, 1, 2, 3]), NOT_A_SET.format("A")),
+    ("bundle15", dict(B15, lam=0), "lam 0 is below 1"),
+    ("fs", {"generators": [1, 2], "k": 5}, "k 5 != 2 generators"),
+], ids=["14-empty-b", "15-empty-b", "15-b-zero", "15-a-zero",
+        "14-a-repeats", "15-lam-zero", "fs-k"])
+def test_verify_refuses_records_that_are_not_witnesses(kind, data, detail):
+    """Each of these verified valid on one color before the shape rule."""
+    assert verify_witness(make_witness(kind, data),
+                          coloring=ONE_COLOR_100) == (False, detail)
+
+
+@pytest.mark.parametrize("kind, data", [
+    ("bundle14", B14), ("bundle15", B15),
+    ("fs", {"generators": [1, 2], "k": 2}), ("fs", {"generators": [1, 2]})])
+def test_verify_accepts_the_records_once_mended(kind, data):
+    assert verify_witness(make_witness(kind, data),
+                          coloring=ONE_COLOR_100)[0] is True
+
+
+def test_checkers_size_a_family_by_its_sum_before_closing_it():
+    # FS(1, 2, ..., 2^29) has 2^30 - 1 values; its sum is the largest
+    powers = [2 ** i for i in range(30)]
+    detail = f"out of box: closure value {2 ** 30 - 1} outside [1..100]"
+    tracemalloc.start()
+    try:
+        fs = verify_witness(make_witness("fs", {"generators": powers}),
+                            coloring=ONE_COLOR_100)
+        grid = verify_witness(make_witness("grid", {
+            "sequence": powers, "cuts": [0, 30]}), coloring=ONE_COLOR_100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fs == grid == (False, detail)
+    assert peak < 1 << 20
+    # a refused family is refused as before, not reported as an escape
+    with pytest.raises(RamseyError, match="family size 31"):
+        check_fs_witness(ONE_COLOR_100, [200] * 31)
+    with pytest.raises(RamseyError, match="generator 0 < 1"):
+        check_fs_witness(ONE_COLOR_100, [0, 200])
 
 
 # ---------------------------------------------------------------------------
@@ -907,14 +1122,16 @@ def test_fs_finder_keeps_each_sum_once():
 def test_scaled_quad_degenerate_least_instance():
     col = make_coloring("constant", 1, 6, 2, param=(0,))
     assert find_scaled_quad_detailed(col) == (({"a": 1, "x": 1, "y": 1}, 0), 1)
-    assert check_scaled_quad(col, 1, 1, 1) == (True, 0)
+    assert instance_color(SCALED_QUAD, col, {"a": 1, "x": 1, "y": 1}) == 0
 
 
 def test_shifted_quad_parity():
     assert find_shifted_quad_detailed(parity(8)) == (
         ({"b": 1, "u": 1, "v": 1}, 0), 1)
-    assert check_shifted_quad(parity(8), 2, 2, 2) == (True, 0)
-    assert check_shifted_quad(parity(8), 1, 2, 2) == (False, None)
+    assert instance_color(SHIFTED_QUAD, parity(8),
+                          {"b": 2, "u": 2, "v": 2}) == 0
+    assert instance_color(SHIFTED_QUAD, parity(8),
+                          {"b": 1, "u": 2, "v": 2}) is None
 
 
 def test_planted_quad_is_found():
@@ -926,7 +1143,7 @@ def test_planted_quad_is_found():
     hit, _ = find_scaled_quad_detailed(col)
     assert hit is not None
     asg, color = hit
-    assert check_scaled_quad(col, asg["a"], asg["x"], asg["y"]) == (True, color)
+    assert instance_color(SCALED_QUAD, col, asg) == color
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,13 @@ from hypothesis import given, strategies as st
 from ramseylab.colorings import Coloring, make_coloring
 from ramseylab.errors import (BudgetExceededError, MalformedInputError,
                               RamseyError)
-from ramseylab.patterns import (compile_scan, instance_value_sets,
-                                parse_pattern)
+from ramseylab.patterns import (AssignmentError, compile_scan,
+                                instance_value_sets, parse_pattern)
 from ramseylab.search import (ENGINES, InstanceQuery, _scan_instances,
                               find_all_instances_detailed,
                               find_avoiding_coloring, find_instance,
-                              find_instance_detailed, threshold_number)
+                              find_instance_detailed, instance_color,
+                              threshold_number)
 
 SCHUR = parse_pattern("{x, y, x+y}")
 
@@ -20,6 +21,18 @@ def test_find_instance_least_hit():
     col = make_coloring("parity", 1, 10, 2)
     hit = find_instance(InstanceQuery(schema=SCHUR, coloring=col))
     assert hit == ({"x": 2, "y": 2}, 0)
+
+
+def test_instance_color_checks_the_assignment_as_instantiate_does():
+    one = make_coloring("constant", 1, 10, 1, param=(0,))
+    schema = parse_pattern("{x, y, x+y}", distinct_vars=True, min_value=2)
+    assert instance_color(schema, one, {"x": 2, "y": 3}) == 0
+    for bad in ({"x": 3, "y": 3}, {"x": 1, "y": 3}, {"x": 2}):
+        with pytest.raises(AssignmentError):
+            instance_color(schema, one, bad)
+    parity = make_coloring("parity", 1, 10, 2)
+    assert instance_color(SCHUR, parity, {"x": 1, "y": 2}) is None
+    assert instance_color(SCHUR, parity, {"x": 2, "y": 4}) == 0
 
 
 def test_find_instance_none_on_avoiding_coloring():
