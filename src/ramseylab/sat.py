@@ -49,6 +49,10 @@ UNKNOWN = "UNKNOWN"
 class CnfFormula:
     var_count: int
     clauses: list
+    # True when no clause repeats a variable, as in every encoder clause;
+    # :func:`solve` hands any other formula to the solver without its
+    # repeated literals and tautologies
+    simple: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         if self.var_count < 0:
@@ -134,7 +138,7 @@ def encode_avoidance(schema: PatternSchema, N: int, c: int,
         negs = [-first[v] for v in values]
         for j in range(c):
             clauses.append([b - j for b in negs])
-    return CnfFormula(var_count=var_count, clauses=clauses), vmap
+    return CnfFormula(var_count=var_count, clauses=clauses, simple=True), vmap
 
 
 def _color_order_block(clauses, occ_first, aux_base, c) -> int:
@@ -194,26 +198,18 @@ class _Solver:
         code_of = [0] * (2 * n + 1)
         code_of[1:n + 1] = range(2, 2 * n + 2, 2)
         code_of[n + 1:] = range(2 * n + 1, 2, -2)
+        val, watches = self.val, self.watches
+        # each clause is read as given: no clause repeats a variable (see
+        # :func:`solve`), so its code list is the solver's own clause
         for cl in formula.clauses:
-            self._add_clause(list(map(code_of.__getitem__, cl)))
-
-    def _add_clause(self, lits) -> None:
-        seen = set()
-        out = []
-        for lit in lits:
-            if lit ^ 1 in seen:
-                return  # tautology
-            if lit not in seen:
-                seen.add(lit)
-                out.append(lit)
-        if len(out) == 1:
-            if self.val[out[0]] == -1:
+            lits = list(map(code_of.__getitem__, cl))
+            if len(lits) > 1:
+                watches[lits[0]].append(lits)
+                watches[lits[1]].append(lits)
+            elif not val[lits[0]]:
+                self._assign(lits[0], None)
+            elif val[lits[0]] == -1:
                 self.root_conflict = True
-            elif self.val[out[0]] == 0:
-                self._assign(out[0], None)
-            return
-        self.watches[out[0]].append(out)
-        self.watches[out[1]].append(out)
 
     def _assign(self, lit: int, reason) -> None:
         """Make the free literal code ``lit`` true at the current level."""
@@ -236,6 +232,7 @@ class _Solver:
             if not ws:
                 continue
             keep = watches[false_lit] = []
+            put = keep.append
             for cl in ws:
                 # a clause whose other watch is true stays as it is: its
                 # watches are put back in order before it is next read
@@ -244,28 +241,30 @@ class _Solver:
                     first = cl[1]
                     first_val = val[first]
                     if first_val == 1:
-                        keep.append(cl)
+                        put(cl)
                         continue
                     cl[0] = first
                     cl[1] = false_lit
                 else:
                     first_val = val[first]
                     if first_val == 1:
-                        keep.append(cl)
+                        put(cl)
                         continue
-                for k in range(2, len(cl)):
+                k, size = 2, len(cl)
+                while k < size:
                     lit = cl[k]
                     if val[lit] != -1:
                         cl[1], cl[k] = lit, false_lit
                         watches[lit].append(cl)
                         break
+                    k += 1
                 else:
                     if first_val == -1:
                         keep += ws[next(i for i, w in enumerate(ws)
                                         if w is cl):]
                         self.qhead = len(trail)
                         return cl
-                    keep.append(cl)
+                    put(cl)
                     val[first] = 1
                     val[first ^ 1] = -1
                     v = first >> 1
@@ -368,8 +367,20 @@ def check_model(formula: CnfFormula, model) -> bool:
 
 
 def solve(formula: CnfFormula, max_conflicts: Optional[int] = None) -> SatVerdict:
-    """Solve a CNF formula.  SAT models are re-validated before returning."""
-    verdict = _Solver(formula).solve(max_conflicts=max_conflicts)
+    """Solve a CNF formula.  SAT models are re-validated before returning.
+    Unless the formula is ``simple``, the solver reads each clause without
+    its repeated literals (first occurrences kept, in order) and skips
+    tautologies, which constrain nothing: a DIMACS file's verdict and node
+    count do not depend on how its clauses repeat themselves."""
+    solver_input = formula
+    if not formula.simple:
+        clauses = []
+        for cl in formula.clauses:
+            lits = list(dict.fromkeys(cl))
+            if len(set(map(abs, lits))) == len(lits):
+                clauses.append(lits)
+        solver_input = CnfFormula(formula.var_count, clauses, simple=True)
+    verdict = _Solver(solver_input).solve(max_conflicts=max_conflicts)
     if verdict.status == SAT and not check_model(formula, verdict.model):
         raise RamseyError("solver returned a model that fails re-validation")
     return verdict

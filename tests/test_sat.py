@@ -136,6 +136,67 @@ def test_solver_agrees_with_brute_force(case):
         assert check_model(formula, verdict.model)
 
 
+def _repeating(formula):
+    """The formula with every clause's first literal doubled, every unit
+    repeated and a tautology after every third clause."""
+    clauses = []
+    for i, cl in enumerate(formula.clauses):
+        clauses.append([cl[0]] + list(cl))
+        if len(cl) == 1:
+            clauses.append(list(cl))
+        if i % 3 == 2:
+            v = abs(cl[-1])
+            clauses.append([v, -v] + list(cl))
+    return CnfFormula(var_count=formula.var_count, clauses=clauses)
+
+
+def _outcome(verdict):
+    return verdict.status, verdict.conflicts, verdict.decisions, verdict.model
+
+
+# A DIMACS file may repeat a literal, hold a tautology or repeat a unit.
+# solve() hands the solver each clause without its repeats and skips
+# tautologies, so such a file keeps the verdict and node count of the
+# formula without them (the counts are pinned as they were when the
+# solver itself dropped repeats).
+@pytest.mark.parametrize("pattern, N, c, status, conflicts, decisions", [
+    ("{x, y, x+y}", 13, 3, satmod.SAT, 6, 9),
+    ("{x, y, x+y}", 14, 3, satmod.UNSAT, 23, 23),
+    ("{a, a+d, a+2*d}", 26, 3, satmod.SAT, 194, 200),
+])
+def test_dimacs_repeats_keep_verdicts_and_node_counts(pattern, N, c, status,
+                                                      conflicts, decisions):
+    formula, _ = encode_avoidance(parse_pattern(pattern), N, c,
+                                  symmetry_break=True)
+    text = export_dimacs(_repeating(formula))
+    assert len(text.splitlines()) > len(formula.clauses) + 1
+    got = solve(parse_dimacs(text))
+    assert got.status == status
+    assert (got.conflicts, got.decisions) == (conflicts, decisions)
+    assert _outcome(got) == _outcome(solve(formula))
+
+
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.lists(st.sampled_from(
+            [v for v in range(-n, n + 1) if v != 0]),
+            min_size=1, max_size=5),
+            min_size=1, max_size=14))))
+@settings(max_examples=300, deadline=None)
+def test_solve_reads_a_formula_as_its_simple_form(case):
+    # the same run as on the clauses without repeats or tautologies
+    n, clauses = case
+    simple = []
+    for cl in clauses:
+        lits = list(dict.fromkeys(cl))
+        if len({abs(lit) for lit in lits}) == len(lits):
+            simple.append(lits)
+    got = solve(CnfFormula(var_count=n, clauses=clauses))
+    assert _outcome(got) == _outcome(
+        solve(CnfFormula(var_count=n, clauses=simple, simple=True)))
+
+
 @pytest.mark.parametrize("N", range(1, 9))
 def test_symmetry_break_preserves_verdict(N):
     schema = parse_pattern("{x, y, x+y}")
