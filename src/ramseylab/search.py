@@ -19,8 +19,10 @@ the box, in order, with the color test done at each leaf and only the
 monochromatic leaves yielded.  The value sets the avoidance engines
 read are the same scan's leaves under one color, and past
 :data:`ramseylab.patterns.LEAF_BUDGET` leaves their verdict is
-``unknown``.  Backtracking is one depth-first search from value 1.  Each
-counts its nodes (leaves, color tries) in one counter on the calling
+``unknown``.  Backtracking is one depth-first search from value 1, and a
+backtracking threshold scan is one such search carried one value deeper
+per N: each row's count is the one a search of [1..N] alone would spend.
+Every search counts its nodes (leaves, color tries) in one counter on the calling
 thread, so witnesses, node counts and budget verdicts depend only on the
 query.  A budget of B nodes gives the answer when the search needs at most
 B nodes; otherwise node B + 1 stops it (``BudgetExceededError.past``).
@@ -141,14 +143,21 @@ def find_all_instances_detailed(query: InstanceQuery,
 # avoidance search
 
 
-def _index_by_max(value_sets, N):
-    """For each n in [1..N] (list index n-1), the instances whose largest
-    value is n, as lists of the 0-based positions of their other values,
-    split into (pairs, rest) for :func:`_forbidden`."""
-    index = [([], []) for _ in range(N)]
+_NO_INSTANCE = ((), ())
+
+
+def _index_by_max(value_sets, first, last):
+    """For each n in [first..last] (list index n-first), the instances
+    whose largest value is n, as lists of the 0-based positions of their
+    other values, split into (pairs, rest) for :func:`_forbidden`; an n
+    that tops no instance shares one empty entry."""
+    index = [_NO_INSTANCE] * (last - first + 1)
     for *others, n in value_sets:
-        pairs, rest = index[n - 1]
-        (pairs if len(others) == 2 else rest).append([v - 1 for v in others])
+        if n >= first:
+            if index[n - first] is _NO_INSTANCE:
+                index[n - first] = ([], [])
+            pairs, rest = index[n - first]
+            (pairs if len(others) == 2 else rest).append([v - 1 for v in others])
     return index
 
 
@@ -174,14 +183,25 @@ def _forbidden(entry, bits) -> int:
     return mask
 
 
-def _backtrack(N, c, index, max_nodes: Optional[int]):
-    """Canonical-coloring DFS over [1..N], one node per color tried;
-    returns (lexicographically least avoiding coloring or None, nodes).
-    Node ``max_nodes + 1`` raises :class:`BudgetExceededError`.  A loop,
-    not a recursion, so N may pass Python's recursion limit."""
+def _backtrack(c, index, max_nodes: Optional[int]):
+    """Canonical-coloring DFS over the positions ``index`` covers, one node
+    per color tried.  A loop, not a recursion, so the box may pass
+    Python's recursion limit; node ``max_nodes + 1`` raises
+    :class:`BudgetExceededError`.
+
+    A generator.  When the search first fills all N positions it yields
+    (the lexicographically least avoiding coloring of [1..N], nodes so
+    far); when the tree is exhausted it yields (None, nodes) and stops.
+    The entries for n <= N do not depend on the box, so a search of
+    [1..N] alone walks the same nodes in the same order: its count is
+    the one yielded.  A caller that appends the entry for N + 1 to
+    ``index`` before resuming carries the search one level deeper."""
+    N = len(index)
     bits = [0] * N
-    choices = [[(color, 1 << color) for color in range(min(u + 1, c))]
-               for u in range(c + 1)]
+    # choices[u]: the (color, bit) pairs open once u colors are in use, in
+    # first-use order; a row is made when u colors are first in use, so
+    # there are at most min(c, N) + 1
+    choices = [[(0, 1)]]
     nodes = 0
     # position i's untried (color, bit) pairs, forbidden colors and colors
     # used before it; the stack holds them for positions 0..i-1
@@ -196,27 +216,81 @@ def _backtrack(N, c, index, max_nodes: Optional[int]):
                 break
         else:  # every color was tried here: back up one position
             if not stack:
-                return None, nodes
+                yield None, nodes
+                return
             i -= 1
             untried, forbidden, used = stack.pop()
             continue
         bits[i] = bit
         i += 1
         if i == N:
-            return tuple(b.bit_length() - 1 for b in bits), nodes
+            yield tuple(b.bit_length() - 1 for b in bits), nodes
+            N += 1
+            bits.append(0)
         stack.append((untried, forbidden, used))
-        used = used + 1 if color == used else used
+        if color == used:
+            used += 1
+            if used == len(choices):
+                row = choices[-1]
+                choices.append(row + [(used, 1 << used)] if used < c else row)
         untried, forbidden = iter(choices[used]), _forbidden(index[i], bits)
+
+
+def _backtracking_results(schema: PatternSchema, c: int, first: int,
+                          last: int, max_nodes: Optional[int]):
+    """The backtracking engine's AvoidanceResult for each N in
+    [first..last], from one :func:`_backtrack` search carried one level
+    deeper per N, until the first that is not sat.  Each N reads its own
+    value sets, so the LEAF_BUDGET verdict is that of a search of [1..N]
+    alone, and an N's time_ms is the work added for it."""
+    index: list = []
+    dfs = _backtrack(c, index, max_nodes)
+    for N in range(first, last + 1):
+        t0 = time.perf_counter()
+        stats = SearchStats()
+        try:
+            index += _index_by_max(instance_value_sets(schema, N),
+                                   len(index) + 1, N)
+            # one task, so the bench's parallel.* counters still see it
+            cells, stats.nodes = ordered_first_hit([lambda: next(dfs)])
+        except BudgetExceededError as exc:
+            # a node budget, or the value sets' LEAF_BUDGET, ran out
+            stats.nodes = exc.nodes
+            yield _checked(schema, "backtracking", "unknown", None, stats, t0)
+            return
+        if cells is None:
+            yield _checked(schema, "backtracking", "unsat", None, stats, t0)
+            return
+        yield _checked(schema, "backtracking", "sat",
+                       Coloring(d=1, N=N, c=c, cells=cells), stats, t0)
+
+
+def _checked(schema, engine, verdict, found, stats, t0) -> AvoidanceResult:
+    """The result, timed from ``t0``, once an avoiding coloring has been
+    re-validated with ``find_instance``."""
+    stats.time_ms = (time.perf_counter() - t0) * 1000.0
+    if found is not None:
+        leftover = find_instance(InstanceQuery(schema=schema, coloring=found))
+        if leftover is not None:
+            raise RamseyError(f"engine {engine} returned an invalid certificate "
+                              f"(monochromatic at {leftover})")
+    return AvoidanceResult(verdict=verdict, coloring=found, stats=stats)
+
+
+def _check_query(N: int, c: int, engine: str) -> None:
+    if N < 1 or c < 1:
+        raise MalformedInputError("avoidance search needs N >= 1 and c >= 1")
+    if engine not in ENGINES:
+        raise RamseyError(f"unknown engine {engine!r} (choose from {ENGINES})")
 
 
 def find_avoiding_coloring(schema: PatternSchema, N: int, c: int,
                            engine: str = "backtracking",
                            max_nodes: Optional[int] = None) -> AvoidanceResult:
     """Search for a c-coloring of [1..N] with no monochromatic instance."""
-    if N < 1 or c < 1:
-        raise MalformedInputError("avoidance search needs N >= 1 and c >= 1")
-    if engine not in ENGINES:
-        raise RamseyError(f"unknown engine {engine!r} (choose from {ENGINES})")
+    _check_query(N, c, engine)
+    if engine == "backtracking":
+        return next(_backtracking_results(schema, c, N, N, max_nodes))
     t0 = time.perf_counter()
     stats = SearchStats()
     verdict = "unsat"
@@ -232,7 +306,7 @@ def find_avoiding_coloring(schema: PatternSchema, N: int, c: int,
                 verdict, found = "sat", vmap.decode(sv.model)
             elif sv.status == satmod.UNKNOWN:
                 verdict = "unknown"
-        elif engine == "exhaustive":
+        else:
             value_sets = instance_value_sets(schema, N)
             nodes = 0
             for col in enumerate_colorings(N, c, symmetry_break=True):
@@ -245,24 +319,10 @@ def find_avoiding_coloring(schema: PatternSchema, N: int, c: int,
                     verdict, found = "sat", col
                     break
             stats.nodes = nodes
-        else:
-            index = _index_by_max(instance_value_sets(schema, N), N)
-            # one task, so the bench's parallel.* counters still see it
-            cells, stats.nodes = ordered_first_hit(
-                [lambda: _backtrack(N, c, index, max_nodes)])
-            if cells is not None:
-                verdict, found = "sat", Coloring(d=1, N=N, c=c, cells=cells)
     except BudgetExceededError as exc:
         # a node budget, or the value sets' LEAF_BUDGET, ran out
         verdict, stats.nodes = "unknown", exc.nodes
-
-    stats.time_ms = (time.perf_counter() - t0) * 1000.0
-    if found is not None:
-        leftover = find_instance(InstanceQuery(schema=schema, coloring=found))
-        if leftover is not None:
-            raise RamseyError(f"engine {engine} returned an invalid certificate "
-                              f"(monochromatic at {leftover})")
-    return AvoidanceResult(verdict=verdict, coloring=found, stats=stats)
+    return _checked(schema, engine, verdict, found, stats, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -276,13 +336,21 @@ def threshold_number(schema: PatternSchema, c: int, n_max: int,
     monochromatic instance; scans N upward so the certificate at N*-1 comes
     for free.  Forcing is monotone in N (instances only accumulate), so the
     first unsat N is the threshold.  The scan stops at the first verdict
-    that is not sat; the certificate is the last sat coloring."""
+    that is not sat; the certificate is the last sat coloring.  On the
+    backtracking engine the rows come from one search, carried one value
+    deeper per N, with the budget of each row spent as a search of [1..N]
+    alone would spend it."""
     if n_max < 1:
         raise MalformedInputError("threshold scan needs n_max >= 1")
+    _check_query(1, c, engine)
+    if engine == "backtracking":
+        results = _backtracking_results(schema, c, 1, n_max, max_nodes)
+    else:
+        results = (find_avoiding_coloring(schema, N, c, engine=engine,
+                                          max_nodes=max_nodes)
+                   for N in range(1, n_max + 1))
     result = ThresholdResult(threshold=None, certificate=None)
-    for N in range(1, n_max + 1):
-        res = find_avoiding_coloring(schema, N, c, engine=engine,
-                                     max_nodes=max_nodes)
+    for N, res in enumerate(results, 1):
         result.rows.append((N, res.verdict, res.stats.nodes, res.stats.time_ms))
         if res.verdict != "sat":
             if res.verdict == "unsat":

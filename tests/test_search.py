@@ -1,7 +1,7 @@
 """Instance scans, avoidance engines, and threshold numbers."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ramseylab.colorings import Coloring, make_coloring
 from ramseylab.errors import (BudgetExceededError, MalformedInputError,
@@ -301,3 +301,109 @@ def test_engines_agree_on_mixed_patterns(engine):
     for N in range(1, 11):
         assert find_avoiding_coloring(quad, N, 2, engine=engine).verdict == \
             expected[N]
+
+
+# A frozen copy of the per-N backtracking scan as it was when every N ran
+# its own search from value 1: the threshold now carries one search one
+# level deeper per N, and must give the same rows, status, threshold and
+# certificate.
+def _frozen_index(value_sets, N):
+    index = [([], []) for _ in range(N)]
+    for *others, n in value_sets:
+        pairs, rest = index[n - 1]
+        (pairs if len(others) == 2 else rest).append([v - 1 for v in others])
+    return index
+
+
+def _frozen_forbidden(entry, bits):
+    pairs, rest = entry
+    mask = 0
+    for i, j in pairs:
+        b = bits[i]
+        if b == bits[j]:
+            mask |= b
+    for others in rest:
+        if not others:
+            return -1
+        b = bits[others[0]]
+        for i in others:
+            if bits[i] != b:
+                break
+        else:
+            mask |= b
+    return mask
+
+
+def _frozen_backtrack(N, c, index, max_nodes):
+    bits = [0] * N
+    choices = [[(color, 1 << color) for color in range(min(u + 1, c))]
+               for u in range(c + 1)]
+    nodes = 0
+    i, used, stack = 0, 0, []
+    untried, forbidden = iter(choices[0]), _frozen_forbidden(index[0], bits)
+    while True:
+        for color, bit in untried:
+            nodes += 1
+            if max_nodes is not None and nodes > max_nodes:
+                raise BudgetExceededError.past(max_nodes)
+            if not forbidden & bit:
+                break
+        else:
+            if not stack:
+                return None, nodes
+            i -= 1
+            untried, forbidden, used = stack.pop()
+            continue
+        bits[i] = bit
+        i += 1
+        if i == N:
+            return tuple(b.bit_length() - 1 for b in bits), nodes
+        stack.append((untried, forbidden, used))
+        used = used + 1 if color == used else used
+        untried = iter(choices[used])
+        forbidden = _frozen_forbidden(index[i], bits)
+
+
+def _frozen_threshold(schema, c, n_max, max_nodes):
+    """(rows as (N, verdict, nodes), status, threshold, certificate)."""
+    rows, cert = [], None
+    for N in range(1, n_max + 1):
+        try:
+            index = _frozen_index(instance_value_sets(schema, N), N)
+            cells, nodes = _frozen_backtrack(N, c, index, max_nodes)
+            verdict = "unsat" if cells is None else "sat"
+        except BudgetExceededError as exc:
+            nodes, verdict = exc.nodes, "unknown"
+        rows.append((N, verdict, nodes))
+        if verdict != "sat":
+            found = verdict == "unsat"
+            return (rows, "found" if found else "unknown",
+                    N if found else None, cert)
+        cert = cells
+    return rows, "unknown", None, cert
+
+
+_SMALL_PATTERNS = ["{x, y, x+y}", "{a, a+d, a+2*d}", "{x, 2*x}", "{x+y}",
+                   "{x, y, x*y, x+y}", "{x, x+2, 2*x+y}", "{3}", "{x*x, y}"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(pattern=st.sampled_from(_SMALL_PATTERNS), distinct=st.booleans(),
+       min_value=st.integers(1, 3), c=st.integers(1, 4),
+       n_max=st.integers(1, 16),
+       budget=st.one_of(st.none(), st.integers(0, 3),
+                        st.integers(4, 400)))
+def test_threshold_continues_the_per_n_backtracking_scan(
+        pattern, distinct, min_value, c, n_max, budget):
+    schema = parse_pattern(pattern, distinct_vars=distinct,
+                           min_value=min_value)
+    rows, status, threshold, cert = _frozen_threshold(schema, c, n_max,
+                                                      budget)
+    res = threshold_number(schema, c, n_max, max_nodes=budget)
+    assert [r[:3] for r in res.rows] == rows
+    assert (res.status, res.threshold) == (status, threshold)
+    assert (res.certificate.cells if res.certificate else None) == cert
+    for N, verdict, nodes in rows:
+        if verdict == "sat":
+            avoid = find_avoiding_coloring(schema, N, c, max_nodes=budget)
+            assert (avoid.verdict, avoid.stats.nodes) == ("sat", nodes)
