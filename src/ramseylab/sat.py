@@ -37,8 +37,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .colorings import Coloring
-from .errors import MalformedInputError, RamseyError
-from .patterns import PatternSchema, instance_value_sets
+from .errors import BudgetExceededError, MalformedInputError, RamseyError
+from .patterns import LEAF_BUDGET, PatternSchema, instance_value_sets
 
 SAT = "SAT"
 UNSAT = "UNSAT"
@@ -115,10 +115,14 @@ def encode_avoidance(schema: PatternSchema, N: int, c: int,
     Singleton value sets (an instance collapsing to one value) are
     monochromatic under every coloring, so they emit width-1 clauses for
     every color, making the formula unsatisfiable — in agreement with the
-    other engines.
+    other engines.  When the exactly-one blocks alone, N*(1 + c(c-1)/2)
+    clauses, pass :data:`ramseylab.patterns.LEAF_BUDGET`, it raises
+    :class:`BudgetExceededError` before it builds anything.
     """
     if N < 1 or c < 1:
         raise MalformedInputError("encode_avoidance needs N >= 1 and c >= 1")
+    if N * (1 + c * (c - 1) // 2) > LEAF_BUDGET:
+        raise BudgetExceededError.past(LEAF_BUDGET)
     vmap = ColorVarMap(N=N, c=c)
     first = range(1 - c, N * c + 1, c)  # first[n] = var(n, 0), n in [1..N]
     value_sets = instance_value_sets(schema, N)

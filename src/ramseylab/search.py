@@ -19,7 +19,9 @@ the box, in order, with the color test done at each leaf and only the
 monochromatic leaves yielded.  The value sets the avoidance engines
 read are the same scan's leaves under one color, and past
 :data:`ramseylab.patterns.LEAF_BUDGET` leaves their verdict is
-``unknown``.  Backtracking is one depth-first search from value 1, and a
+``unknown``.  So is that of a box of more than LEAF_BUDGET values, or on
+the sat engine of more than LEAF_BUDGET exactly-one clauses, and no
+engine allocates anything for such a box first.  Backtracking is one depth-first search from value 1, and a
 backtracking threshold scan is one such search carried one value deeper
 per N: each row's count is the one a search of [1..N] alone would spend.
 Every search counts its nodes (leaves, color tries) in one counter on the calling
@@ -41,8 +43,8 @@ from . import sat as satmod
 from ._parallel import ordered_first_hit
 from .colorings import Coloring, enumerate_colorings
 from .errors import BudgetExceededError, MalformedInputError, RamseyError
-from .patterns import (PatternSchema, compile_scan, instance_value_sets,
-                       instantiate)
+from .patterns import (LEAF_BUDGET, PatternSchema, compile_scan,
+                       instance_value_sets, instantiate)
 
 ENGINES = ("backtracking", "sat", "exhaustive")
 
@@ -141,6 +143,15 @@ def find_all_instances_detailed(query: InstanceQuery,
 
 # ---------------------------------------------------------------------------
 # avoidance search
+
+
+def _value_sets(schema: PatternSchema, N: int) -> list:
+    """The value sets of [1..N], once the box is known to hold at most
+    LEAF_BUDGET values: a larger box answers ``unknown``, as its value
+    sets would, before anything is allocated for it."""
+    if N > LEAF_BUDGET:
+        raise BudgetExceededError.past(LEAF_BUDGET)
+    return instance_value_sets(schema, N)
 
 
 _NO_INSTANCE = ((), ())
@@ -249,8 +260,8 @@ def _backtracking_results(schema: PatternSchema, c: int, first: int,
         t0 = time.perf_counter()
         stats = SearchStats()
         try:
-            index += _index_by_max(instance_value_sets(schema, N),
-                                   len(index) + 1, N)
+            index += _index_by_max(_value_sets(schema, N), len(index) + 1,
+                                   N)
             # one task, so the bench's parallel.* counters still see it
             cells, stats.nodes = ordered_first_hit([lambda: next(dfs)])
         except BudgetExceededError as exc:
@@ -307,7 +318,7 @@ def find_avoiding_coloring(schema: PatternSchema, N: int, c: int,
             elif sv.status == satmod.UNKNOWN:
                 verdict = "unknown"
         else:
-            value_sets = instance_value_sets(schema, N)
+            value_sets = _value_sets(schema, N)
             nodes = 0
             for col in enumerate_colorings(N, c, symmetry_break=True):
                 nodes += 1

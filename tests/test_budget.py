@@ -16,7 +16,8 @@ from ramseylab.hindman import (find_fs_witness_detailed,
                                find_scaled_bundle_detailed,
                                find_scaled_quad_detailed,
                                find_shifted_bundle_detailed)
-from ramseylab import patterns
+from ramseylab import patterns, search
+from ramseylab import sat as satmod
 from ramseylab.patterns import LEAF_BUDGET, instance_value_sets, parse_pattern
 from ramseylab.search import (ENGINES, InstanceQuery,
                               find_all_instances_detailed,
@@ -137,3 +138,20 @@ def test_leaf_budget_gives_unknown_on_every_engine(monkeypatch, engine):
     assert [row[1] for row in res.rows] == ["sat"] * 4 + ["unknown"]
     assert res.rows[-1][2] == 7
     assert res.certificate.N == 4
+
+
+@pytest.mark.parametrize("engine, module, bound", [
+    ("backtracking", search, 5),  # a box of N values, N > bound
+    ("exhaustive", search, 5),
+    ("sat", satmod, 20),  # N * (1 + C(3, 2)) exactly-one clauses > bound
+])
+def test_a_threshold_keeps_its_rows_before_a_box_past_the_set_up_bound(
+        monkeypatch, engine, module, bound):
+    # the bounds are checked before anything is built for the box, and
+    # answer unknown as the value sets past LEAF_BUDGET do
+    monkeypatch.setattr(module, "LEAF_BUDGET", bound)
+    res = threshold_number(parse_pattern("{x, y, x+y}"), 3, 20, engine=engine)
+    assert (res.status, res.threshold) == ("unknown", None)
+    assert [row[1] for row in res.rows] == ["sat"] * 5 + ["unknown"]
+    assert res.rows[-1][2] == bound + 1
+    assert res.certificate.N == 5

@@ -143,6 +143,36 @@ def test_avoid_past_the_leaf_budget_exits_two(capsys):
     assert report["query"]["n"] == 200000
 
 
+@pytest.mark.parametrize("engine", ["backtracking", "sat", "exhaustive"])
+def test_a_box_past_the_leaf_budget_exits_two_before_it_is_built(capsys,
+                                                                 engine):
+    # one instance, but a colour table and per-value arrays of 10^9 + 1
+    # entries used to be built first, past any timeout
+    code, report = run_json(
+        capsys, "avoid", "--pattern", "{x+999999990}", "--n", "1000000000",
+        "--colors", "2", "--engine", engine)
+    assert (code, report["verdict"], report["witness"]) == (2, "unknown", None)
+    assert report["stats"]["nodes"] == patterns.LEAF_BUDGET + 1
+
+
+def test_a_huge_palette_is_refused_by_the_clause_bound_only(capsys, tmp_path):
+    # 10 * (1 + C(100000, 2)) exactly-one clauses pass LEAF_BUDGET, so sat
+    # and encode answer unknown before they build one; backtracking needs
+    # only as many colours as values, and answers as it does at c = 5
+    argv = ("--pattern", SCHUR, "--n", "10", "--colors", "100000")
+    code, report = run_json(capsys, "avoid", *argv, "--engine", "sat")
+    assert (code, report["verdict"]) == (2, "unknown")
+    assert report["stats"]["nodes"] == patterns.LEAF_BUDGET + 1
+    cnf = tmp_path / "huge.cnf"
+    code, report = run_json(capsys, "encode", *argv, "--out-cnf", str(cnf))
+    assert (code, report["verdict"]) == (2, "unknown")
+    assert not cnf.exists()
+    code, report = run_json(capsys, "avoid", *argv)
+    assert (code, report["verdict"]) == (0, "sat")
+    assert report["witness"]["cells"] == [0, 1, 0, 2, 0, 1, 0, 3, 0, 1]
+    assert report["stats"]["nodes"] == 18
+
+
 def test_encode_past_the_leaf_budget_exits_two(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(patterns, "LEAF_BUDGET", 6)  # Schur: 10 leaves at 5
     cnf = tmp_path / "s5.cnf"
