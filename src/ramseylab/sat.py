@@ -140,7 +140,8 @@ def encode_avoidance(schema: PatternSchema, N: int, c: int,
                 clauses.append([-j1, -j2])
     for values in value_sets:
         negs = [-first[v] for v in values]
-        for j in range(c):
+        clauses.append(negs)
+        for j in range(1, c):
             clauses.append([b - j for b in negs])
     return CnfFormula(var_count=var_count, clauses=clauses, simple=True), vmap
 
@@ -202,11 +203,11 @@ class _Solver:
         code_of = [0] * (2 * n + 1)
         code_of[1:n + 1] = range(2, 2 * n + 2, 2)
         code_of[n + 1:] = range(2 * n + 1, 2, -2)
-        val, watches = self.val, self.watches
+        val, watches, code = self.val, self.watches, code_of.__getitem__
         # each clause is read as given: no clause repeats a variable (see
         # :func:`solve`), so its code list is the solver's own clause
         for cl in formula.clauses:
-            lits = list(map(code_of.__getitem__, cl))
+            lits = list(map(code, cl))
             if len(lits) > 1:
                 watches[lits[0]].append(lits)
                 watches[lits[1]].append(lits)
@@ -279,14 +280,16 @@ class _Solver:
         return None
 
     def _analyze(self, confl):
-        """First-UIP conflict analysis; returns (learnt clause, backjump level)."""
+        """First-UIP conflict analysis; returns (learnt clause, backjump
+        level).  The learnt clause starts with the asserting literal, and
+        its second literal is the first one from the backjump level."""
         level, reason, trail = self.level, self.reason, self.trail
-        learnt = []
+        learnt = [0]
         seen = set()
         counter = 0
         p = None
         idx = len(trail) - 1
-        btlevel = 0
+        btlevel = best = 0
         cur = len(self.trail_lim)
         while True:
             for q in (confl if p is None else confl[1:]):
@@ -297,8 +300,9 @@ class _Solver:
                     if lv == cur:
                         counter += 1
                     else:
+                        if lv > btlevel:
+                            btlevel, best = lv, len(learnt)
                         learnt.append(q)
-                        btlevel = max(btlevel, lv)
             while trail[idx] >> 1 not in seen:
                 idx -= 1
             p = trail[idx]
@@ -308,7 +312,10 @@ class _Solver:
             if counter == 0:
                 break
             confl = reason[p >> 1]
-        return [p ^ 1] + learnt, btlevel
+        learnt[0] = p ^ 1
+        if best:
+            learnt[1], learnt[best] = learnt[best], learnt[1]
+        return learnt, btlevel
 
     def _cancel_until(self, level: int) -> None:
         if len(self.trail_lim) > level:
@@ -323,8 +330,6 @@ class _Solver:
     def _record(self, learnt) -> None:
         if len(learnt) > 1:
             # watch the asserting literal and a literal from the backjump level
-            best = max(range(1, len(learnt)), key=lambda i: self.level[learnt[i] >> 1])
-            learnt[1], learnt[best] = learnt[best], learnt[1]
             self.watches[learnt[0]].append(learnt)
             self.watches[learnt[1]].append(learnt)
         self._assign(learnt[0], learnt)  # a unit's reason, at level 0, is never read
