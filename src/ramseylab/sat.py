@@ -21,14 +21,22 @@ are in no instance, so some relabelling of every avoiding colouring
 satisfies the block: it never changes the verdict.
 
 The solver is a first-UIP CDCL with two-watched-literal propagation.  It
-branches on the lowest-index unassigned variable, true first, never
-restarts and never deletes a learnt clause.  Inside it the literal v is
-coded 2v and -v is 2v+1 (negation is ``code ^ 1``; CPython's fast list
-subscript takes no negative index), and codes index flat lists:
-``val[code]`` is the literal's truth value, ``watches[code]`` its watch
-list.  The branching and propagation order, down to the order of watch
-lists and of the literals in each clause, is frozen: node counts are part
-of the report contract.
+branches on the lowest-index unassigned variable, in that variable's
+saved phase: the polarity it last held on the trail, true before it has
+held one (phase saving; Pipatsrisawat & Darwiche, SAT 2007).  Up to the
+first conflict every decision is true, as without saved phases; after
+it, a model need not be the lexicographically least.  The solver never
+restarts and never deletes a learnt clause.  It reads each input clause
+as given: no encoder clause repeats a variable, and :func:`solve` drops
+the repeated literals and tautologies of any other formula first, which
+changes no verdict or node count.  Inside it the literal v is coded 2v
+and -v is 2v+1 (negation is ``code ^ 1``; CPython's fast list subscript
+takes no negative index), and codes index flat lists: ``val[code]`` is
+the literal's truth value, ``watches[code]`` its watch list, ``phase[v]``
+the saved phase (0 true, 1 false) that a decision adds to 2v.  The
+branching and propagation order, down to the order of watch lists and of
+the literals in each clause, is frozen: node counts are part of the
+report contract.
 """
 
 from __future__ import annotations
@@ -191,6 +199,7 @@ class _Solver:
         self.watches = [[] for _ in range(2 * n + 2)]
         self.level = [0] * (n + 1)
         self.reason = [None] * (n + 1)
+        self.phase = [0] * (n + 1)  # saved polarity: 0 true, 1 false
         self.trail = []
         self.trail_lim = []
         self.qhead = 0
@@ -320,9 +329,10 @@ class _Solver:
     def _cancel_until(self, level: int) -> None:
         if len(self.trail_lim) > level:
             mark = self.trail_lim[level]
-            val = self.val
+            val, phase = self.val, self.phase
             for lit in self.trail[mark:]:
                 val[lit] = val[lit ^ 1] = 0
+                phase[lit >> 1] = lit & 1
             del self.trail[mark:]
             del self.trail_lim[level:]
         self.qhead = len(self.trail)
@@ -363,7 +373,7 @@ class _Solver:
             branch_from = v
             self.decisions += 1
             self.trail_lim.append(len(self.trail))
-            self._assign(2 * v, None)  # deterministic: lowest index, true first
+            self._assign(2 * v + self.phase[v], None)
 
 
 def check_model(formula: CnfFormula, model) -> bool:

@@ -157,12 +157,12 @@ def _outcome(verdict):
 # A DIMACS file may repeat a literal, hold a tautology or repeat a unit.
 # solve() hands the solver each clause without its repeats and skips
 # tautologies, so such a file keeps the verdict and node count of the
-# formula without them (the counts are pinned as they were when the
-# solver itself dropped repeats).
+# formula without them.  (Before phase saving the pins read 6 + 9, 23 + 23
+# and 194 + 200, the counts of the solver that dropped repeats itself.)
 @pytest.mark.parametrize("pattern, N, c, status, conflicts, decisions", [
-    ("{x, y, x+y}", 13, 3, satmod.SAT, 6, 9),
-    ("{x, y, x+y}", 14, 3, satmod.UNSAT, 23, 23),
-    ("{a, a+d, a+2*d}", 26, 3, satmod.SAT, 194, 200),
+    ("{x, y, x+y}", 13, 3, satmod.SAT, 15, 24),
+    ("{x, y, x+y}", 14, 3, satmod.UNSAT, 22, 28),
+    ("{a, a+d, a+2*d}", 26, 3, satmod.SAT, 256, 295),
 ])
 def test_dimacs_repeats_keep_verdicts_and_node_counts(pattern, N, c, status,
                                                       conflicts, decisions):
