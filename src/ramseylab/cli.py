@@ -40,8 +40,9 @@ from .colorings import (GENERATORS, Coloring, ColoringSpec, load_file,
                         save_file)
 from .errors import BudgetExceededError, MalformedInputError, RamseyError
 from .hindman import (BUILTIN_OPS, SCALED_QUAD, SHIFTED_QUAD, CutGrid,
-                      builtin_op, check_composed_witness,
-                      check_depth_indexed_witness, composed_color_by_depth,
+                      builtin_op, check_composed_witness_detailed,
+                      check_depth_indexed_witness_detailed,
+                      composed_color_by_depth_detailed,
                       find_fs_witness_detailed, find_grid_witness_detailed,
                       find_scaled_bundle_detailed, find_scaled_quad_detailed,
                       find_shifted_bundle_detailed,
@@ -312,21 +313,26 @@ def cmd_composed_witness(args) -> tuple:
             "op": op.to_json(), "coloring": spec.to_json()}
     if args.profile_depth is not None:
         query = dict(base, mode="profile", d_max=args.profile_depth)
-        return query, "composed-check", lambda: ("profiled", {
-            "profile": composed_color_by_depth(coloring, op, seq,
-                                               args.profile_depth)}, 0)
+
+        def profile():
+            rows, units = composed_color_by_depth_detailed(
+                coloring, op, seq, args.profile_depth)
+            return "profiled", {"profile": rows}, units
+        return query, "composed-check", profile
     if args.depth_set_m0 is not None:
         query = dict(base, mode="depth-indexed", m0=args.depth_set_m0)
-        check = lambda: check_depth_indexed_witness(coloring, op, seq,
-                                                    args.depth_set_m0)
+        check = lambda: check_depth_indexed_witness_detailed(
+            coloring, op, seq, args.depth_set_m0)
     else:
         cuts = _csv_ints(args.cuts)
         query = dict(base, mode="check", cuts=list(cuts))
-        check = lambda: check_composed_witness(coloring, op, CutGrid(seq, cuts))
+        check = lambda: check_composed_witness_detailed(
+            coloring, op, CutGrid(seq, cuts))
 
     def run():
-        ok, color = check()
-        return ("valid", {"color": color}, 0) if ok else ("invalid", None, 0)
+        (ok, color), units = check()
+        return ("valid", {"color": color}, units) if ok else (
+            "invalid", None, units)
     return query, "composed-check", run
 
 

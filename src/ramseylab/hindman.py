@@ -10,7 +10,9 @@ so grid and fs witnesses coincide there — a fact the test suite leans on.
 left-nested, and color the results; the *depth-indexed* variant ties the
 number of blocks d to the subset sums of the sequence's own head.  One
 walk, :func:`_composed_walk`, answers both: it closes each block once and
-gives up past :data:`structures.PROBE_BUDGET` units.  No finder exists.
+gives up past :data:`structures.PROBE_BUDGET` units; the ``_detailed``
+forms also return the units spent, which ``composed-witness`` reports as
+its nodes.  No finder exists.
 
 A :class:`Bundle` is one of the paper's two structures: the scaled lam*A ∪
 lam*B ∪ lam*(A+B) ∪ A*B (kind ``bundle14``), A carrying k-FS and k-AP, or
@@ -361,15 +363,15 @@ def load_op_table(path) -> OpTable:
 
 
 def _composed_walk(coloring: Coloring, op: OpTable, seq: tuple):
-    """``(close, fold)`` with one unit counter.  ``close(block)`` spends
-    min(2^len - 1, sum) units, the most values FS(block) has, then builds
-    it sorted.  ``fold(tuples)`` folds each cut tuple's picks (one closure
-    value per block, in ``product`` order, left-nested through ``op``; a
-    unit each) into the tuple's color, then those colors into (ok, color),
-    so answers and errors are those of one check per tuple.  A block (lo,
-    hi) is closed when a tuple first holds it; the first tuple checks
-    ``seq`` as its CutGrid did.  Unit PROBE_BUDGET + 1 raises
-    BudgetExceededError."""
+    """``(close, fold, spent)`` with one unit counter.  ``close(block)``
+    spends min(2^len - 1, sum) units, the most values FS(block) has, then
+    builds it sorted.  ``fold(tuples)`` folds each cut tuple's picks (one
+    closure value per block, in ``product`` order, left-nested through
+    ``op``; a unit each) into the tuple's color, then those colors into
+    (ok, color), so answers and errors are those of one check per tuple.
+    A block (lo, hi) is closed when a tuple first holds it; the first tuple
+    checks ``seq`` as its CutGrid did.  ``spent()`` is the units spent so
+    far; unit PROBE_BUDGET + 1 raises BudgetExceededError."""
     budget, spent, closures = structures.PROBE_BUDGET, 0, {}
 
     def spend(units: int):
@@ -399,7 +401,7 @@ def _composed_walk(coloring: Coloring, op: OpTable, seq: tuple):
             yield True, coloring.value_color(v)
 
     return close, lambda tuples: _common_color(
-        _common_color(colors(cuts)) for cuts in tuples)
+        _common_color(colors(cuts)) for cuts in tuples), lambda: spent
 
 
 def check_composed_witness(coloring: Coloring, op: OpTable,
@@ -408,24 +410,45 @@ def check_composed_witness(coloring: Coloring, op: OpTable,
     left-nested (d = 1: the bare value), and demand one color over all
     choices: (False, None) on a mismatch; CompositionOutOfBoxError for a
     value the operation or the coloring cannot take."""
-    return _composed_walk(coloring, op, grid.sequence)[1]([grid.cuts])
+    return check_composed_witness_detailed(coloring, op, grid)[0]
+
+
+def check_composed_witness_detailed(coloring: Coloring, op: OpTable,
+                                    grid: CutGrid):
+    """As :func:`check_composed_witness`, also returning the walk's units."""
+    _, fold, spent = _composed_walk(coloring, op, grid.sequence)
+    return fold([grid.cuts]), spent()
 
 
 def composed_color_by_depth(coloring: Coloring, op: OpTable, sequence,
                             d_max: int):
     """Depth profile: for each d in 1..min(d_max, L), do all d-block cut
     tuples compose to one common color?  Escapes are recorded per depth;
-    the depths share one walk and its budget."""
+    the depths share one walk and its budget.  Depth 1 holds the block
+    (0, L), so a sequence of more than MAX_FAMILY entries is refused before
+    any work."""
+    return composed_color_by_depth_detailed(coloring, op, sequence, d_max)[0]
+
+
+def composed_color_by_depth_detailed(coloring: Coloring, op: OpTable,
+                                     sequence, d_max: int):
+    """As :func:`composed_color_by_depth`, also returning the walk's units."""
     seq = tuple(int(v) for v in sequence)
-    fold, profile = _composed_walk(coloring, op, seq)[1], []
-    for d in range(1, min(d_max, len(seq)) + 1):
+    L = len(seq)
+    if d_max >= 1 and L > MAX_FAMILY:
+        raise RamseyError(f"profile block length {L} (depth 1 holds the "
+                          f"whole sequence): family size {L} outside "
+                          f"[1, {MAX_FAMILY}]")
+    _, fold, spent = _composed_walk(coloring, op, seq)
+    profile = []
+    for d in range(1, min(d_max, L) + 1):
         try:
-            ok, color = fold(combinations(range(len(seq) + 1), d + 1))
+            ok, color = fold(combinations(range(L + 1), d + 1))
             oob = False
         except OutOfBoxError:  # CompositionOutOfBoxError included
             ok, color, oob = False, None, True
         profile.append({"d": d, "ok": ok, "color": color, "oob": oob})
-    return profile
+    return profile, spent()
 
 
 def check_depth_indexed_witness(coloring: Coloring, op: OpTable, sequence,
@@ -434,13 +457,21 @@ def check_depth_indexed_witness(coloring: Coloring, op: OpTable, sequence,
     tuple (m0, m_1, ..., m_d) with m_d <= L must compose to one color,
     shared by all.  Returns (ok, color); (True, None) when no cut tuple
     exists at any admissible depth."""
+    return check_depth_indexed_witness_detailed(coloring, op, sequence, m0)[0]
+
+
+def check_depth_indexed_witness_detailed(coloring: Coloring, op: OpTable,
+                                         sequence, m0: int):
+    """As :func:`check_depth_indexed_witness`, also returning the walk's
+    units."""
     seq = tuple(int(v) for v in sequence)
     L = len(seq)
     if not 1 <= m0 <= L:
         raise RamseyError(f"need 1 <= m0 <= {L}, got {m0}")
-    close, fold = _composed_walk(coloring, op, seq)
-    return fold((m0,) + rest for d in close(seq[:m0]) if d <= L - m0
-                for rest in combinations(range(m0 + 1, L + 1), d))
+    close, fold, spent = _composed_walk(coloring, op, seq)
+    answer = fold((m0,) + rest for d in close(seq[:m0]) if d <= L - m0
+                  for rest in combinations(range(m0 + 1, L + 1), d))
+    return answer, spent()
 
 
 # ---------------------------------------------------------------------------

@@ -853,6 +853,8 @@ def test_composed_witness_check(capsys):
     assert report["verdict"] == "valid"
     assert report["witness"] == {"color": 0}
     assert report["query"]["op"] == {"kind": "multiplication-capped", "n": 8}
+    # the walk's units: a unit per one-value block, and one fold
+    assert report["stats"]["nodes"] == 3
 
 
 def test_composed_witness_profile(capsys):
@@ -863,6 +865,22 @@ def test_composed_witness_profile(capsys):
     assert code == 0
     assert report["verdict"] == "profiled"
     assert [row["ok"] for row in report["witness"]["profile"]] == [True, True]
+    # blocks (2) twice and (2, 2) at min(3, 4) units, then 3 + 1 folds
+    assert report["stats"]["nodes"] == 10
+
+
+def test_composed_profile_past_30_entries_is_refused(capsys):
+    # depth 1 holds the whole sequence as one block, past the 30-entry rule
+    # of every closure: refused before the walk, not after its short blocks
+    code, report = run_json(
+        capsys, "composed-witness", "--sequence", ",".join(["1"] * 31),
+        "--profile-depth", "1", "--op", "addition-capped",
+        "--generator", "constant", "--n", "1000", "--colors", "1",
+        "--param", "0")
+    assert (code, report["verdict"]) == (1, "error")
+    assert report["error"] == (
+        "profile block length 31 (depth 1 holds the whole sequence): "
+        "family size 31 outside [1, 30]")
 
 
 def test_composed_witness_depth_set(capsys):
@@ -872,6 +890,9 @@ def test_composed_witness_depth_set(capsys):
         "--generator", "parity", "--n", "8", "--colors", "2")
     assert code == 0
     assert report["verdict"] == "valid"
+    # the head (1) and the blocks (2), (2, 2), (2, 2, 2) at 1, 1, 3 and 6
+    # units, then 1 + 2 + 3 folds
+    assert report["stats"]["nodes"] == 17
 
 
 COMPOSED = ("composed-witness", "--sequence", "2,2", *PARITY8)

@@ -18,8 +18,12 @@ from ramseylab.errors import (BudgetExceededError, CompositionOutOfBoxError,
 from ramseylab.hindman import (BUILTIN_OPS, SCALED_QUAD, SHIFTED_QUAD,
                                Bundle, CutGrid, OpTable,
                                builtin_op, check_bundle, check_composed_witness,
-                               check_depth_indexed_witness, check_fs_witness,
-                               check_grid_witness, composed_color_by_depth,
+                               check_composed_witness_detailed,
+                               check_depth_indexed_witness,
+                               check_depth_indexed_witness_detailed,
+                               check_fs_witness, check_grid_witness,
+                               composed_color_by_depth,
+                               composed_color_by_depth_detailed,
                                find_fs_witness_detailed,
                                find_grid_witness_detailed,
                                find_scaled_bundle_detailed,
@@ -723,6 +727,34 @@ def test_composed_walk_spends_one_unit_per_fold_and_value(monkeypatch):
     monkeypatch.setattr(structures, "PROBE_BUDGET", 2)
     with pytest.raises(BudgetExceededError):
         check_depth_indexed_witness(parity(8), mul, (1, 2, 2, 2, 2), 2)
+
+
+@pytest.mark.parametrize("detailed, args, units", [
+    (check_composed_witness_detailed, (CutGrid((2, 2), (0, 1, 2)),), 3),
+    (composed_color_by_depth_detailed, ((2, 2), 2), 10),
+    (check_depth_indexed_witness_detailed, ((1, 2, 2, 2), 1), 17),
+])
+def test_composed_walk_reports_the_units_it_needs(monkeypatch, detailed,
+                                                  args, units):
+    # a budget of exactly the reported units answers; one less stops it
+    mul = builtin_op("multiplication-capped", 8)
+    answer, spent = detailed(parity(8), mul, *args)
+    assert spent == units
+    monkeypatch.setattr(structures, "PROBE_BUDGET", units)
+    assert detailed(parity(8), mul, *args) == (answer, units)
+    monkeypatch.setattr(structures, "PROBE_BUDGET", units - 1)
+    with pytest.raises(BudgetExceededError):
+        detailed(parity(8), mul, *args)
+
+
+def test_composed_profile_refuses_a_block_past_30_entries(monkeypatch):
+    # depth 1 holds (0, 31): refused before any block is closed
+    monkeypatch.setattr(hindman, "fs_values", None)
+    add = builtin_op("addition-capped", 1000)
+    one = make_coloring("constant", 1, 1000, 1, param=(0,))
+    with pytest.raises(RamseyError, match="profile block length 31"):
+        composed_color_by_depth(one, add, (1,) * 31, 1)
+    assert composed_color_by_depth(one, add, (1,) * 31, 0) == []
 
 
 def test_composed_walk_stops_at_its_budget():
