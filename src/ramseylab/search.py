@@ -21,13 +21,14 @@ read are the same scan's leaves under one color, and past
 :data:`ramseylab.patterns.LEAF_BUDGET` leaves their verdict is
 ``unknown``.  So is that of a box of more than LEAF_BUDGET values, or on
 the sat engine of more than LEAF_BUDGET exactly-one clauses, and no
-engine allocates anything for such a box first.  Backtracking is one depth-first search from value 1, and a
-backtracking threshold scan is one such search carried one value deeper
-per N: each row's count is the one a search of [1..N] alone would spend.
-Every search counts its nodes (leaves, color tries) in one counter on the calling
-thread, so witnesses, node counts and budget verdicts depend only on the
-query.  A budget of B nodes gives the answer when the search needs at most
-B nodes; otherwise node B + 1 stops it (``BudgetExceededError.past``).
+engine allocates anything for such a box first.  Backtracking is one
+depth-first search from value 1, and a backtracking threshold scan is one
+such search carried one value deeper per N: each row's count is the one
+a search of [1..N] alone would spend.  Every search counts its nodes
+(leaves, color tries) in one counter on the calling thread, so
+witnesses, node counts and budget verdicts depend only on the query.  A
+budget of B nodes gives the answer when the search needs at most B
+nodes; otherwise node B + 1 stops it (``BudgetExceededError.past``).
 The scan stops itself there: it is handed leaf max(B, 0) + 1 as the leaf
 to stop at, before that leaf's colors are read.  Avoiding colorings are
 re-validated with ``find_instance``.
@@ -259,6 +260,7 @@ def _backtracking_results(schema: PatternSchema, c: int, first: int,
     for N in range(first, last + 1):
         t0 = time.perf_counter()
         stats = SearchStats()
+        verdict, found = "unknown", None
         try:
             index += _index_by_max(_value_sets(schema, N), len(index) + 1,
                                    N)
@@ -267,13 +269,13 @@ def _backtracking_results(schema: PatternSchema, c: int, first: int,
         except BudgetExceededError as exc:
             # a node budget, or the value sets' LEAF_BUDGET, ran out
             stats.nodes = exc.nodes
-            yield _checked(schema, "backtracking", "unknown", None, stats, t0)
+        else:
+            verdict = "unsat" if cells is None else "sat"
+            if cells is not None:
+                found = Coloring(d=1, N=N, c=c, cells=cells)
+        yield _checked(schema, "backtracking", verdict, found, stats, t0)
+        if verdict != "sat":
             return
-        if cells is None:
-            yield _checked(schema, "backtracking", "unsat", None, stats, t0)
-            return
-        yield _checked(schema, "backtracking", "sat",
-                       Coloring(d=1, N=N, c=c, cells=cells), stats, t0)
 
 
 def _checked(schema, engine, verdict, found, stats, t0) -> AvoidanceResult:
