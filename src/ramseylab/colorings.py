@@ -345,7 +345,9 @@ def enumerate_colorings(N: int, c: int, symmetry_break: bool = False,
     first-use order (restricted-growth strings).  Each orbit representative
     is also the lexicographically least member of its orbit.
     """
-    if c ** N > budget:
+    # bit lengths decide a huge c or N before any big power is built:
+    # c >= 2^(bit_length - 1), so the first test implies c^N > budget
+    if (c.bit_length() - 1) * N > budget.bit_length() or c ** N > budget:
         raise BudgetExceededError(
             f"{c}^{N} colorings exceed enumeration budget {budget}")
     if not symmetry_break:

@@ -278,6 +278,16 @@ def test_enumerate_budget():
         list(enumerate_colorings(30, 2, budget=1000))
 
 
+def test_enumerate_budget_is_decided_without_a_huge_power():
+    # c^N would have 40M bits here; bit lengths refuse it at once
+    with pytest.raises(BudgetExceededError):
+        list(enumerate_colorings(1 << 20, 10 ** 12))
+    with pytest.raises(BudgetExceededError):
+        list(enumerate_colorings(10, 2, budget=1023))  # 2^10 = budget + 1
+    assert len(list(enumerate_colorings(10, 2, budget=1024))) == 1024
+    assert len(list(enumerate_colorings(1 << 20, 1, budget=1))) == 1
+
+
 def _orbit_least(cells, c):
     """Lexicographically least color relabeling — the canonical form."""
     best = None
