@@ -6,12 +6,13 @@ from .colorings import Coloring, ColoringSpec, enumerate_colorings, make_colorin
 from .errors import (BudgetExceededError, CompositionOutOfBoxError,
                      MalformedInputError, OutOfBoxError, RamseyError,
                      ValueOverflowError)
-from .hindman import (Bundle, CutGrid, OpTable, builtin_op, check_bundle,
-                      check_composed_witness, check_depth_indexed_witness,
-                      check_fs_witness, check_grid_witness,
-                      composed_color_by_depth, find_fs_witness_detailed,
-                      find_grid_witness_detailed, find_scaled_bundle_detailed,
-                      find_scaled_quad_detailed, find_shifted_bundle_detailed,
+from .hindman import (Bundle, CutGrid, OpTable, check_bundle,
+                      check_composed_witness_detailed,
+                      check_depth_indexed_witness_detailed, check_fs_witness,
+                      check_grid_witness, composed_color_by_depth_detailed,
+                      find_fs_witness_detailed, find_grid_witness_detailed,
+                      find_scaled_bundle_detailed, find_scaled_quad_detailed,
+                      find_shifted_bundle_detailed,
                       find_shifted_quad_detailed, grid_common_color,
                       load_op_table, load_witness, make_witness, op_from_json,
                       save_witness, verify_witness)
@@ -34,11 +35,11 @@ __all__ = [
     "Coloring", "ColoringSpec", "CompositionOutOfBoxError", "CutGrid",
     "InstanceQuery", "MalformedInputError", "OpTable",
     "OutOfBoxError", "PatternSchema", "RamseyError", "ThresholdResult",
-    "ValueOverflowError", "algebra_report", "builtin_op", "check_bundle",
-    "check_composed_witness", "check_depth_indexed_witness",
-    "check_fs_witness", "check_grid_witness", "composed_color_by_depth",
-    "contains_kap", "contains_kfp", "contains_kfs", "contains_kgp",
-    "enumerate_colorings",
+    "ValueOverflowError", "algebra_report", "check_bundle",
+    "check_composed_witness_detailed", "check_depth_indexed_witness_detailed",
+    "check_fs_witness", "check_grid_witness",
+    "composed_color_by_depth_detailed", "contains_kap", "contains_kfp",
+    "contains_kfs", "contains_kgp", "enumerate_colorings",
     "find_all_instances_detailed", "find_avoiding_coloring",
     "find_fs_witness_detailed", "find_grid_witness_detailed",
     "find_instance", "find_instance_detailed", "find_scaled_bundle_detailed",

@@ -289,7 +289,7 @@ def criterion_8():
                             d=1, N=40, c=2)
         record = make_witness("fs", {"generators": list(gens), "k": 2,
                                      "color": color},
-                              coloring_spec=spec, validated=True)
+                              coloring_spec=spec)
         wpath = os.path.join(tmp, "w.json")
         save_witness(wpath, record)
         loaded = load_witness(wpath)

@@ -40,7 +40,7 @@ from .colorings import (GENERATORS, Coloring, ColoringSpec, load_file,
                         save_file)
 from .errors import BudgetExceededError, MalformedInputError, RamseyError
 from .hindman import (BUILTIN_OPS, SCALED_QUAD, SHIFTED_QUAD, CutGrid,
-                      builtin_op, check_composed_witness_detailed,
+                      OpTable, check_composed_witness_detailed,
                       check_depth_indexed_witness_detailed,
                       composed_color_by_depth_detailed,
                       find_fs_witness_detailed, find_grid_witness_detailed,
@@ -156,8 +156,7 @@ def _verified(args, kind: str, witness: dict, coloring: Coloring,
     """``witness``, once :func:`verify_witness` accepts the record of kind
     ``kind`` built from it (its data: ``witness`` plus ``extra``); that
     same record is saved to --witness-out."""
-    record = make_witness(kind, dict(witness, **extra), coloring_spec=spec,
-                          validated=True)
+    record = make_witness(kind, dict(witness, **extra), coloring_spec=spec)
     _recheck(*verify_witness(record, coloring=coloring))
     if args.witness_out:
         save_witness(args.witness_out, record)
@@ -298,16 +297,10 @@ def cmd_grid_witness(args) -> tuple:
             coloring, spec))
 
 
-def _op_from_args(args, coloring: Coloring):
-    if args.op_table:
-        return load_op_table(args.op_table)
-    n = args.op_n if args.op_n is not None else coloring.N
-    return builtin_op(args.op, n)
-
-
 def cmd_composed_witness(args) -> tuple:
     coloring, spec = _coloring_from_args(args)
-    op = _op_from_args(args, coloring)
+    op = (load_op_table(args.op_table) if args.op_table
+          else OpTable(kind=args.op, n=coloring.N))
     seq = _csv_ints(args.sequence)
     base = {"command": "composed-witness", "sequence": list(seq),
             "op": op.to_json(), "coloring": spec.to_json()}
@@ -523,7 +516,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sequence", required=True, help="comma-separated entries")
     p.add_argument("--op", choices=BUILTIN_OPS, default="multiplication-capped")
     p.add_argument("--op-table", help="explicit operation table file")
-    p.add_argument("--op-n", type=int, help="builtin op domain (default N)")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--cuts", help="comma-separated cut tuple m_0,...,m_d")
     mode.add_argument("--profile-depth", type=int,
@@ -544,9 +536,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cap-a", type=int, default=None,
                        help="largest |A| to try (default min(7, 2^k - 1) for "
                        "bundle14, min(9, 2^k) for bundle15); sizes below "
-                       "k(k+1)/2 hold no k-generator FS set and are "
-                       "skipped, so a smaller cap, as the default is for "
-                       "k >= 4, answers none after 0 nodes")
+                       "k(k+1)/2 hold no k-generator FS set, so a smaller "
+                       "cap, as the default is for k >= 4, is an error")
         p.add_argument("--corollary", action="store_true",
                        help="search the 4-term quadruple pattern instead")
         _search_args(p, "--budget")

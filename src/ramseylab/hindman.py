@@ -10,9 +10,9 @@ so grid and fs witnesses coincide there — a fact the test suite leans on.
 left-nested, and color the results; the *depth-indexed* variant ties the
 number of blocks d to the subset sums of the sequence's own head.  One
 walk, :func:`_composed_walk`, answers both: it closes each block once and
-gives up past :data:`structures.PROBE_BUDGET` units; the ``_detailed``
-forms also return the units spent, which ``composed-witness`` reports as
-its nodes.  No finder exists.
+gives up past :data:`structures.PROBE_BUDGET` units.  Each composed check
+(``*_detailed``) returns its answer with the units spent, which
+``composed-witness`` reports as its nodes.  No finder exists.
 
 A :class:`Bundle` is one of the paper's two structures: the scaled lam*A ∪
 lam*B ∪ lam*(A+B) ∪ A*B (kind ``bundle14``), A carrying k-FS and k-AP, or
@@ -347,13 +347,6 @@ def op_from_json(obj: dict) -> OpTable:
     return OpTable(kind=obj["kind"], n=_int(obj, "n"), rows=rows or None)
 
 
-def builtin_op(kind: str, n: int) -> OpTable:
-    if kind not in BUILTIN_OPS:
-        raise MalformedInputError(
-            f"unknown builtin operation {kind!r} (choose from {BUILTIN_OPS})")
-    return OpTable(kind=kind, n=n)
-
-
 def load_op_table(path) -> OpTable:
     """Read an explicit table: first line n, then n rows of n entries in
     [1..n] (rows[i][j] is op(i+1, j+1))."""
@@ -404,35 +397,24 @@ def _composed_walk(coloring: Coloring, op: OpTable, seq: tuple):
         _common_color(colors(cuts)) for cuts in tuples), lambda: spent
 
 
-def check_composed_witness(coloring: Coloring, op: OpTable,
-                           grid: CutGrid) -> tuple:
-    """Pick one closure value per block, fold the picks through ``op``
-    left-nested (d = 1: the bare value), and demand one color over all
-    choices: (False, None) on a mismatch; CompositionOutOfBoxError for a
-    value the operation or the coloring cannot take."""
-    return check_composed_witness_detailed(coloring, op, grid)[0]
-
-
 def check_composed_witness_detailed(coloring: Coloring, op: OpTable,
                                     grid: CutGrid):
-    """As :func:`check_composed_witness`, also returning the walk's units."""
+    """Pick one closure value per block, fold the picks through ``op``
+    left-nested (d = 1: the bare value), and demand one color over all
+    choices.  Returns ((ok, color), units), with (False, None) on a
+    mismatch; CompositionOutOfBoxError for a value the operation or the
+    coloring cannot take."""
     _, fold, spent = _composed_walk(coloring, op, grid.sequence)
     return fold([grid.cuts]), spent()
 
 
-def composed_color_by_depth(coloring: Coloring, op: OpTable, sequence,
-                            d_max: int):
-    """Depth profile: for each d in 1..min(d_max, L), do all d-block cut
-    tuples compose to one common color?  Escapes are recorded per depth;
-    the depths share one walk and its budget.  Depth 1 holds the block
-    (0, L), so a sequence of more than MAX_FAMILY entries is refused before
-    any work."""
-    return composed_color_by_depth_detailed(coloring, op, sequence, d_max)[0]
-
-
 def composed_color_by_depth_detailed(coloring: Coloring, op: OpTable,
                                      sequence, d_max: int):
-    """As :func:`composed_color_by_depth`, also returning the walk's units."""
+    """Depth profile and units: for each d in 1..min(d_max, L), do all
+    d-block cut tuples compose to one common color?  Escapes are recorded
+    per depth; the depths share one walk and its budget.  Depth 1 holds
+    the block (0, L), so a sequence of more than MAX_FAMILY entries is
+    refused before any work."""
     seq = tuple(int(v) for v in sequence)
     L = len(seq)
     if d_max >= 1 and L > MAX_FAMILY:
@@ -451,19 +433,12 @@ def composed_color_by_depth_detailed(coloring: Coloring, op: OpTable,
     return profile, spent()
 
 
-def check_depth_indexed_witness(coloring: Coloring, op: OpTable, sequence,
-                                m0: int) -> tuple:
-    """Depth-indexed check: for each subset sum d of seq[:m0], every cut
-    tuple (m0, m_1, ..., m_d) with m_d <= L must compose to one color,
-    shared by all.  Returns (ok, color); (True, None) when no cut tuple
-    exists at any admissible depth."""
-    return check_depth_indexed_witness_detailed(coloring, op, sequence, m0)[0]
-
-
 def check_depth_indexed_witness_detailed(coloring: Coloring, op: OpTable,
                                          sequence, m0: int):
-    """As :func:`check_depth_indexed_witness`, also returning the walk's
-    units."""
+    """Depth-indexed check: for each subset sum d of seq[:m0], every cut
+    tuple (m0, m_1, ..., m_d) with m_d <= L must compose to one color,
+    shared by all.  Returns ((ok, color), units); (True, None) when no cut
+    tuple exists at any admissible depth."""
     seq = tuple(int(v) for v in sequence)
     L = len(seq)
     if not 1 <= m0 <= L:
@@ -541,20 +516,20 @@ def check_bundle(coloring: Coloring, bundle: Bundle) -> tuple:
 def _find_bundle(coloring: Coloring, k: int, cap_a: Optional[int],
                  budget: Optional[int], shifted: bool):
     """Shared bundle search.  Candidate order: lam ascending, |A| ascending
-    from ``min_closure_size(k)`` (no smaller A holds a k-FS set; a cap
-    below it answers None after 0 nodes), A lexicographic, then B, whose
-    per-b constraints are independent, so the first feasible B is a
-    singleton, tried in ascending b.  Structure is checked once per A,
-    after the first b that keeps the derived set monochromatic."""
+    from ``min_closure_size(k)``, A lexicographic, then B, whose per-b
+    constraints are independent, so the first feasible B is a singleton,
+    tried in ascending b.  Structure is checked once per A, after the
+    first b that keeps the derived set monochromatic.  No smaller A holds
+    a k-FS set, so a cap below that size, given or the default, is
+    refused: the walk it allows could not answer."""
     if k < 1:
         raise RamseyError("k must be at least 1")
     if cap_a is None:
         cap_a = min(9, 2 ** k) if shifted else min(7, 2 ** k - 1)
-    if cap_a < 1:
-        raise RamseyError("cap_a must be at least 1")
     least = min_closure_size(k)
     if cap_a < least:
-        return None, 0
+        raise RamseyError(f"cap_a {cap_a} is below {least}, the least |A| "
+                          f"that holds a {k}-generator FS set")
     N = coloring.N
     colors = coloring.value_table()
     nodes = 0
@@ -674,14 +649,12 @@ def find_shifted_quad_detailed(coloring: Coloring,
 
 
 def make_witness(kind: str, data: dict,
-                 coloring_spec: Optional[ColoringSpec] = None,
-                 validated: bool = False) -> dict:
+                 coloring_spec: Optional[ColoringSpec] = None) -> dict:
     if kind not in WITNESS_KINDS:
         raise MalformedInputError(
             f"unknown witness kind {kind!r} (choose from {WITNESS_KINDS})")
     return {"schema_version": 1, "kind": kind, "data": data,
-            "coloring_ref": coloring_spec.to_json() if coloring_spec else None,
-            "validated": bool(validated)}
+            "coloring_ref": coloring_spec.to_json() if coloring_spec else None}
 
 
 def save_witness(path, record: dict):
@@ -763,7 +736,7 @@ def verify_witness(record: dict, coloring: Optional[Coloring] = None) -> tuple:
                 ok = color is not None
             values, subject, part = "grid blocks", "blocks are", "block"
         else:
-            ok, color = check_composed_witness(
+            (ok, color), _ = check_composed_witness_detailed(
                 coloring, op_from_json(data["op"]),
                 CutGrid(_ints(data, "sequence"), _ints(data, "cuts")))
             values, subject, part = ("composed values", "composed values are",

@@ -11,6 +11,9 @@ always explicit).  Grammar::
     prod    := atom ("*" atom)*
     atom    := IDENT | NUMBER | "(" expr ")"
 
+The parser refuses a term whose operators, or whose parentheses, nest
+deeper than :data:`MAX_TERM_DEPTH`, before anything recurses over it.
+
 Canonicalization folds constant-constant nodes and sorts the operands of
 each commutative node under a fixed total order; it never distributes, so
 term identity stays predictable.  Evaluation is exact and errors once a
@@ -28,6 +31,11 @@ from .errors import BudgetExceededError, RamseyError, ValueOverflowError
 
 #: evaluation width — values above this raise ValueOverflowError
 VALUE_CAP = 2**63 - 1
+
+#: how deep a term's operators, and its parentheses, may nest (a chain of
+#: n sums is n - 1 deep); the compiled scan's source holds one parenthesis
+#: pair per operator, and CPython compiles at most 200 nested
+MAX_TERM_DEPTH = 100
 
 
 class PatternError(RamseyError):
@@ -233,6 +241,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.parens = 0  # open parentheses around the current token
 
     def peek(self):
         return self.tokens[self.i]
@@ -248,41 +257,50 @@ class _Parser:
         self.take("{")
         if self.peek()[0] == "}":
             raise PatternSyntaxError("empty term set", self.peek()[2])
-        terms = [self.parse_expr()]
+        terms = [self.parse_expr()[0]]
         while self.peek()[0] == ",":
             self.take(",")
-            terms.append(self.parse_expr())
+            terms.append(self.parse_expr()[0])
         self.take("}")
         if self.peek()[0] != "eof":
             raise PatternSyntaxError("trailing input after pattern", self.peek()[2])
         return terms
 
     def parse_expr(self):
-        t = self.parse_prod()
-        while self.peek()[0] == "+":
-            self.take("+")
-            t = Add(t, self.parse_prod())
-        return t
+        return self._chain("+", Add, self.parse_prod)
 
     def parse_prod(self):
-        t = self.parse_atom()
-        while self.peek()[0] == "*":
-            self.take("*")
-            t = Mul(t, self.parse_atom())
-        return t
+        return self._chain("*", Mul, self.parse_atom)
+
+    def _chain(self, op: str, node, operand):
+        """``operand (op operand)*``, left-nested: (term, depth)."""
+        t, depth = operand()
+        while self.peek()[0] == op:
+            pos = self.take(op)[2]
+            right, d = operand()
+            t, depth = node(t, right), max(depth, d) + 1
+            if depth > MAX_TERM_DEPTH:
+                raise PatternSyntaxError(
+                    f"term nested deeper than {MAX_TERM_DEPTH}", pos)
+        return t, depth
 
     def parse_atom(self):
         kind, value, pos = self.peek()
         if kind == "ident":
             self.take()
-            return Var(value)
+            return Var(value), 0
         if kind == "num":
             self.take()
-            return Const(value)
+            return Const(value), 0
         if kind == "(":
             self.take("(")
+            self.parens += 1
+            if self.parens > MAX_TERM_DEPTH:
+                raise PatternSyntaxError(
+                    f"parentheses nested deeper than {MAX_TERM_DEPTH}", pos)
             t = self.parse_expr()
             self.take(")")
+            self.parens -= 1
             return t
         raise PatternSyntaxError("expected a term", pos)
 
@@ -438,7 +456,11 @@ def compile_scan(schema: PatternSchema) -> Callable[..., Iterator[tuple]]:
 def instance_value_sets(schema: PatternSchema, N: int) -> list:
     """Deduplicated in-box instance value sets, as sorted tuples, sorted:
     the term values of every leaf of the compiled scan under one color.
-    Leaf :data:`LEAF_BUDGET` + 1 raises :class:`BudgetExceededError`."""
+    Leaf :data:`LEAF_BUDGET` + 1 raises :class:`BudgetExceededError`, and
+    so does a box of more than LEAF_BUDGET values, before the one-color
+    table of N + 1 bytes is allocated."""
+    if N > LEAF_BUDGET:
+        raise BudgetExceededError.past(LEAF_BUDGET)
     stop = LEAF_BUDGET + 1
     sets = set()
     for n, _, values in compile_scan(schema)(N, bytes(N + 1), stop):

@@ -44,8 +44,8 @@ from . import sat as satmod
 from ._parallel import ordered_first_hit
 from .colorings import Coloring, enumerate_colorings
 from .errors import BudgetExceededError, MalformedInputError, RamseyError
-from .patterns import (LEAF_BUDGET, PatternSchema, compile_scan,
-                       instance_value_sets, instantiate)
+from .patterns import (PatternSchema, compile_scan, instance_value_sets,
+                       instantiate)
 
 ENGINES = ("backtracking", "sat", "exhaustive")
 
@@ -81,27 +81,6 @@ class ThresholdResult:
 # instance search
 
 
-def _scan_instances(schema: PatternSchema, coloring: Coloring,
-                    max_nodes: Optional[int], limit: Optional[int] = 1):
-    """In-order scan of the schema's in-box assignments (its compiled
-    scan's leaves) for monochromatic ones.  Returns (hits as (assignment
-    dict, color), leaves visited); stops once ``limit`` hits are in.  Leaf
-    ``max_nodes + 1`` raises :class:`BudgetExceededError`."""
-    variables = schema.variables
-    table = coloring.value_table()
-    stop = -1 if max_nodes is None else max(max_nodes, 0) + 1
-    hits: list = []
-    for leaves, asg, values in compile_scan(schema)(coloring.N, table, stop):
-        if values is None:
-            if leaves == stop:
-                raise BudgetExceededError.past(max_nodes)
-            break
-        hits.append((dict(zip(variables, asg)), table[values[0]]))
-        if limit is not None and len(hits) >= limit:
-            break
-    return hits, leaves
-
-
 def instance_color(schema: PatternSchema, coloring: Coloring,
                    assignment) -> Optional[int]:
     """The one color of the schema's values at ``assignment``, or None when
@@ -118,8 +97,8 @@ def find_instance_detailed(query: InstanceQuery,
     """As :func:`find_instance`, also returning the leaf count."""
 
     def scan():
-        hits, leaves = _scan_instances(query.schema, query.coloring,
-                                       max_nodes)
+        hits, leaves = find_all_instances_detailed(query, limit=1,
+                                                   max_nodes=max_nodes)
         return (hits[0] if hits else None), leaves
 
     # one task, so the bench's parallel.* counters still see the scan
@@ -137,22 +116,28 @@ def find_instance(query: InstanceQuery, max_nodes: Optional[int] = None):
 def find_all_instances_detailed(query: InstanceQuery,
                                 limit: Optional[int] = 1000,
                                 max_nodes: Optional[int] = None):
-    """All monochromatic instances in order (at most ``limit``, at least one)
-    and the leaves visited, under :func:`find_instance`'s leaf budget."""
-    return _scan_instances(query.schema, query.coloring, max_nodes, limit)
+    """In-order scan of the schema's in-box assignments (its compiled
+    scan's leaves) for monochromatic ones: (hits as (assignment dict,
+    color), leaves visited).  Stops once ``limit`` hits are in (at least
+    one); leaf ``max_nodes + 1`` raises :class:`BudgetExceededError`."""
+    variables = query.schema.variables
+    table = query.coloring.value_table()
+    stop = -1 if max_nodes is None else max(max_nodes, 0) + 1
+    hits: list = []
+    for leaves, asg, values in compile_scan(query.schema)(query.coloring.N,
+                                                          table, stop):
+        if values is None:
+            if leaves == stop:
+                raise BudgetExceededError.past(max_nodes)
+            break
+        hits.append((dict(zip(variables, asg)), table[values[0]]))
+        if limit is not None and len(hits) >= limit:
+            break
+    return hits, leaves
 
 
 # ---------------------------------------------------------------------------
 # avoidance search
-
-
-def _value_sets(schema: PatternSchema, N: int) -> list:
-    """The value sets of [1..N], once the box is known to hold at most
-    LEAF_BUDGET values: a larger box answers ``unknown``, as its value
-    sets would, before anything is allocated for it."""
-    if N > LEAF_BUDGET:
-        raise BudgetExceededError.past(LEAF_BUDGET)
-    return instance_value_sets(schema, N)
 
 
 _NO_INSTANCE = ((), ())
@@ -262,8 +247,8 @@ def _backtracking_results(schema: PatternSchema, c: int, first: int,
         stats = SearchStats()
         verdict, found = "unknown", None
         try:
-            index += _index_by_max(_value_sets(schema, N), len(index) + 1,
-                                   N)
+            index += _index_by_max(instance_value_sets(schema, N),
+                                   len(index) + 1, N)
             # one task, so the bench's parallel.* counters still see it
             cells, stats.nodes = ordered_first_hit([lambda: next(dfs)])
         except BudgetExceededError as exc:
@@ -320,7 +305,7 @@ def find_avoiding_coloring(schema: PatternSchema, N: int, c: int,
             elif sv.status == satmod.UNKNOWN:
                 verdict = "unknown"
         else:
-            value_sets = _value_sets(schema, N)
+            value_sets = instance_value_sets(schema, N)
             nodes = 0
             for col in enumerate_colorings(N, c, symmetry_break=True):
                 nodes += 1

@@ -7,6 +7,8 @@ avoidance engines read follow the same rule with the fixed budget
 :data:`ramseylab.patterns.LEAF_BUDGET`.
 """
 
+import tracemalloc
+
 import pytest
 
 from ramseylab.colorings import make_coloring
@@ -16,7 +18,7 @@ from ramseylab.hindman import (find_fs_witness_detailed,
                                find_scaled_bundle_detailed,
                                find_scaled_quad_detailed,
                                find_shifted_bundle_detailed)
-from ramseylab import patterns, search
+from ramseylab import patterns
 from ramseylab import sat as satmod
 from ramseylab.patterns import LEAF_BUDGET, instance_value_sets, parse_pattern
 from ramseylab.search import (ENGINES, InstanceQuery,
@@ -123,6 +125,27 @@ def test_value_sets_stop_at_the_leaf_past_the_leaf_budget():
     assert exc.value.nodes == LEAF_BUDGET + 1
 
 
+def test_value_sets_refuse_a_box_past_the_leaf_budget_before_allocating():
+    # {x+999999990} has 10 leaves in [1..10^9], but the one-color table of
+    # the scan would take N + 1 bytes: the box alone is refused, at once
+    schema = parse_pattern("{x+999999990}")
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError) as exc:
+            instance_value_sets(schema, 10 ** 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.nodes == LEAF_BUDGET + 1
+    assert peak < 1 << 20
+    # the bound is the box, LEAF_BUDGET values, not the leaves
+    near = parse_pattern("{x+1048570}")
+    assert instance_value_sets(near, LEAF_BUDGET) == [
+        (v,) for v in range(1048571, LEAF_BUDGET + 1)]
+    with pytest.raises(BudgetExceededError):
+        instance_value_sets(near, LEAF_BUDGET + 1)
+
+
 @pytest.mark.parametrize("engine", ENGINES)
 def test_leaf_budget_gives_unknown_on_every_engine(monkeypatch, engine):
     # Schur's pattern has 6 leaves at N = 4 and 10 at N = 5
@@ -141,16 +164,18 @@ def test_leaf_budget_gives_unknown_on_every_engine(monkeypatch, engine):
 
 
 @pytest.mark.parametrize("engine, module, bound", [
-    ("backtracking", search, 5),  # a box of N values, N > bound
-    ("exhaustive", search, 5),
+    ("backtracking", patterns, 5),  # a box of N values, N > bound
+    ("exhaustive", patterns, 5),
     ("sat", satmod, 20),  # N * (1 + C(3, 2)) exactly-one clauses > bound
 ])
 def test_a_threshold_keeps_its_rows_before_a_box_past_the_set_up_bound(
         monkeypatch, engine, module, bound):
     # the bounds are checked before anything is built for the box, and
-    # answer unknown as the value sets past LEAF_BUDGET do
+    # answer unknown as the value sets past LEAF_BUDGET do; the box bound
+    # is the value sets' own, so the pattern has at most N/2 leaves and
+    # only the box can pass it
     monkeypatch.setattr(module, "LEAF_BUDGET", bound)
-    res = threshold_number(parse_pattern("{x, y, x+y}"), 3, 20, engine=engine)
+    res = threshold_number(parse_pattern("{x, 2*x}"), 3, 20, engine=engine)
     assert (res.status, res.threshold) == ("unknown", None)
     assert [row[1] for row in res.rows] == ["sat"] * 5 + ["unknown"]
     assert res.rows[-1][2] == bound + 1

@@ -155,6 +155,30 @@ def test_a_box_past_the_leaf_budget_exits_two_before_it_is_built(capsys,
     assert report["stats"]["nodes"] == patterns.LEAF_BUDGET + 1
 
 
+DEEP_TERMS = {
+    "sum-202": ("{" + "+".join(["x"] * 202) + "}",
+                "term nested deeper than 100 (at offset 202)"),
+    "sum-1000": ("{" + "+".join(["x"] * 1000) + "}",
+                 "term nested deeper than 100 (at offset 202)"),
+    "parens-400": ("{" + "(" * 400 + "x" + ")" * 400 + "}",
+                   "parentheses nested deeper than 100 (at offset 101)"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP_TERMS))
+@pytest.mark.parametrize("argv", [
+    ("find", "--generator", "parity", "--n", "8", "--colors", "2"),
+    ("avoid", "--n", "5", "--colors", "2"),
+    ("threshold", "--colors", "2", "--n-max", "5")],
+    ids=["find", "avoid", "threshold"])
+def test_a_term_nested_past_the_bound_is_an_input_error(capsys, argv, shape):
+    # these ended in a traceback (too many nested parentheses in the
+    # compiled scan, or RecursionError) with no report
+    pattern, error = DEEP_TERMS[shape]
+    code, report = run_json(capsys, *argv, "--pattern", pattern)
+    assert (code, report["verdict"], report["error"]) == (1, "error", error)
+
+
 def test_a_huge_palette_is_refused_by_the_clause_bound_only(capsys, tmp_path):
     # 10 * (1 + C(100000, 2)) exactly-one clauses pass LEAF_BUDGET, so sat
     # and encode answer unknown before they build one; backtracking needs
@@ -344,14 +368,20 @@ def test_finder_budget_exhaustion_reports_query_and_nodes(capsys, argv, flag):
                                    ("--k", "3", "--cap-a", "5")],
                          ids=["k4-default-cap", "k4-budget0", "k3-cap5"])
 def test_bundle_cap_below_the_floor_answers_none(capsys, command, flags):
-    # a k-generator FS set has at least k(k+1)/2 values, more than |A| may;
-    # the search through every A of 4 to 7 elements for k = 4 ran for
-    # minutes on this coloring
+    """A k-generator FS set has at least k(k+1)/2 values, more than |A| may
+    have here, so no walk under the cap could answer (one A of 10 values
+    is a bundle on one color): the cap is refused and the least size
+    named."""
     code, report = run_json(capsys, command, *flags, "--generator",
                             "constant", "--n", "60", "--colors", "1",
                             "--param", "0")
-    assert (code, report["verdict"], report["stats"]["nodes"]) == \
-        (0, "none", 0)
+    k, cap = int(flags[1]), {"bundle14": 7, "bundle15": 9}[command]
+    if "--cap-a" in flags:
+        cap = int(flags[flags.index("--cap-a") + 1])
+    least = k * (k + 1) // 2
+    assert (code, report["verdict"], report["error"]) == (
+        1, "error", f"cap_a {cap} is below {least}, the least |A| that "
+        f"holds a {k}-generator FS set")
 
 
 BUNDLE15_N40 = ("bundle15", "--k", "2") + _random(40)
@@ -773,7 +803,8 @@ WITNESS_ARGV = {
 def test_finders_recheck_the_record_they_save(capsys, monkeypatch, tmp_path,
                                               kind):
     """The record --witness-out saves is the one verify_witness accepted,
-    byte for byte the golden record of the query."""
+    byte for byte the golden record of the query once that drops the
+    ``validated`` field older records carry."""
     argv = (*WITNESS_ARGV[kind], "--generator", "random", "--colors", "2",
             "--seed", "0", "--witness-out", str(tmp_path / "w.json"))
     checked = []
@@ -787,7 +818,18 @@ def test_finders_recheck_the_record_they_save(capsys, monkeypatch, tmp_path,
     assert (code, report["verdict"]) == (0, "found")
     saved = (tmp_path / "w.json").read_text()
     assert checked == [saved]
-    assert saved == (DATA / f"witness_{kind}.json").read_text()
+    golden = json.loads((DATA / f"witness_{kind}.json").read_text())
+    assert golden.pop("validated") is True
+    assert saved == json.dumps(golden, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("kind", sorted(WITNESS_ARGV))
+def test_records_with_a_validated_field_still_verify(capsys, kind):
+    """Older records carry ``"validated": true``; nothing reads it."""
+    path = DATA / f"witness_{kind}.json"
+    assert "validated" in json.loads(path.read_text())
+    code, report = run_json(capsys, "verify", str(path))
+    assert (code, report["verdict"]) == (0, "valid")
 
 
 def test_fs_witness_takes_at_most_30_generators(capsys):
@@ -921,6 +963,15 @@ def test_composed_witness_takes_one_mode_only(capsys, modes, error):
     out, err = capsys.readouterr()
     assert (code, out) == (1, "")
     assert err.endswith(f"ramseylab composed-witness: error: {error}\n")
+
+
+def test_composed_witness_op_domain_is_the_coloring_box(capsys):
+    # a builtin operation acts on [1..N]; no flag sets another domain
+    code = main([*COMPOSED, "--cuts", "0,1,2", "--op-n", "5"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err.endswith("ramseylab composed-witness: error: unrecognized "
+                        "arguments: --op-n 5\n")
 
 
 def test_composed_witness_explicit_table(capsys, tmp_path):

@@ -16,13 +16,10 @@ from ramseylab.colorings import Coloring, ColoringSpec, loads, make_coloring
 from ramseylab.errors import (BudgetExceededError, CompositionOutOfBoxError,
                               MalformedInputError, OutOfBoxError, RamseyError)
 from ramseylab.hindman import (BUILTIN_OPS, SCALED_QUAD, SHIFTED_QUAD,
-                               Bundle, CutGrid, OpTable,
-                               builtin_op, check_bundle, check_composed_witness,
+                               Bundle, CutGrid, OpTable, check_bundle,
                                check_composed_witness_detailed,
-                               check_depth_indexed_witness,
                                check_depth_indexed_witness_detailed,
                                check_fs_witness, check_grid_witness,
-                               composed_color_by_depth,
                                composed_color_by_depth_detailed,
                                find_fs_witness_detailed,
                                find_grid_witness_detailed,
@@ -317,19 +314,29 @@ def test_grid_length_past_the_family_cap_is_refused_before_any_node():
 # binary operations and composed witnesses
 
 
+def _answer(detailed):
+    """The composed check ``detailed`` without the units it returns."""
+    return lambda *args: detailed(*args)[0]
+
+
+_check_composed = _answer(check_composed_witness_detailed)
+_composed_by_depth = _answer(composed_color_by_depth_detailed)
+_depth_indexed = _answer(check_depth_indexed_witness_detailed)
+
+
 def test_builtin_op_applies_and_escapes():
-    mul = builtin_op("multiplication-capped", 8)
+    mul = OpTable("multiplication-capped", 8)
     assert mul.apply(2, 4) == 8
     with pytest.raises(CompositionOutOfBoxError):
         mul.apply(3, 3)
-    add = builtin_op("addition-capped", 5)
+    add = OpTable("addition-capped", 5)
     assert add.apply(2, 3) == 5
     with pytest.raises(CompositionOutOfBoxError):
         add.apply(3, 3)
 
 
 def test_op_rejects_out_of_domain_operands():
-    mul = builtin_op("multiplication-capped", 8)
+    mul = OpTable("multiplication-capped", 8)
     with pytest.raises(CompositionOutOfBoxError):
         mul.apply(0, 2)
     with pytest.raises(CompositionOutOfBoxError):
@@ -338,7 +345,7 @@ def test_op_rejects_out_of_domain_operands():
 
 def test_builtin_op_unknown_kind():
     with pytest.raises(MalformedInputError):
-        builtin_op("subtraction-capped", 8)
+        OpTable("subtraction-capped", 8)
 
 
 def test_explicit_table_op():
@@ -361,7 +368,7 @@ def test_op_table_rejects_malformed(kwargs):
 
 
 def test_op_json_round_trip():
-    for op in (builtin_op("addition-capped", 9),
+    for op in (OpTable("addition-capped", 9),
                OpTable(kind="table", n=2, rows=((1, 2), (2, 1)))):
         again = op_from_json(json.loads(json.dumps(op.to_json())))
         assert again == op
@@ -395,52 +402,52 @@ def test_load_op_table_reads_the_semigroup_table_layout(tmp_path, text, error):
 
 
 def test_check_composed_witness_multiplication():
-    mul = builtin_op("multiplication-capped", 8)
+    mul = OpTable("multiplication-capped", 8)
     # blocks {2} and {2}: the single composed value is 4
-    assert check_composed_witness(parity(8), mul, CutGrid((2, 2), (0, 1, 2))) == (True, 0)
+    assert _check_composed(parity(8), mul, CutGrid((2, 2), (0, 1, 2))) == (True, 0)
     # blocks {1} and {2}: composed value 2, bare values of the d = 1 case unused
-    assert check_composed_witness(parity(8), mul, CutGrid((1, 2), (0, 1, 2))) == (True, 0)
+    assert _check_composed(parity(8), mul, CutGrid((1, 2), (0, 1, 2))) == (True, 0)
 
 
 def test_check_composed_witness_escape_raises():
-    mul = builtin_op("multiplication-capped", 8)
+    mul = OpTable("multiplication-capped", 8)
     with pytest.raises(CompositionOutOfBoxError):
-        check_composed_witness(parity(8), mul, CutGrid((3, 3), (0, 1, 2)))
+        _check_composed(parity(8), mul, CutGrid((3, 3), (0, 1, 2)))
 
 
 def test_composed_depth_profile_records_escapes():
-    mul = builtin_op("multiplication-capped", 8)
-    profile = composed_color_by_depth(parity(8), mul, (2, 2), 2)
+    mul = OpTable("multiplication-capped", 8)
+    profile = _composed_by_depth(parity(8), mul, (2, 2), 2)
     assert profile == [
         {"d": 1, "ok": True, "color": 0, "oob": False},
         {"d": 2, "ok": True, "color": 0, "oob": False},
     ]
-    profile = composed_color_by_depth(parity(8), mul, (3, 3), 2)
+    profile = _composed_by_depth(parity(8), mul, (3, 3), 2)
     assert profile[0] == {"d": 1, "ok": False, "color": None, "oob": False}
     assert profile[1] == {"d": 2, "ok": False, "color": None, "oob": True}
 
 
 def test_depth_indexed_witness():
-    mul = builtin_op("multiplication-capped", 8)
+    mul = OpTable("multiplication-capped", 8)
     # admissible depths FS((1,)) = {1}; every (1, m1) block is all-even
-    assert check_depth_indexed_witness(parity(8), mul, (1, 2, 2, 2), 1) == (True, 0)
+    assert _depth_indexed(parity(8), mul, (1, 2, 2, 2), 1) == (True, 0)
     # color mismatch across cut tuples
     bad = loads("1 8 2\n0 0 1 0 1 0 1 0\n")
-    assert check_depth_indexed_witness(bad, mul, (1, 2, 3), 1) == (False, None)
+    assert _depth_indexed(bad, mul, (1, 2, 3), 1) == (False, None)
 
 
 def test_depth_indexed_witness_vacuous():
-    mul = builtin_op("multiplication-capped", 8)
+    mul = OpTable("multiplication-capped", 8)
     # FS((3,)) = {3} but only L - m0 = 0 cuts remain: nothing to check
-    assert check_depth_indexed_witness(parity(8), mul, (3,), 1) == (True, None)
+    assert _depth_indexed(parity(8), mul, (3,), 1) == (True, None)
 
 
 def test_depth_indexed_witness_validates_m0():
-    mul = builtin_op("multiplication-capped", 8)
+    mul = OpTable("multiplication-capped", 8)
     with pytest.raises(RamseyError):
-        check_depth_indexed_witness(parity(8), mul, (1, 2), 0)
+        _depth_indexed(parity(8), mul, (1, 2), 0)
     with pytest.raises(RamseyError):
-        check_depth_indexed_witness(parity(8), mul, (1, 2), 3)
+        _depth_indexed(parity(8), mul, (1, 2), 3)
 
 
 # The color checks and cut-tuple walks as they were written before they
@@ -512,7 +519,7 @@ def test_folded_walks_match_the_loops_they_replace(cells, constant, seq,
         op = OpTable("table", N, rows=[[rng.randint(1, N) for _ in range(N)]
                                        for _ in range(N)])
     else:
-        op = builtin_op(op_kind, N)
+        op = OpTable(op_kind, N)
     seq = tuple(seq)
     grid_d = min(d, len(seq))
     m0 = min(m0, len(seq))
@@ -523,9 +530,9 @@ def test_folded_walks_match_the_loops_they_replace(cells, constant, seq,
         if sum(seq) > N else _outcome(_ref_check_fs, col, seq))
     assert _outcome(grid_common_color, col, seq, grid_d) == \
         _outcome(_ref_grid_common_color, col, seq, grid_d)
-    assert _outcome(composed_color_by_depth, col, op, seq, d) == \
+    assert _outcome(_composed_by_depth, col, op, seq, d) == \
         _outcome(_frozen_composed_by_depth, col, op, seq, d)
-    assert _outcome(check_depth_indexed_witness, col, op, seq, m0) == \
+    assert _outcome(_depth_indexed, col, op, seq, m0) == \
         _outcome(_frozen_depth_indexed, col, op, seq, m0)
 
 
@@ -632,17 +639,17 @@ def _composed_cases(cells, seq, op_kind, op_n, table_seed, cut_seed, d, m0):
         op = OpTable("table", op_n, rows=[
             [rng.randint(1, op_n) for _ in range(op_n)] for _ in range(op_n)])
     else:
-        op = builtin_op(op_kind, op_n)
+        op = OpTable(op_kind, op_n)
     seq = tuple(seq)
     L = len(seq)
     cuts = sorted(random.Random(cut_seed).sample(range(L + 1), min(d, L) + 1))
     m0 = min(m0, L)
-    cases = [(composed_color_by_depth, _frozen_composed_by_depth,
+    cases = [(_composed_by_depth, _frozen_composed_by_depth,
               (col, op, seq, d)),
-             (check_depth_indexed_witness, _frozen_depth_indexed,
+             (_depth_indexed, _frozen_depth_indexed,
               (col, op, seq, m0))]
     if min(seq) >= 1:
-        cases.append((check_composed_witness, _frozen_check_composed,
+        cases.append((_check_composed, _frozen_check_composed,
                       (col, op, CutGrid(seq, cuts))))
     return cases
 
@@ -703,8 +710,8 @@ def test_composed_walk_closes_blocks_by_place():
     # 36 places in all (8 distinct families); the frozen checks closed
     # each block of each of the C(9, d + 1) tuples of depth d
     one = make_coloring("constant", 1, 100, 1, param=(0,))
-    add = builtin_op("addition-capped", 100)
-    (profile, closed) = _walk_outcome(composed_color_by_depth, one, add,
+    add = OpTable("addition-capped", 100)
+    (profile, closed) = _walk_outcome(_composed_by_depth, one, add,
                                       (1,) * 8, 3)
     assert [row["ok"] for row in profile] == [True] * 3
     assert len(closed) == 36
@@ -715,18 +722,18 @@ def test_composed_walk_closes_blocks_by_place():
 def test_composed_walk_spends_one_unit_per_fold_and_value(monkeypatch):
     # the blocks (2) and (2) cost a unit each before they are closed, and
     # their one fold, 2 * 2, a third
-    mul = builtin_op("multiplication-capped", 8)
+    mul = OpTable("multiplication-capped", 8)
     grid = CutGrid((2, 2), (0, 1, 2))
     monkeypatch.setattr(structures, "PROBE_BUDGET", 3)
-    assert check_composed_witness(parity(8), mul, grid) == (True, 0)
+    assert _check_composed(parity(8), mul, grid) == (True, 0)
     monkeypatch.setattr(structures, "PROBE_BUDGET", 2)
     with pytest.raises(BudgetExceededError) as exc:
-        check_composed_witness(parity(8), mul, grid)
+        _check_composed(parity(8), mul, grid)
     assert exc.value.nodes == 3
     # the head (1, 2) of the depth-indexed check costs min(3, 3) = 3 units
     monkeypatch.setattr(structures, "PROBE_BUDGET", 2)
     with pytest.raises(BudgetExceededError):
-        check_depth_indexed_witness(parity(8), mul, (1, 2, 2, 2, 2), 2)
+        _depth_indexed(parity(8), mul, (1, 2, 2, 2, 2), 2)
 
 
 @pytest.mark.parametrize("detailed, args, units", [
@@ -737,7 +744,7 @@ def test_composed_walk_spends_one_unit_per_fold_and_value(monkeypatch):
 def test_composed_walk_reports_the_units_it_needs(monkeypatch, detailed,
                                                   args, units):
     # a budget of exactly the reported units answers; one less stops it
-    mul = builtin_op("multiplication-capped", 8)
+    mul = OpTable("multiplication-capped", 8)
     answer, spent = detailed(parity(8), mul, *args)
     assert spent == units
     monkeypatch.setattr(structures, "PROBE_BUDGET", units)
@@ -750,27 +757,27 @@ def test_composed_walk_reports_the_units_it_needs(monkeypatch, detailed,
 def test_composed_profile_refuses_a_block_past_30_entries(monkeypatch):
     # depth 1 holds (0, 31): refused before any block is closed
     monkeypatch.setattr(hindman, "fs_values", None)
-    add = builtin_op("addition-capped", 1000)
+    add = OpTable("addition-capped", 1000)
     one = make_coloring("constant", 1, 1000, 1, param=(0,))
     with pytest.raises(RamseyError, match="profile block length 31"):
-        composed_color_by_depth(one, add, (1,) * 31, 1)
-    assert composed_color_by_depth(one, add, (1,) * 31, 0) == []
+        _composed_by_depth(one, add, (1,) * 31, 1)
+    assert _composed_by_depth(one, add, (1,) * 31, 0) == []
 
 
 def test_composed_walk_stops_at_its_budget():
     # 2^30 - 1 sums are charged before the block (1, 2, ..., 2^29) is
     # closed, so it is never built; 30 ones run out of folds instead
     one = make_coloring("constant", 1, 1000, 1, param=(0,))
-    add = builtin_op("addition-capped", 1000)
+    add = OpTable("addition-capped", 1000)
     powers = tuple(2 ** i for i in range(30))
-    for call in (lambda: check_composed_witness(one, add,
+    for call in (lambda: _check_composed(one, add,
                                                 CutGrid(powers, (0, 30))),
-                 lambda: check_depth_indexed_witness(one, add, powers, 30)):
+                 lambda: _depth_indexed(one, add, powers, 30)):
         with pytest.raises(BudgetExceededError) as exc:
             call()
         assert exc.value.nodes == structures.PROBE_BUDGET + 1
     with pytest.raises(BudgetExceededError):
-        check_depth_indexed_witness(one, add, (1,) * 30, 4)
+        _depth_indexed(one, add, (1,) * 30, 4)
 
 
 ONE_COLOR_100 = make_coloring("constant", 1, 100, 1, param=(0,))
@@ -1081,8 +1088,10 @@ _BUNDLE_COLORINGS = [("random", 24, 2, 0), ("random", 20, 3, 2),
 @pytest.mark.parametrize("shifted", [False, True],
                          ids=["bundle14", "bundle15"])
 def test_bundle_finder_skips_only_sizes_that_cannot_hold(shifted, k, lazy):
-    """Against the search that tried every |A| from k: the same witness or
-    error, no more nodes, and the budget rule at the new count."""
+    """Against the search that tried every |A| from k: the same witness,
+    no more nodes, and the budget rule at the new count.  A cap below the
+    least size that holds a k-FS set, where the old search could only
+    answer None, is refused and names that size."""
     find = find_shifted_bundle_detailed if shifted else \
         find_scaled_bundle_detailed
     floor = min_closure_size(k)
@@ -1091,19 +1100,15 @@ def test_bundle_finder_skips_only_sizes_that_cannot_hold(shifted, k, lazy):
                             param=(0,) if generator == "constant" else (),
                             cell_budget=0 if lazy else N)
         assert (col.cells is None) == lazy
-        for cap_a in (None, floor - 1, floor, floor + 1):
-            got = _outcome(find, col, k, cap_a)
-            want = _outcome(_reference_find_bundle, col, k, cap_a, None,
-                            shifted)
-            if isinstance(want[0], type):  # both refuse a cap_a of 0
-                assert got == want
-                continue
-            (hit, nodes), (ref_hit, ref_nodes) = got, want
+        assert _outcome(find, col, k, floor - 1) == (
+            RamseyError, f"cap_a {floor - 1} is below {floor}, the least "
+            f"|A| that holds a {k}-generator FS set")
+        for cap_a in (None, floor, floor + 1):
+            (hit, nodes) = find(col, k, cap_a)
+            ref_hit, ref_nodes = _reference_find_bundle(col, k, cap_a, None,
+                                                        shifted)
             assert hit == ref_hit
             assert nodes <= ref_nodes
-            if cap_a == floor - 1:
-                assert (hit, nodes) == (None, 0)
-                continue
             assert find(col, k, cap_a, nodes) == (hit, nodes)
             with pytest.raises(BudgetExceededError) as exc:
                 find(col, k, cap_a, nodes - 1)
@@ -1185,7 +1190,9 @@ def test_planted_quad_is_found():
 def test_witness_record_round_trip(tmp_path):
     spec = ColoringSpec(kind="generator", generator="parity", d=1, N=8, c=2)
     record = make_witness("fs", {"generators": [2, 2], "color": 0},
-                          coloring_spec=spec, validated=True)
+                          coloring_spec=spec)
+    assert sorted(record) == ["coloring_ref", "data", "kind",
+                              "schema_version"]
     path = tmp_path / "w.json"
     save_witness(path, record)
     again = load_witness(path)
@@ -1259,7 +1266,7 @@ def test_verify_grid_witness_both_forms():
 
 def test_verify_composed_and_bundle_records():
     par20 = parity(20)
-    mul = builtin_op("multiplication-capped", 8)
+    mul = OpTable("multiplication-capped", 8)
     composed = make_witness("composed", {
         "sequence": [2, 2], "cuts": [0, 1, 2], "op": mul.to_json(),
         "color": 0})

@@ -3,8 +3,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ramseylab.patterns import (Add, AssignmentError, Const, Mul,
-                                PatternSyntaxError, UnboundVariableError,
+from ramseylab import patterns
+from ramseylab.patterns import (Add, AssignmentError, Const, MAX_TERM_DEPTH,
+                                Mul, PatternSyntaxError, UnboundVariableError,
                                 VALUE_CAP, Var, canonicalize, eval_term,
                                 format_pattern, format_term,
                                 compile_scan, instance_value_sets,
@@ -49,6 +50,47 @@ def test_syntax_errors_carry_offsets(bad, offset):
     with pytest.raises(PatternSyntaxError) as err:
         parse_pattern(bad)
     assert err.value.offset == offset
+
+
+def _sum(n):
+    return "+".join(["x"] * n)
+
+
+def _nested(n, inner="x"):
+    return "(" * n + inner + ")" * n
+
+
+@pytest.mark.parametrize("text, error, offset", [
+    # at the operator that makes the term 101 deep, or at the 101st "("
+    (_sum(202), "term nested deeper than 100", 201),
+    (_sum(1000), "term nested deeper than 100", 201),
+    ("*".join(["x"] * 102), "term nested deeper than 100", 201),
+    ("x*(" * 100 + "x*x" + ")" * 100, "term nested deeper than 100", 1),
+    (_nested(400), "parentheses nested deeper than 100", 100),
+    (_nested(101), "parentheses nested deeper than 100", 100),
+], ids=["sum-202", "sum-1000", "product-102", "right-nested-102", "parens-400",
+        "parens-101"])
+def test_parse_refuses_a_term_nested_past_the_bound(monkeypatch, text, error,
+                                                   offset):
+    # the term is refused while it is parsed: nothing recurses over it
+    for name in ("canonicalize", "format_term", "compile_scan"):
+        monkeypatch.setattr(patterns, name, None)
+    with pytest.raises(PatternSyntaxError) as err:
+        parse_pattern("{y, " + text + "}")
+    assert str(err.value) == f"{error} (at offset {offset + 4})"
+
+
+@pytest.mark.parametrize("text", [
+    _sum(101), "*".join(["x"] * 101), "x*(" * 100 + "x" + ")" * 100,
+    _nested(100), _nested(50, "x+" + _nested(49, "x")),
+], ids=["sum-101", "product-101", "right-nested-101", "parens-100",
+        "parens-99-sum"])
+def test_terms_at_the_depth_bound_parse_format_and_scan(text):
+    assert MAX_TERM_DEPTH == 100
+    schema = parse_pattern("{" + text + "}")
+    assert parse_pattern(format_pattern(schema)) == schema
+    # the first leaf, x = 1, is a hit under one color
+    assert next(compile_scan(schema)(200, bytes(201), -1))[:2] == (1, (1,))
 
 
 def test_rejects_unknown_characters():

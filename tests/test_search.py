@@ -8,7 +8,7 @@ from ramseylab.errors import (BudgetExceededError, MalformedInputError,
                               RamseyError)
 from ramseylab.patterns import (AssignmentError, compile_scan,
                                 instance_value_sets, parse_pattern)
-from ramseylab.search import (ENGINES, InstanceQuery, _scan_instances,
+from ramseylab.search import (ENGINES, InstanceQuery,
                               find_all_instances_detailed,
                               find_avoiding_coloring, find_instance,
                               find_instance_detailed, instance_color,
@@ -83,12 +83,15 @@ def test_scan_is_unchanged(pattern, distinct, min_value, box, limit, hits,
     assert (col.cells is None) == lazy
     want = ([(dict(zip(schema.variables, values)), color)
              for values, color in hits], leaves)
+    query = InstanceQuery(schema=schema, coloring=col)
     # a budget of exactly the leaves the scan needs still answers
     for budget in (None, leaves):
-        assert _scan_instances(schema, col, budget, limit) == want
+        assert find_all_instances_detailed(query, limit, budget) == want
     with pytest.raises(BudgetExceededError) as err:
-        _scan_instances(schema, col, leaves - 1, limit)
+        find_all_instances_detailed(query, limit, leaves - 1)
     assert err.value.nodes == leaves
+    if limit == 1:
+        assert find_instance_detailed(query) == (want[0][0], leaves)
 
 
 def test_find_all_prefix_matches_first():
